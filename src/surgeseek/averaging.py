@@ -24,7 +24,7 @@ import numpy as np
 
 from .integrator import IntegratorSettings, Trajectory, integrate
 from .quadrature import DEFAULT_PANELS, cumulative_simpson, sample_period, simpson
-from .vehicle import coriolis_force, kinematic_matrix
+from .vehicle import coriolis, dynamics_rhs, kinematic_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +87,8 @@ def iterated_bracket(f, g, point, order, probe=1e-3):
 
 def drift_velocity_field(params, b0):
     """f2(v) = -M^{-1} (C(v)v + Dv - B0) with B0 the mapped base input."""
-    b0 = np.asarray(b0, dtype=float)
-    big_b0 = np.array([b0[0], 0.0, b0[1]])
-    minv = params.inertia_inv
-
     def f2(v):
-        return minv @ (big_b0 - coriolis_force(params, v) - params.d @ v)
+        return dynamics_rhs(params, np.concatenate([np.zeros(3), v]), b0)[3:]
 
     return f2
 
@@ -111,16 +107,15 @@ def _jac(field, q, probe):
 
 def coriolis_bilinear(params, xv, yv):
     """Symmetrized Coriolis form C(X)Y + C(Y)X (the exact second v-derivative)."""
-    from .vehicle import coriolis
     return coriolis(params, xv) @ yv + coriolis(params, yv) @ xv
 
 
-def symmetric_product(x_field, y_field, params, b0, q, probe=1e-5):
+def symmetric_product(x_field, y_field, params, q, probe=1e-5):
     """<X:Y>(q) for the vehicle's velocity drift; symmetric in (X, Y).
 
     The last term of the product is evaluated exactly through the
-    Coriolis bilinear form (the linear damping drops out under the
-    second v-derivative; b0 is constant and drops out as well).
+    Coriolis bilinear form: the linear damping and the constant base
+    input drop out under the second v-derivative, so neither enters.
     """
     x_field, y_field = _as_field(x_field), _as_field(y_field)
     q = np.asarray(q, dtype=float)
@@ -246,22 +241,25 @@ def reconstruct_velocity(vhat, xi):
 # averaged dynamics
 
 def averaged_rhs(params, b0, fields, lam, state, probe=1e-5):
-    """Right-hand side of the symmetric product system on the 6-state."""
+    """Right-hand side of the symmetric product system on the 6-state.
+
+    The vessel dynamics under the constant base input b0 = (u1, u2), from
+    `dynamics_rhs`, minus the forcing sum_ij Lambda_ij <B_i:B_j>(q) on the
+    velocity slots.
+    """
     fields = [_as_field(f) for f in fields]
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(fields), len(fields)):
         raise ValueError("lambda matrix dimension must match field count")
-    q, v = state[:3], state[3:6]
-    b0 = np.asarray(b0, dtype=float)
-    big_b0 = np.array([b0[0], 0.0, b0[1]])
+    q = state[:3]
     forcing = np.zeros(3)
     for i, fi in enumerate(fields):
         for j, fj in enumerate(fields):
             if lam[i, j] != 0.0:
-                forcing += lam[i, j] * symmetric_product(fi, fj, params, b0, q, probe)
-    qdot = kinematic_matrix(q[2]) @ v
-    vdot = params.inertia_inv @ (big_b0 - coriolis_force(params, v) - params.d @ v) - forcing
-    return np.concatenate([qdot, vdot])
+                forcing += lam[i, j] * symmetric_product(fi, fj, params, q, probe)
+    out = dynamics_rhs(params, state, b0)
+    out[3:] -= forcing
+    return out
 
 
 def closed_loop_fields(params, gains, cost_field):
@@ -271,12 +269,10 @@ def closed_loop_fields(params, gains, cost_field):
     torque; g injects B1(q) into the velocity slots. Used for bracket
     structure checks: ad_g^k f vanishes for k >= 3.
     """
-    f2 = drift_velocity_field(params, np.array([0.0, gains.c]))
     b1 = es_input_field(params, gains.k, cost_field)
 
     def f(state):
-        q, v = state[:3], state[3:6]
-        return np.concatenate([kinematic_matrix(q[2]) @ v, f2(v)])
+        return dynamics_rhs(params, state, (0.0, gains.c))
 
     def g(state):
         return np.concatenate([np.zeros(3), b1.value(state[:3])])

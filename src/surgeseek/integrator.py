@@ -24,14 +24,11 @@ class IntegratorSettings:
     step: float
     t0: float = 0.0
     tf: float = 1.0
-    method: str = "rk4"
 
     def __post_init__(self):
         span = self.tf - self.t0
         if not (0.0 < self.step <= span):
             raise ValueError("require 0 < step <= tf - t0")
-        if self.method != "rk4":
-            raise ValueError("only the classical rk4 method is supported")
 
     @property
     def n_steps(self):
@@ -84,7 +81,7 @@ def integrate(rhs, initial, settings):
         k4 = rhs(t + h, y + h * k3)
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         t = times[i + 1]
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise BlowUpError(t)
         states[i + 1] = y
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vehicle import coriolis, coriolis_force, dynamics_rhs
+from .vehicle import coriolis, dynamics_rhs
 
 _RESIDUAL_TOL = 1e-10
 _SLACK = 1e-9
@@ -34,8 +34,9 @@ class SteadyState:
 
 
 def _steady_residual(params, v, u):
-    gu = np.array([u[0], 0.0, u[1]])
-    return coriolis_force(params, v) + params.d @ v - gu
+    """C(v)v + Dv - Gu, i.e. -M v_dot from the dynamics."""
+    vdot = dynamics_rhs(params, np.concatenate([np.zeros(3), v]), u)[3:]
+    return -(params.inertia @ vdot)
 
 
 def steady_state_for_torque(params, c):
@@ -66,7 +67,9 @@ def steady_state_for_torque(params, c):
 
 def c_hat_bound(params):
     """Largest torque with guaranteed shifted passivity; inf if unconstrained."""
-    d11, d22, d33 = params.d_diag
+    if not params.is_diagonal_damping():
+        raise ValueError("damping matrix is not diagonal")
+    d11, d22, d33 = params.d[0, 0], params.d[1, 1], params.d[2, 2]
     if params.m22 <= params.m11:
         return math.inf
     return 2.0 * math.sqrt(d11 * d22) * d33 / (params.m22 - params.m11)
@@ -86,13 +89,12 @@ def monotonicity_check(params, c):
     return bool(np.min(np.linalg.eigvalsh(s)) >= -_SLACK)
 
 
-def passivity_residual(trajectory, params, c, use_coriolis=True):
+def passivity_residual(trajectory, params, c):
     """Max over samples of H-dot - (u - u*)^T (eta - eta*); <= 0 when passive.
 
-    H-dot is computed from the recorded input through the dynamics, so
-    integrator error never masquerades as a passivity violation. With
-    `use_coriolis=False` both H-dot and the dynamics drop the Coriolis
-    force (pure-damping diagnostic).
+    H-dot = (v - v*)^T M v_dot is computed from the recorded input through
+    `dynamics_rhs`, so integrator error never masquerades as a passivity
+    violation.
     """
     if trajectory.inputs is None:
         raise ValueError("trajectory has no recorded inputs")
@@ -101,11 +103,7 @@ def passivity_residual(trajectory, params, c, use_coriolis=True):
     worst = -math.inf
     for state, u in zip(trajectory.states, trajectory.inputs):
         v = state[3:6]
-        if use_coriolis:
-            vdot = dynamics_rhs(params, state, u)[3:6]
-        else:
-            gu = np.array([u[0], 0.0, u[1]])
-            vdot = params.inertia_inv @ (gu - params.d @ v)
+        vdot = dynamics_rhs(params, state, u)[3:6]
         dv = v - ss.v_star
         h_dot = dv @ (inertia @ vdot)
         eta = np.array([v[0], v[2]])

@@ -20,7 +20,7 @@ from . import costs
 from .dither import EsGains
 from .integrator import IntegratorSettings, Trajectory, integrate
 from .passivity import c_hat_bound
-from .vehicle import VehicleParams
+from .vehicle import VehicleParams, dynamics_rhs
 
 # chosen operationalizations of the asymptotic convergence claims;
 # echoed into run metadata so outputs are self-describing
@@ -103,28 +103,15 @@ def run_full(scenario):
     p = scenario.vehicle
     gains = scenario.gains
     cost = scenario.cost
-    m11, m22, m33 = p.m11, p.m22, p.m33
-    dmat = p.d
     k_over_eps = gains.k / gains.epsilon
     inv_eps = 1.0 / gains.epsilon
     c_torque = gains.c
     value = cost.value
-    cos, sin = math.cos, math.sin
+    cos = math.cos
 
     def rhs(t, y):
-        vx, vy, om = y[3], y[4], y[5]
-        rho = value(y[0], y[1])
-        u1 = k_over_eps * cos(t * inv_eps) * rho
-        cth, sth = cos(y[2]), sin(y[2])
-        dv = dmat @ y[3:6]
-        return np.array([
-            cth * vx - sth * vy,
-            sth * vx + cth * vy,
-            om,
-            (u1 + m22 * vy * om - dv[0]) / m11,
-            (-m11 * vx * om - dv[1]) / m22,
-            (c_torque - (m22 - m11) * vx * vy - dv[2]) / m33,
-        ])
+        u1 = k_over_eps * cos(t * inv_eps) * value(y[0], y[1])
+        return dynamics_rhs(p, y, (u1, c_torque))
 
     step, _ = _step_for(scenario)
     try:
@@ -147,29 +134,19 @@ def run_averaged(scenario):
     p = scenario.vehicle
     gains = scenario.gains
     cost = scenario.cost
-    m11, m22, m33 = p.m11, p.m22, p.m33
-    dmat = p.d
     c_torque = gains.c
     # Lambda_11 = 1/4 for the cosine dither; forcing = -Lambda_11 <B1:B1>
-    coef = 0.25 * 2.0 * (gains.k / m11) ** 2
+    coef = 0.25 * 2.0 * (gains.k / p.m11) ** 2
     value, gradient = cost.value, cost.gradient
     cos, sin = math.cos, math.sin
 
     def rhs(_t, y):
-        vx, vy, om = y[3], y[4], y[5]
         rho = value(y[0], y[1])
         gx, gy = gradient(y[0], y[1])
-        cth, sth = cos(y[2]), sin(y[2])
-        forcing = coef * rho * (gx * cth + gy * sth)
-        dv = dmat @ y[3:6]
-        return np.array([
-            cth * vx - sth * vy,
-            sth * vx + cth * vy,
-            om,
-            (m22 * vy * om - dv[0]) / m11 - forcing,
-            (-m11 * vx * om - dv[1]) / m22,
-            (c_torque - (m22 - m11) * vx * vy - dv[2]) / m33,
-        ])
+        forcing = coef * rho * (gx * cos(y[2]) + gy * sin(y[2]))
+        out = dynamics_rhs(p, y, (0.0, c_torque))
+        out[3] -= forcing
+        return out
 
     _, n_full = _step_for(scenario)
     n = max(10000, n_full)

@@ -11,29 +11,26 @@ State convention used throughout the package is a flat array of length 6:
      yaw rate omega (rad/s)]
 
 Input is [surge force u1 (N), yaw torque u2 (N*m)]. There is no sway
-actuator: the input matrix INPUT_MAP maps the 2 inputs into the 3
-generalized forces and encodes the underactuation.
+actuator: the generalized force is G u = (u1, 0, u2), which encodes the
+underactuation.
 
 Dynamics:
 
     q_dot = J(theta) v
-    M v_dot + C(v) v + D v = INPUT_MAP u
+    M v_dot + C(v) v + D v = G u
 
 with diagonal inertia M, a skew-symmetric Coriolis matrix C(v) with the
 standard surface-vessel structure, and a constant positive-definite
 damping matrix D (linear hydrodynamic damping).
+
+`dynamics_rhs` is the package's single right-hand side of this model:
+the full and averaged runners, the averaged (symmetric product) system,
+the drift fields and the passivity audit all evaluate it.
 """
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-
-# indices into the flat state vector
-IX, IY, ITH, IVX, IVY, IOM = range(6)
-
-# actuation map: surge force and yaw torque only, no sway input
-INPUT_MAP = np.array([[1.0, 0.0],
-                      [0.0, 0.0],
-                      [0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -75,14 +72,6 @@ class VehicleParams:
     def inertia_inv(self):
         return np.diag([1.0 / self.m11, 1.0 / self.m22, 1.0 / self.m33])
 
-    @property
-    def d_diag(self):
-        """Diagonal damping entries; raises if D is not diagonal."""
-        d = self.d
-        if np.any(d != np.diag(np.diag(d))):
-            raise ValueError("damping matrix is not diagonal")
-        return d[0, 0], d[1, 1], d[2, 2]
-
     def is_diagonal_damping(self):
         return bool(np.all(self.d == np.diag(np.diag(self.d))))
 
@@ -120,11 +109,21 @@ def coriolis_force(params, v):
 
 
 def dynamics_rhs(params, state, u):
-    """Time derivative of the 6-state under input u = (u1, u2)."""
-    theta = state[ITH]
-    v = state[3:6]
-    c, s = np.cos(theta), np.sin(theta)
-    qdot = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]])
-    gu = np.array([u[0], 0.0, u[1]])
-    vdot = params.inertia_inv @ (gu - coriolis_force(params, v) - params.d @ v)
-    return np.concatenate([qdot, vdot])
+    """Time derivative of the 6-state under input u = (u1, u2).
+
+    C(v)v is written out (see `coriolis_force`) and M^{-1} is applied by
+    dividing by the diagonal inertia entries; D may be any valid damping
+    matrix.
+    """
+    vx, vy, om = state[3], state[4], state[5]
+    cth, sth = math.cos(state[2]), math.sin(state[2])
+    m11, m22, m33 = params.m11, params.m22, params.m33
+    dv = params.d @ state[3:6]
+    return np.array([
+        cth * vx - sth * vy,
+        sth * vx + cth * vy,
+        om,
+        (u[0] + m22 * vy * om - dv[0]) / m11,
+        (-m11 * vx * om - dv[1]) / m22,
+        (u[1] - (m22 - m11) * vx * vy - dv[2]) / m33,
+    ])

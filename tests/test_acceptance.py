@@ -124,16 +124,15 @@ def test_05_dither_weight_and_admissibility():
 def test_06_symmetric_product_generic_matches_closed_form():
     b1 = es_input_field(BOAT, 1.0, COST)
     closed = es_self_product(BOAT, 1.0, COST)
-    b0 = np.array([0.0, 1.0])
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(100):
         q = rng.uniform(-5.0, 5.0, 3)
-        generic = symmetric_product(b1, b1, BOAT, b0, q)
+        generic = symmetric_product(b1, b1, BOAT, q)
         ref = closed(q)
         worst = max(worst, np.linalg.norm(generic - ref)
                     / max(1.0, np.linalg.norm(ref)))
-    origin = symmetric_product(b1, b1, BOAT, b0, np.zeros(3))
+    origin = symmetric_product(b1, b1, BOAT, np.zeros(3))
     ok = (worst <= 1e-6 and abs(origin[0] + 38.12) <= 0.01
           and abs(origin[1]) <= 0.01 and abs(origin[2]) <= 0.01)
     _report(6, ok, f"worst relative mismatch {worst:.2e} (<=1e-6) over 100 "

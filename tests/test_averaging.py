@@ -86,8 +86,8 @@ def test_symmetric_product_is_symmetric():
     rng = np.random.default_rng(3)
     for _ in range(10):
         q = rng.uniform(-3, 3, 3)
-        a = symmetric_product(x_field, y_field, BOAT, B0, q)
-        b = symmetric_product(y_field, x_field, BOAT, B0, q)
+        a = symmetric_product(x_field, y_field, BOAT, q)
+        b = symmetric_product(y_field, x_field, BOAT, q)
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -97,14 +97,14 @@ def test_seeking_product_closed_form_matches_generic():
     rng = np.random.default_rng(4)
     for _ in range(100):
         q = rng.uniform(-5, 5, 3)
-        got = symmetric_product(b1, b1, BOAT, B0, q)
+        got = symmetric_product(b1, b1, BOAT, q)
         want = closed(q)
         assert np.linalg.norm(got - want) <= 1e-6 * max(1.0, np.linalg.norm(want))
 
 
 def test_seeking_product_at_origin():
     got = symmetric_product(es_input_field(BOAT, 1.0, COST),
-                            es_input_field(BOAT, 1.0, COST), BOAT, B0, np.zeros(3))
+                            es_input_field(BOAT, 1.0, COST), BOAT, np.zeros(3))
     assert got[0] == pytest.approx(-38.12, abs=0.01)
     assert got[1] == pytest.approx(0.0, abs=1e-9)
     assert got[2] == pytest.approx(0.0, abs=1e-9)
@@ -113,14 +113,14 @@ def test_seeking_product_at_origin():
 def test_constant_yaw_field_self_product_vanishes():
     e3 = ConfigVectorField(lambda q: np.array([0.0, 0.0, 1.0]))
     q = np.array([0.3, -0.7, 1.1])
-    assert np.allclose(symmetric_product(e3, e3, BOAT, B0, q), 0.0, atol=1e-9)
+    assert np.allclose(symmetric_product(e3, e3, BOAT, q), 0.0, atol=1e-9)
 
 
 def test_generic_product_without_analytic_jacobian():
     b1_fd = ConfigVectorField(es_input_field(BOAT, 1.0, COST).value)  # no jacobian
     closed = es_self_product(BOAT, 1.0, COST)
     q = np.array([1.0, 2.0, 0.4])
-    got = symmetric_product(b1_fd, b1_fd, BOAT, B0, q)
+    got = symmetric_product(b1_fd, b1_fd, BOAT, q)
     assert np.allclose(got, closed(q), atol=1e-5)
 
 

@@ -66,8 +66,6 @@ def test_settings_validation():
         IntegratorSettings(step=0.0, tf=1.0)
     with pytest.raises(ValueError):
         IntegratorSettings(step=2.0, tf=1.0)
-    with pytest.raises(ValueError):
-        IntegratorSettings(step=0.1, tf=1.0, method="euler")
 
 
 def test_trajectory_length_checks():

@@ -108,13 +108,16 @@ def test_residual_zero_at_equilibrium():
     assert passivity_residual(traj, BOAT, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_pure_damping_residual_identity():
+def test_residual_closed_form_identity():
+    # H-dot - supply = -(v - v*)^T D (v - v*) - (v - v*)^T C(v) v, and skew
+    # symmetry of C turns the Coriolis term into v*^T C(v) v
     traj = _random_input_trajectory(BOAT, 1.0, seed=42)
     ss = steady_state_for_torque(BOAT, 1.0)
-    residual = passivity_residual(traj, BOAT, 1.0, use_coriolis=False)
-    quad = [(s[3:6] - ss.v_star) @ BOAT.d @ (s[3:6] - ss.v_star)
-            for s in traj.states]
-    assert residual == pytest.approx(-min(quad), rel=1e-12)
+    residual = passivity_residual(traj, BOAT, 1.0)
+    closed = [ss.v_star[2] * (BOAT.m22 - BOAT.m11) * s[3] * s[4]
+              - (s[3:6] - ss.v_star) @ BOAT.d @ (s[3:6] - ss.v_star)
+              for s in traj.states]
+    assert residual == pytest.approx(max(closed), rel=1e-9)
     assert residual <= 0.0
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surgeseek.integrator import IntegratorSettings, integrate
+from surgeseek.passivity import c_hat_bound
 from surgeseek.vehicle import (VehicleParams, coriolis, coriolis_force,
                                dynamics_rhs, kinematic_matrix, reference_boat)
 
@@ -101,6 +102,23 @@ def test_energy_balance_along_trajectory():
     assert de == pytest.approx(traj.states[-1, 6], abs=1e-9)
 
 
+def test_dynamics_rhs_matches_matrix_definitions():
+    coupled = VehicleParams(1.0, 2.0, 0.5, np.array([[2.0, 0.3, 0.1],
+                                                    [0.3, 3.0, 0.0],
+                                                    [0.1, 0.0, 1.0]]))
+    rng = np.random.default_rng(11)
+    for p in (BOAT, coupled):
+        for _ in range(50):
+            state = rng.uniform(-2.0, 2.0, 6)
+            u = rng.uniform(-2.0, 2.0, 2)
+            v = state[3:6]
+            gu = np.array([u[0], 0.0, u[1]])
+            want = np.concatenate([
+                kinematic_matrix(state[2]) @ v,
+                p.inertia_inv @ (gu - coriolis(p, v) @ v - p.d @ v)])
+            assert np.allclose(dynamics_rhs(p, state, u), want, rtol=0.0, atol=1e-12)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         VehicleParams.diagonal(-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -118,4 +136,4 @@ def test_nondiagonal_damping_accepted():
     p = VehicleParams(1.0, 2.0, 0.5, d)
     assert not p.is_diagonal_damping()
     with pytest.raises(ValueError):
-        p.d_diag
+        c_hat_bound(p)
