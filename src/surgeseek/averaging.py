@@ -26,6 +26,10 @@ from .integrator import IntegratorSettings, Trajectory, integrate
 from .quadrature import DEFAULT_PANELS, cumulative_simpson, sample_period, simpson
 from .vehicle import coriolis, dynamics_rhs, kinematic_matrix
 
+# RK4 steps over the horizon for averaged systems: they carry no dither, so
+# their grid is set by the horizon alone, fine enough for smooth flows
+AVERAGED_STEPS = 10000
+
 
 # ---------------------------------------------------------------------------
 # vector fields and finite-difference calculus
@@ -327,10 +331,10 @@ def double_integrator_demo(h_fun, alpha, omega_freq, horizon,
         step = (2.0 * math.pi / omega_freq) / samples_per_period
         step = horizon / max(1, int(math.ceil(horizon / step)))
     else:
-        step = horizon / 10000
+        step = horizon / AVERAGED_STEPS
     full = integrate(full_rhs, initial, IntegratorSettings(step=step, tf=horizon))
     avg = integrate(avg_rhs, initial,
-                    IntegratorSettings(step=horizon / 10000, tf=horizon))
+                    IntegratorSettings(step=horizon / AVERAGED_STEPS, tf=horizon))
 
     z1_on_full = np.interp(full.t, avg.t, avg.states[:, 0])
     sup_gap = float(np.max(np.abs(full.states[:, 0] - z1_on_full)))

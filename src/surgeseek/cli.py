@@ -131,10 +131,7 @@ def cmd_demo_di(args):
     out = os.environ.get(sc.OUTPUT_DIR_ENV, ".")
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "demo_di.csv")
-    with open(path, "w", newline="") as f:
-        f.write("t,xi1,xi2\n")
-        for t, (z1, z2) in zip(report.full.t, report.full.states):
-            f.write(f"{t:.15g},{z1:.15g},{z2:.15g}\n")
+    sc.write_columns(path, "t,xi1,xi2", [report.full.t, report.full.states])
     print(f"sup_gap={report.sup_gap:.6g} "
           f"final_error_full={report.final_error_full:.6g} "
           f"final_error_averaged={report.final_error_averaged:.6g}")

@@ -21,18 +21,20 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorSettings:
+    """Fixed step over [0, tf]; the step must divide tf."""
+
     step: float
-    t0: float = 0.0
     tf: float = 1.0
 
     def __post_init__(self):
-        span = self.tf - self.t0
-        if not (0.0 < self.step <= span):
-            raise ValueError("require 0 < step <= tf - t0")
+        if not (0.0 < self.step <= self.tf):
+            raise ValueError("require 0 < step <= tf")
+        if abs(self.n_steps * self.step - self.tf) > 1e-9 * self.tf:
+            raise ValueError(f"step={self.step:g} does not divide tf={self.tf:g}")
 
     @property
     def n_steps(self):
-        return int(round((self.tf - self.t0) / self.step))
+        return int(round(self.tf / self.step))
 
 
 @dataclass
@@ -66,9 +68,9 @@ def integrate(rhs, initial, settings):
     n = settings.n_steps
     h = settings.step
     y = np.asarray(initial, dtype=float).copy()
-    t = settings.t0
+    t = 0.0
 
-    times = settings.t0 + h * np.arange(n + 1)
+    times = h * np.arange(n + 1)
     states = np.empty((n + 1, y.size))
     states[0] = y
 

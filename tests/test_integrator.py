@@ -66,6 +66,8 @@ def test_settings_validation():
         IntegratorSettings(step=0.0, tf=1.0)
     with pytest.raises(ValueError):
         IntegratorSettings(step=2.0, tf=1.0)
+    with pytest.raises(ValueError, match="step.*tf"):
+        IntegratorSettings(step=0.3, tf=1.0)
 
 
 def test_trajectory_length_checks():

@@ -6,6 +6,7 @@ import pytest
 import surgeseek.scenario as sc
 from surgeseek.costs import quadratic_cost
 from surgeseek.dither import EsGains
+from surgeseek.integrator import Trajectory
 from surgeseek.vehicle import reference_boat
 
 BOAT = reference_boat()
@@ -173,6 +174,32 @@ def test_singleton_sweep_matches_single_run():
     assert rows[0]["status"] == "ok"
     assert rows[0]["final_error"] == pytest.approx(metrics.final_error, rel=1e-12)
     assert rows[0]["sup_deviation"] == pytest.approx(metrics.sup_deviation, rel=1e-12)
+
+
+def test_sweep_rows_do_not_depend_on_value_order_or_epsilon():
+    s = _scenario(horizon=2.0, samples_per_period=3500)
+    assert sc.sweep(s, "epsilon", [0.2, 0.1])[1] == sc.sweep(s, "epsilon", [0.1])[0]
+    a = sc.run_averaged(s)
+    b = sc.run_averaged(_scenario(gains=EsGains(1.0, 1.0, 0.05), horizon=2.0,
+                                  samples_per_period=3500))
+    assert np.array_equal(a.states, b.states)
+
+
+def _cubic_path(t, theta):
+    """x = t^3, y = t^2 at constant heading, body velocities to match."""
+    c, s = math.cos(theta), math.sin(theta)
+    xd, yd = 3.0 * t ** 2, 2.0 * t
+    states = np.column_stack([t ** 3, t ** 2, np.full_like(t, theta),
+                              c * xd + s * yd, -s * xd + c * yd, np.zeros_like(t)])
+    return Trajectory(t=t, states=states)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_dense_output_is_exact_on_cubic_paths(theta):
+    fine = _cubic_path(np.linspace(0.0, 1.0, 1001), theta)
+    coarse = _cubic_path(np.linspace(0.0, 1.0, 11), theta)
+    assert sc.sup_position_deviation(fine, coarse) <= 1e-12
+    assert sc.sup_position_deviation(fine, coarse, t_max=0.55) <= 1e-12
 
 
 def test_sweep_continues_past_failures():
