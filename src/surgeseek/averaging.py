@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import IntegratorSettings, Trajectory, integrate
+from .integrator import (IntegratorSettings, Trajectory, dividing_step, hermite,
+                         integrate)
 from .quadrature import DEFAULT_PANELS, cumulative_simpson, sample_period, simpson
 from .vehicle import coriolis, dynamics_rhs, kinematic_matrix
 
@@ -89,14 +90,6 @@ def iterated_bracket(f, g, point, order, probe=1e-3):
 # ---------------------------------------------------------------------------
 # symmetric product
 
-def drift_velocity_field(params, b0):
-    """f2(v) = -M^{-1} (C(v)v + Dv - B0) with B0 the mapped base input."""
-    def f2(v):
-        return dynamics_rhs(params, np.concatenate([np.zeros(3), v]), b0)[3:]
-
-    return f2
-
-
 def _as_field(field):
     if isinstance(field, ConfigVectorField):
         return field
@@ -137,7 +130,10 @@ def second_derivative_term_fd(params, b0, xv, yv, probe=1e-4, base_point=None):
     f2 is quadratic in v, so the result is independent of `base_point`;
     exposing the base point lets tests assert exactly that.
     """
-    f2 = drift_velocity_field(params, b0)
+    def f2(v):
+        """f2(v) = -M^{-1} (C(v)v + Dv - B0), the velocity drift under b0."""
+        return dynamics_rhs(params, np.concatenate([np.zeros(3), v]), b0)[3:]
+
     xv = np.asarray(xv, dtype=float)
     yv = np.asarray(yv, dtype=float)
     if base_point is None:
@@ -177,24 +173,46 @@ def es_input_field(params, k, cost_field):
     return ConfigVectorField(value=value, jacobian=jacobian)
 
 
-def es_self_product(params, k, cost_field):
-    """Closed form of <B1:B1> for the seeking law.
+def es_product_gain(params, k):
+    """2 (k/m11)^2, the gain of the seeking law's self product <B1:B1>."""
+    return 2.0 * (k / params.m11) ** 2
 
-    <B1:B1>(q) = 2 (k/m11)^2 rho * (rho_x cos(theta) + rho_y sin(theta)) e1.
+
+def es_surge_self_product(params, k, cost_field):
+    """Surge component of <B1:B1> as a float function of (x, y, theta).
+
+    <B1:B1>_1 = 2 (k/m11)^2 rho * (rho_x cos(theta) + rho_y sin(theta));
+    the sway and yaw components vanish.
     """
-    m11 = params.m11
+    gain = es_product_gain(params, k)
+    value, gradient = cost_field.value, cost_field.gradient
+    cos, sin = math.cos, math.sin
+
+    def surge(x, y, theta):
+        rho = value(x, y)
+        gx, gy = gradient(x, y)
+        return gain * rho * (gx * cos(theta) + gy * sin(theta))
+
+    return surge
+
+
+def es_self_product(params, k, cost_field):
+    """Closed form of <B1:B1> for the seeking law, a 3-vector field of q."""
+    surge = es_surge_self_product(params, k, cost_field)
 
     def value(q):
-        rho = cost_field.value(q[0], q[1])
-        gx, gy = cost_field.gradient(q[0], q[1])
-        along = gx * math.cos(q[2]) + gy * math.sin(q[2])
-        return np.array([2.0 * (k / m11) ** 2 * rho * along, 0.0, 0.0])
+        return np.array([surge(q[0], q[1], q[2]), 0.0, 0.0])
 
     return value
 
 
 # ---------------------------------------------------------------------------
 # dither averaging weights and velocity reconstruction
+
+# Lambda_11 of the seeking law's single cosine dither, (1/2T) int_0^T sin^2
+# over T = 2 pi; `lambda_matrix` of `dither.es_dither_set` reproduces it
+LAMBDA_11 = 0.25
+
 
 def lambda_matrix(dither_set, panels=DEFAULT_PANELS):
     """Gram matrix of integrated dithers: (1/2T) int_0^T W_i W_j ds."""
@@ -328,15 +346,15 @@ def double_integrator_demo(h_fun, alpha, omega_freq, horizon,
         return np.array([z[1], -z[1] - 0.5 * alpha ** 2 * h_fun(z[0]) * h_prime(z[0])])
 
     if omega_freq > 0:
-        step = (2.0 * math.pi / omega_freq) / samples_per_period
-        step = horizon / max(1, int(math.ceil(horizon / step)))
+        step = dividing_step(horizon, (2.0 * math.pi / omega_freq) / samples_per_period)
     else:
         step = horizon / AVERAGED_STEPS
     full = integrate(full_rhs, initial, IntegratorSettings(step=step, tf=horizon))
     avg = integrate(avg_rhs, initial,
                     IntegratorSettings(step=horizon / AVERAGED_STEPS, tf=horizon))
 
-    z1_on_full = np.interp(full.t, avg.t, avg.states[:, 0])
+    # dense output of the averaged run with its exact rate z1' = z2
+    z1_on_full = hermite(avg.t, avg.states[:, 0], avg.states[:, 1], full.t)
     sup_gap = float(np.max(np.abs(full.states[:, 0] - z1_on_full)))
     if minimizer is None:
         err_full = err_avg = float("nan")

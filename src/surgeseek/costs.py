@@ -7,6 +7,7 @@ quadratic benchmark bowl, a rotated anisotropic quadratic, and a
 non-quadratic log bowl to keep downstream code honest about not
 exploiting quadratic structure.
 """
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -87,14 +88,22 @@ _REGISTRY = {
 }
 
 
-def get_field(name, **params):
-    """Construct a registered cost field by name."""
+def _factory(name):
     try:
-        factory = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown cost field '{name}'; "
                        f"known: {sorted(_REGISTRY)}") from None
-    return factory(**params)
+
+
+def get_field(name, **params):
+    """Construct a registered cost field by name."""
+    return _factory(name)(**params)
+
+
+def field_parameters(name):
+    """Names of the keyword parameters of the registered field `name`."""
+    return tuple(inspect.signature(_factory(name)).parameters)
 
 
 def gradient_check(field, points, probe=1e-5):

@@ -85,10 +85,24 @@ def validate_dither(w, period, tol=1e-8, panels=DEFAULT_PANELS):
                        mean_residual=r1, iterated_residual=r2, tol=tol)
 
 
+def surge_law(gains, cos=math.cos):
+    """The seeking surge force u1(t, rho) = (k / eps) cos(t / eps) rho.
+
+    Returns a float function of time and measurement; with `cos=np.cos`
+    it takes arrays of samples.
+    """
+    k_over_eps = gains.k / gains.epsilon
+    inv_eps = 1.0 / gains.epsilon
+
+    def u1(t, rho):
+        return k_over_eps * cos(t * inv_eps) * rho
+
+    return u1
+
+
 def es_control(gains, rho_value, t):
     """Seeking input at time t given the scalar measurement rho_value."""
-    u1 = (gains.k / gains.epsilon) * math.cos(t / gains.epsilon) * rho_value
-    return np.array([u1, gains.c])
+    return np.array([surge_law(gains)(t, rho_value), gains.c])
 
 
 def general_input(dither_set, epsilon, t, q):

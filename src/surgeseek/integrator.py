@@ -6,6 +6,7 @@ steppers are deliberately avoided: a fixed step keeps reruns
 byte-identical and the harness enforces enough samples per dither
 period. No wrapping or projection is applied to the state.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ class IntegratorSettings:
     @property
     def n_steps(self):
         return int(round(self.tf / self.step))
+
+
+def dividing_step(tf, max_step):
+    """Largest step that divides tf and is at most `max_step`."""
+    return tf / max(1, int(math.ceil(tf / max_step)))
 
 
 @dataclass
@@ -88,3 +94,21 @@ def integrate(rhs, initial, settings):
         states[i + 1] = y
 
     return Trajectory(t=times, states=states)
+
+
+def hermite(ts, values, rates, t):
+    """Cubic Hermite dense output of sampled `values` at times `t`.
+
+    `rates` are the exact time derivatives of `values` at the sample times
+    `ts`, so the interpolant is O(h^4) accurate between samples and exact
+    at them (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).
+    """
+    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    u = (t - ts[i]) / h
+    h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+    h10 = u * (1.0 - u) ** 2
+    h01 = u * u * (3.0 - 2.0 * u)
+    h11 = u * u * (u - 1.0)
+    return (h00 * values[i] + h10 * h * rates[i]
+            + h01 * values[i + 1] + h11 * h * rates[i + 1])

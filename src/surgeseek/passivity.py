@@ -9,7 +9,11 @@ shifted drag-plus-Coriolis map stays dominated by the damping; for the
 boat structure with diagonal damping that condition has the closed-form
 torque threshold
 
-    c_hat = 2 sqrt(d11 d22) d33 / (m22 - m11)    (m22 > m11).
+    c_hat = 2 sqrt(d11 d22) d33 / |m22 - m11|    (m22 != m11).
+
+The storage residual along any state is w (m22 - m11) vx vy minus the
+damping form (v - v*)^T D (v - v*), with w = c / d33, so the bound holds
+for either sign of m22 - m11; only m22 = m11 leaves c unconstrained.
 
 `passivity_residual` verifies the storage inequality sample-by-sample
 along recorded trajectories, computing H-dot through the dynamics rather
@@ -70,9 +74,9 @@ def c_hat_bound(params):
     if not params.is_diagonal_damping():
         raise ValueError("damping matrix is not diagonal")
     d11, d22, d33 = params.d[0, 0], params.d[1, 1], params.d[2, 2]
-    if params.m22 <= params.m11:
+    if params.m22 == params.m11:
         return math.inf
-    return 2.0 * math.sqrt(d11 * d22) * d33 / (params.m22 - params.m11)
+    return 2.0 * math.sqrt(d11 * d22) * d33 / abs(params.m22 - params.m11)
 
 
 def monotonicity_check(params, c):

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import costs
-from .averaging import AVERAGED_STEPS
-from .dither import EsGains
-from .integrator import IntegratorSettings, Trajectory, integrate
+from .averaging import AVERAGED_STEPS, LAMBDA_11, es_product_gain, es_surge_self_product
+from .dither import EsGains, surge_law
+from .integrator import IntegratorSettings, dividing_step, hermite, integrate
 from .passivity import c_hat_bound
 from .vehicle import VehicleParams, dynamics_rhs
 
@@ -65,9 +65,28 @@ class Scenario:
                 f"bound {bound:g}; continuing anyway")
 
 
-def _cost_from_config(section):
-    kwargs = {k: float(v) for k, v in section.items() if k != "name"}
-    return costs.get_field(section.get("name", "quadratic"), **kwargs)
+# keys each scenario section accepts
+_VEHICLE_KEYS = ("m11", "m22", "m33", "d11", "d22", "d33")
+_GAINS_KEYS = ("k", "c", "epsilon")
+_STATE_KEYS = ("x", "y", "theta", "vx", "vy", "omega")
+_RUN_KEYS = ("horizon", "samples_per_period", "output_dir")
+
+
+def _section(cp, name, known, required=()):
+    """The keys of section `name` (empty if absent) as a dict.
+
+    Raises a ValueError naming the section and the key for a key outside
+    `known` or a `required` key that is missing.
+    """
+    section = dict(cp[name]) if cp.has_section(name) else {}
+    for key in section:
+        if key not in known:
+            raise ValueError(f"[{name}] {key}: unknown key; expected one of "
+                             f"{', '.join(known)}")
+    for key in required:
+        if key not in section:
+            raise ValueError(f"[{name}] {key}: required key is missing")
+    return section
 
 
 def load_scenario(path):
@@ -76,17 +95,17 @@ def load_scenario(path):
     read = cp.read(path)
     if not read:
         raise FileNotFoundError(f"scenario file not found: {path}")
-    veh = cp["vehicle"]
-    vehicle = VehicleParams.diagonal(
-        m11=veh.getfloat("m11"), m22=veh.getfloat("m22"), m33=veh.getfloat("m33"),
-        d11=veh.getfloat("d11"), d22=veh.getfloat("d22"), d33=veh.getfloat("d33"))
-    cost = _cost_from_config(cp["cost"]) if cp.has_section("cost") else costs.quadratic_cost()
-    g = cp["gains"]
-    gains = EsGains(k=g.getfloat("k"), c=g.getfloat("c"), epsilon=g.getfloat("epsilon"))
-    init = cp["initial"] if cp.has_section("initial") else {}
-    initial = np.array([float(init.get(k, 0.0))
-                        for k in ("x", "y", "theta", "vx", "vy", "omega")])
-    run = cp["run"] if cp.has_section("run") else {}
+    veh = _section(cp, "vehicle", _VEHICLE_KEYS, required=_VEHICLE_KEYS)
+    vehicle = VehicleParams.diagonal(**{k: float(v) for k, v in veh.items()})
+    name = cp.get("cost", "name", fallback="quadratic")
+    cost_params = _section(cp, "cost", ("name",) + costs.field_parameters(name))
+    cost = costs.get_field(name, **{k: float(v) for k, v in cost_params.items()
+                                    if k != "name"})
+    g = _section(cp, "gains", _GAINS_KEYS, required=_GAINS_KEYS)
+    gains = EsGains(k=float(g["k"]), c=float(g["c"]), epsilon=float(g["epsilon"]))
+    init = _section(cp, "initial", _STATE_KEYS)
+    initial = np.array([float(init.get(k, 0.0)) for k in _STATE_KEYS])
+    run = _section(cp, "run", _RUN_KEYS)
     return Scenario(
         vehicle=vehicle, cost=cost, gains=gains, initial=initial,
         horizon=float(run.get("horizon", 100.0)),
@@ -94,78 +113,67 @@ def load_scenario(path):
         output_dir=str(run.get("output_dir", ".")))
 
 
-def _step_for(scenario):
-    """Largest step that divides the horizon and resolves the dither period."""
-    h = scenario.gains.epsilon * 2.0 * math.pi / scenario.samples_per_period
-    return scenario.horizon / max(1, int(math.ceil(scenario.horizon / h)))
+def _run(scenario, rhs, step, name, surge=None):
+    """Integrate `rhs` over the horizon; record the cost and the inputs.
 
-
-def run_full(scenario):
-    """Integrate the oscillatory closed loop, recording input and cost."""
-    p = scenario.vehicle
+    `surge` is the surge law on arrays of samples; the averaged run has
+    none (zero surge input) and does not read epsilon. A failure is
+    re-raised as a RuntimeError naming the run and its gains.
+    """
     gains = scenario.gains
-    cost = scenario.cost
-    k_over_eps = gains.k / gains.epsilon
-    inv_eps = 1.0 / gains.epsilon
-    c_torque = gains.c
-    value = cost.value
-    cos = math.cos
-
-    def rhs(t, y):
-        u1 = k_over_eps * cos(t * inv_eps) * value(y[0], y[1])
-        return dynamics_rhs(p, y, (u1, c_torque))
-
-    step = _step_for(scenario)
     try:
         traj = integrate(rhs, scenario.initial,
                          IntegratorSettings(step=step, tf=scenario.horizon))
     except Exception as exc:
+        eps = "" if surge is None else f" eps={gains.epsilon}"
         raise RuntimeError(
-            f"full run failed ({exc}); gains k={gains.k} c={gains.c} "
-            f"eps={gains.epsilon}, horizon={scenario.horizon}") from exc
+            f"{name} run failed ({exc}); gains k={gains.k} c={gains.c}{eps}, "
+            f"horizon={scenario.horizon}") from exc
+    value = scenario.cost.value
     rho = np.array([value(s[0], s[1]) for s in traj.states])
-    u1 = k_over_eps * np.cos(traj.t * inv_eps) * rho
-    u2 = np.full_like(u1, c_torque)
-    traj.inputs = np.column_stack([u1, u2])
+    u1 = np.zeros_like(rho) if surge is None else surge(traj.t, rho)
+    traj.inputs = np.column_stack([u1, np.full_like(rho, gains.c)])
     traj.rho = rho
     return traj
+
+
+def run_full(scenario):
+    """Integrate the oscillatory closed loop, recording input and cost.
+
+    The step is the largest that divides the horizon and resolves the
+    dither period in `samples_per_period` steps.
+    """
+    p = scenario.vehicle
+    gains = scenario.gains
+    value = scenario.cost.value
+    c_torque = gains.c
+    u1 = surge_law(gains)
+
+    def rhs(t, y):
+        return dynamics_rhs(p, y, (u1(t, value(y[0], y[1])), c_torque))
+
+    step = dividing_step(scenario.horizon, gains.epsilon * 2.0 * math.pi
+                         / scenario.samples_per_period)
+    return _run(scenario, rhs, step, "full", surge=surge_law(gains, np.cos))
 
 
 def run_averaged(scenario):
     """Integrate the symmetric product system (single-dither closed form).
 
-    The averaged system has no dither, so its grid is `AVERAGED_STEPS`
-    steps over the horizon whatever epsilon and samples_per_period are.
+    The surge velocity is forced by -Lambda_11 <B1:B1>. The averaged system
+    has no dither, so its grid is `AVERAGED_STEPS` steps over the horizon
+    whatever epsilon and samples_per_period are.
     """
     p = scenario.vehicle
-    gains = scenario.gains
-    cost = scenario.cost
-    c_torque = gains.c
-    # Lambda_11 = 1/4 for the cosine dither; forcing = -Lambda_11 <B1:B1>
-    coef = 0.25 * 2.0 * (gains.k / p.m11) ** 2
-    value, gradient = cost.value, cost.gradient
-    cos, sin = math.cos, math.sin
+    c_torque = scenario.gains.c
+    self_product = es_surge_self_product(p, scenario.gains.k, scenario.cost)
 
     def rhs(_t, y):
-        rho = value(y[0], y[1])
-        gx, gy = gradient(y[0], y[1])
-        forcing = coef * rho * (gx * cos(y[2]) + gy * sin(y[2]))
         out = dynamics_rhs(p, y, (0.0, c_torque))
-        out[3] -= forcing
+        out[3] -= LAMBDA_11 * self_product(y[0], y[1], y[2])
         return out
 
-    step = scenario.horizon / AVERAGED_STEPS
-    try:
-        traj = integrate(rhs, scenario.initial,
-                         IntegratorSettings(step=step, tf=scenario.horizon))
-    except Exception as exc:
-        raise RuntimeError(
-            f"averaged run failed ({exc}); gains k={gains.k} c={gains.c}, "
-            f"horizon={scenario.horizon}") from exc
-    rho = np.array([value(s[0], s[1]) for s in traj.states])
-    traj.inputs = np.column_stack([np.zeros_like(rho), np.full_like(rho, c_torque)])
-    traj.rho = rho
-    return traj
+    return _run(scenario, rhs, scenario.horizon / AVERAGED_STEPS, "averaged")
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +235,13 @@ def path_length(traj):
 def _hermite_position(traj, t):
     """Planar position of `traj` at times `t` by cubic Hermite dense output.
 
-    The slopes are the exact position rates of each sample,
-    x' = cos(theta) vx - sin(theta) vy and y' = sin(theta) vx + cos(theta) vy,
-    so the interpolant is O(h^4) accurate between samples and exact at them
-    (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).
+    The rates are the exact position rates of each sample,
+    x' = cos(theta) vx - sin(theta) vy and y' = sin(theta) vx + cos(theta) vy.
     """
-    ts, s = traj.t, traj.states
-    i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-    h = ts[i + 1] - ts[i]
-    u = (t - ts[i]) / h
-    h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-    h10 = u * (1.0 - u) ** 2
-    h01 = u * u * (3.0 - 2.0 * u)
-    h11 = u * u * (u - 1.0)
+    s = traj.states
     cos, sin = np.cos(s[:, 2]), np.sin(s[:, 2])
     rates = (cos * s[:, 3] - sin * s[:, 4], sin * s[:, 3] + cos * s[:, 4])
-    return [h00 * p[i] + h10 * h * r[i] + h01 * p[i + 1] + h11 * h * r[i + 1]
-            for p, r in zip((s[:, 0], s[:, 1]), rates)]
+    return [hermite(traj.t, s[:, j], rates[j], t) for j in (0, 1)]
 
 
 def sup_position_deviation(full, averaged, t_max=None):
@@ -279,12 +277,14 @@ def compare(full, averaged, scenario, radius=None):
         sup_deviation=sup_position_deviation(full, averaged))
 
 
-def v1_monitor(traj, params, gains, cost):
-    """Diagnostic V1 = 1/2 vx^2 + (alpha/2) rho^2 along a trajectory."""
-    alpha = 0.5 * (gains.k / params.m11) ** 2
+def v1_monitor(traj, params, gains):
+    """Diagnostic V1 = 1/2 vx^2 + (alpha/2) rho^2 along a run's recorded rho.
+
+    alpha = Lambda_11 * 2 (k/m11)^2 is the averaged forcing's coefficient.
+    """
+    alpha = LAMBDA_11 * es_product_gain(params, gains.k)
     vx = traj.states[:, 3]
-    rho = np.array([cost.value(s[0], s[1]) for s in traj.states])
-    return 0.5 * vx ** 2 + 0.5 * alpha * rho ** 2
+    return 0.5 * vx ** 2 + 0.5 * alpha * traj.rho ** 2
 
 
 # ---------------------------------------------------------------------------

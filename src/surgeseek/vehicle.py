@@ -100,18 +100,10 @@ def coriolis(params, v):
                      [a, -b, 0.0]])
 
 
-def coriolis_force(params, v):
-    """C(v) v, written out (degree-2 homogeneous in the velocities)."""
-    vx, vy, om = v[0], v[1], v[2]
-    return np.array([-params.m22 * vy * om,
-                     params.m11 * vx * om,
-                     (params.m22 - params.m11) * vx * vy])
-
-
 def dynamics_rhs(params, state, u):
     """Time derivative of the 6-state under input u = (u1, u2).
 
-    C(v)v is written out (see `coriolis_force`) and M^{-1} is applied by
+    C(v)v is written out (C(v) is `coriolis`) and M^{-1} is applied by
     dividing by the diagonal inertia entries; D may be any valid damping
     matrix.
     """

@@ -297,6 +297,15 @@ def test_double_integrator_zero_dither():
     assert np.max(np.abs(np.diff(xi1[-100:]))) < 1e-6
 
 
+def test_double_integrator_zero_dither_loops_coincide():
+    # with alpha = 0 both loops are z'' = -z' on two grids; dense output with
+    # the exact rate z1' = z2 leaves only the RK4 error between them
+    report = double_integrator_demo(lambda z: (z - 1.0) ** 2 + 1.0, alpha=0.0,
+                                    omega_freq=20.0, horizon=10.0,
+                                    initial=(0.5, 1.0))
+    assert report.sup_gap <= 1e-10
+
+
 def test_double_integrator_frequency_improves_precision():
     h = lambda z: (z - 1.0) ** 2 + 1.0
     hp = lambda z: 2.0 * (z - 1.0)

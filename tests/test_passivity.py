@@ -6,7 +6,7 @@ import pytest
 from surgeseek.integrator import IntegratorSettings, Trajectory, integrate
 from surgeseek.passivity import (c_hat_bound, monotonicity_check,
                                  passivity_residual, steady_state_for_torque)
-from surgeseek.vehicle import VehicleParams, dynamics_rhs, reference_boat
+from surgeseek.vehicle import VehicleParams, coriolis, dynamics_rhs, reference_boat
 
 BOAT = reference_boat()
 
@@ -25,21 +25,19 @@ def test_steady_state_small_torque_limit():
 
 
 def test_steady_state_residual_membership():
-    from surgeseek.vehicle import coriolis_force
     for c in (0.1, 1.0, 5.0):
         ss = steady_state_for_torque(BOAT, c)
         gu = np.array([0.0, 0.0, c])
-        res = coriolis_force(BOAT, ss.v_star) + BOAT.d @ ss.v_star - gu
+        res = coriolis(BOAT, ss.v_star) @ ss.v_star + BOAT.d @ ss.v_star - gu
         assert np.linalg.norm(res) <= 1e-10
 
 
 def test_steady_state_nondiagonal_damping():
     d = np.array([[3.0, 0.4, 0.1], [0.4, 12.0, 0.0], [0.1, 0.0, 0.9]])
     p = VehicleParams(1.412, 1.982, 0.354, d)
-    from surgeseek.vehicle import coriolis_force
     ss = steady_state_for_torque(p, 1.0)
     gu = np.array([0.0, 0.0, 1.0])
-    res = coriolis_force(p, ss.v_star) + p.d @ ss.v_star - gu
+    res = coriolis(p, ss.v_star) @ ss.v_star + p.d @ ss.v_star - gu
     assert np.linalg.norm(res) <= 1e-10
 
 
@@ -50,8 +48,21 @@ def test_torque_bound_boat():
 def test_torque_bound_infinite_when_coupling_benign():
     p = VehicleParams.diagonal(2.0, 2.0, 0.5, 1.0, 1.0, 1.0)
     assert c_hat_bound(p) == math.inf
+
+
+def test_torque_bound_holds_for_lighter_sway():
+    # m22 < m11 flips the sign of the Coriolis cross term, not its size:
+    # the bound is 2 sqrt(d11 d22) d33 / |m22 - m11| = 2 here
     p = VehicleParams.diagonal(3.0, 2.0, 0.5, 1.0, 1.0, 1.0)
-    assert c_hat_bound(p) == math.inf
+    assert c_hat_bound(p) == 2.0
+    assert monotonicity_check(p, 1.999)
+    assert not monotonicity_check(p, 2.001)
+    c = 5.0
+    ss = steady_state_for_torque(p, c)
+    states = np.tile([0.0, 0.0, 0.0, 1.0, -1.0, ss.v_star[2]], (2, 1))
+    traj = Trajectory(t=np.array([0.0, 1.0]), states=states,
+                      inputs=np.tile(ss.u_star, (2, 1)))
+    assert passivity_residual(traj, p, c) == pytest.approx(c - 2.0, rel=1e-12)
 
 
 def test_torque_bound_linear_in_yaw_damping():

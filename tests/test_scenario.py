@@ -1,16 +1,21 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import surgeseek.scenario as sc
+from surgeseek.averaging import (LAMBDA_11, averaged_rhs, closed_loop_fields,
+                                 es_input_field, lambda_matrix)
 from surgeseek.costs import quadratic_cost
-from surgeseek.dither import EsGains
-from surgeseek.integrator import Trajectory
+from surgeseek.dither import EsGains, es_dither_set
+from surgeseek.integrator import IntegratorSettings, Trajectory, integrate
 from surgeseek.vehicle import reference_boat
 
 BOAT = reference_boat()
 COST = quadratic_cost()
+BENCHMARK_INI = Path(__file__).resolve().parents[1] / "scenarios" / "benchmark.ini"
 
 SCENARIO_INI = """\
 [vehicle]
@@ -80,6 +85,26 @@ def test_load_scenario_missing_file(tmp_path):
         sc.load_scenario(str(tmp_path / "nope.ini"))
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ("c = 1.0\n", "", r"\[gains\] c: required key is missing"),
+    ("samples_per_period", "samples_per_perod", r"\[run\] samples_per_perod: unknown key"),
+    ("floor = 1.0", "flor = 2.0", r"\[cost\] flor: unknown key"),
+    (None, None, None),
+])
+def test_load_scenario_names_the_bad_key(tmp_path, old, new, error):
+    text = BENCHMARK_INI.read_text()
+    if old is None:
+        s = sc.load_scenario(str(BENCHMARK_INI))
+        assert (s.horizon, s.samples_per_period, s.output_dir) == (100.0, 200, "out")
+        assert s.cost.minimizer == (2.0, 3.0)
+        return
+    assert old in text
+    path = tmp_path / "scenario.ini"
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValueError, match=error):
+        sc.load_scenario(str(path))
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         _scenario(horizon=0.0)
@@ -132,6 +157,38 @@ def test_run_averaged_zero_gain_matches_pure_torque():
     assert avg.states[-1, 5] == pytest.approx(1.0 / 0.864, abs=1e-3)
 
 
+def _final_gap(a, b):
+    return np.linalg.norm(a.states[-1] - b.states[-1]) / np.linalg.norm(b.states[-1])
+
+
+def test_run_full_matches_generic_closed_loop():
+    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=1.0, warnings=[])
+    full = sc.run_full(s)
+    f, g = closed_loop_fields(s.vehicle, s.gains, s.cost)
+    eps = s.gains.epsilon
+
+    def rhs(t, y):
+        return f(y) + (math.cos(t / eps) / eps) * g(y)
+
+    generic = integrate(rhs, s.initial, IntegratorSettings(step=full.step, tf=s.horizon))
+    assert _final_gap(full, generic) <= 1e-9
+
+
+def test_run_averaged_matches_generic_averaged_rhs():
+    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=1.0, warnings=[])
+    avg = sc.run_averaged(s)
+    p, gains = s.vehicle, s.gains
+    fields = [es_input_field(p, gains.k, s.cost)]
+    lam = lambda_matrix(es_dither_set(gains, s.cost))
+    assert lam[0, 0] == pytest.approx(LAMBDA_11, rel=1e-12)
+
+    def rhs(_t, y):
+        return averaged_rhs(p, (0.0, gains.c), fields, lam, y)
+
+    generic = integrate(rhs, s.initial, IntegratorSettings(step=avg.step, tf=s.horizon))
+    assert _final_gap(avg, generic) <= 1e-9
+
+
 def test_compare_identical_runs():
     s = _scenario(horizon=5.0)
     traj = sc.run_full(s)
@@ -157,7 +214,7 @@ def test_convergence_time_never_sentinel():
 def test_v1_monitor_non_increasing_on_averaged_run():
     s = _scenario(horizon=60.0, samples_per_period=50)
     avg = sc.run_averaged(s)
-    v1 = sc.v1_monitor(avg, BOAT, s.gains, COST)
+    v1 = sc.v1_monitor(avg, BOAT, s.gains)
     vy_max = np.max(np.abs(avg.states[:, 4]))
     assert vy_max < 0.3  # sway stays small under c=1
     slack = 1e-9 + vy_max * avg.step
