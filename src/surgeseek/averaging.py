@@ -132,7 +132,7 @@ def second_derivative_term_fd(params, b0, xv, yv, probe=1e-4, base_point=None):
     """
     def f2(v):
         """f2(v) = -M^{-1} (C(v)v + Dv - B0), the velocity drift under b0."""
-        return dynamics_rhs(params, np.concatenate([np.zeros(3), v]), b0)[3:]
+        return np.array(dynamics_rhs(params, np.concatenate([np.zeros(3), v]), b0)[3:])
 
     xv = np.asarray(xv, dtype=float)
     yv = np.asarray(yv, dtype=float)
@@ -279,7 +279,7 @@ def averaged_rhs(params, b0, fields, lam, state, probe=1e-5):
         for j, fj in enumerate(fields):
             if lam[i, j] != 0.0:
                 forcing += lam[i, j] * symmetric_product(fi, fj, params, q, probe)
-    out = dynamics_rhs(params, state, b0)
+    out = np.array(dynamics_rhs(params, state, b0))
     out[3:] -= forcing
     return out
 
@@ -294,7 +294,7 @@ def closed_loop_fields(params, gains, cost_field):
     b1 = es_input_field(params, gains.k, cost_field)
 
     def f(state):
-        return dynamics_rhs(params, state, (0.0, gains.c))
+        return np.array(dynamics_rhs(params, state, (0.0, gains.c)))
 
     def g(state):
         return np.concatenate([np.zeros(3), b1.value(state[:3])])
@@ -340,10 +340,10 @@ def double_integrator_demo(h_fun, alpha, omega_freq, horizon,
     aw = alpha * omega_freq
 
     def full_rhs(t, z):
-        return np.array([z[1], -z[1] + h_fun(z[0]) * aw * math.cos(omega_freq * t)])
+        return (z[1], -z[1] + h_fun(z[0]) * aw * math.cos(omega_freq * t))
 
     def avg_rhs(_t, z):
-        return np.array([z[1], -z[1] - 0.5 * alpha ** 2 * h_fun(z[0]) * h_prime(z[0])])
+        return (z[1], -z[1] - 0.5 * alpha ** 2 * h_fun(z[0]) * h_prime(z[0]))
 
     if omega_freq > 0:
         step = dividing_step(horizon, (2.0 * math.pi / omega_freq) / samples_per_period)

@@ -18,7 +18,7 @@ import numpy as np
 class CostField:
     name: str
     value: callable          # (x, y) -> float >= 0
-    gradient: callable       # (x, y) -> (2,) array
+    gradient: callable       # (x, y) -> (gx, gy) float pair
     minimizer: tuple = None  # known (x_star, y_star), if any
 
 
@@ -33,7 +33,7 @@ def quadratic_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0, floor=1.0):
         return a * (x - x_star) ** 2 + b * (y - y_star) ** 2 + floor
 
     def gradient(x, y):
-        return np.array([2.0 * a * (x - x_star), 2.0 * b * (y - y_star)])
+        return (2.0 * a * (x - x_star), 2.0 * b * (y - y_star))
 
     return CostField("quadratic", value, gradient, (x_star, y_star))
 
@@ -57,8 +57,8 @@ def rotated_quadratic_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0,
         dx, dy = x - x_star, y - y_star
         p = c * dx + s * dy
         q = -s * dx + c * dy
-        return np.array([2.0 * a * p * c - 2.0 * b * q * s,
-                         2.0 * a * p * s + 2.0 * b * q * c])
+        return (2.0 * a * p * c - 2.0 * b * q * s,
+                2.0 * a * p * s + 2.0 * b * q * c)
 
     return CostField("rotated_quadratic", value, gradient, (x_star, y_star))
 
@@ -75,8 +75,8 @@ def log_bowl_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0, floor=1.0):
 
     def gradient(x, y):
         denom = 1.0 + a * (x - x_star) ** 2 + b * (y - y_star) ** 2
-        return np.array([2.0 * a * (x - x_star) / denom,
-                         2.0 * b * (y - y_star) / denom])
+        return (2.0 * a * (x - x_star) / denom,
+                2.0 * b * (y - y_star) / denom)
 
     return CostField("log_bowl", value, gradient, (x_star, y_star))
 

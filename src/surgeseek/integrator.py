@@ -5,6 +5,11 @@ The closed loop is driven by a high-frequency dither, so adaptive
 steppers are deliberately avoided: a fixed step keeps reruns
 byte-identical and the harness enforces enough samples per dither
 period. No wrapping or projection is applied to the state.
+
+RHS contract: `rhs(t, y)` gets the state `y` as a tuple of Python floats
+and returns any sequence of floats of the same length (a tuple, a list or
+a 1-D array). The stages are formed on Python floats, so the only numpy
+work in a step is storing its state as one row of the recorded array.
 """
 import math
 from dataclasses import dataclass
@@ -13,11 +18,16 @@ import numpy as np
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the integrated state stops being finite."""
+    """Raised when the integrated state stops being finite.
 
-    def __init__(self, time):
+    `time` is the time of the first non-finite state and `state` the last
+    finite one (a numpy array), one step earlier.
+    """
+
+    def __init__(self, time, state):
         super().__init__(f"non-finite state encountered at t={time:.6g}")
         self.time = time
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -70,27 +80,42 @@ class Trajectory:
 
 
 def integrate(rhs, initial, settings):
-    """Integrate y' = rhs(t, y) with fixed-step RK4, recording every step."""
+    """Integrate y' = rhs(t, y) with fixed-step RK4, recording every step.
+
+    The state is carried as a tuple of floats (see the module docstring
+    for the RHS contract). Raises a ValueError when the first RHS output
+    and the state differ in length, and a BlowUpError when a step leaves
+    the state non-finite.
+    """
     n = settings.n_steps
     h = settings.step
-    y = np.asarray(initial, dtype=float).copy()
-    t = 0.0
+    initial = np.asarray(initial, dtype=float)
+    y = tuple(initial.tolist())
 
     times = h * np.arange(n + 1)
-    states = np.empty((n + 1, y.size))
-    states[0] = y
+    states = np.empty((n + 1, len(y)))
+    states[0] = initial
 
     half = 0.5 * h
     sixth = h / 6.0
+    t = 0.0
     for i in range(n):
         k1 = rhs(t, y)
-        k2 = rhs(t + half, y + half * k1)
-        k3 = rhs(t + half, y + half * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        t = times[i + 1]
-        if not np.isfinite(y).all():
-            raise BlowUpError(t)
+        if i == 0 and len(k1) != len(y):
+            raise ValueError(f"rhs returned {len(k1)} values for a state "
+                             f"of length {len(y)}")
+        # tuples of list comprehensions: quicker than generators here
+        k2 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k1)]))
+        k3 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k2)]))
+        k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
+        y = tuple([a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+        # the product that gives times[i + 1], bit for bit; a list of all
+        # the times would keep about 1 MB of float objects alive through
+        # the loop and raise the peak RSS
+        t = h * (i + 1)
+        if not all(map(math.isfinite, y)):
+            raise BlowUpError(t, states[i].copy())
         states[i + 1] = y
 
     return Trajectory(t=times, states=states)

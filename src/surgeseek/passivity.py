@@ -39,7 +39,7 @@ class SteadyState:
 
 def _steady_residual(params, v, u):
     """C(v)v + Dv - Gu, i.e. -M v_dot from the dynamics."""
-    vdot = dynamics_rhs(params, np.concatenate([np.zeros(3), v]), u)[3:]
+    vdot = np.array(dynamics_rhs(params, np.concatenate([np.zeros(3), v]), u)[3:])
     return -(params.inertia @ vdot)
 
 
@@ -98,19 +98,24 @@ def passivity_residual(trajectory, params, c):
 
     H-dot = (v - v*)^T M v_dot is computed from the recorded input through
     `dynamics_rhs`, so integrator error never masquerades as a passivity
-    violation.
+    violation. A sample whose residual is not finite raises a ValueError
+    naming its index, since a NaN would otherwise drop out of the max.
     """
     if trajectory.inputs is None:
         raise ValueError("trajectory has no recorded inputs")
     ss = steady_state_for_torque(params, c)
     inertia = params.inertia
     worst = -math.inf
-    for state, u in zip(trajectory.states, trajectory.inputs):
+    for i, (state, u) in enumerate(zip(trajectory.states, trajectory.inputs)):
         v = state[3:6]
-        vdot = dynamics_rhs(params, state, u)[3:6]
+        vdot = np.array(dynamics_rhs(params, state, u)[3:6])
         dv = v - ss.v_star
         h_dot = dv @ (inertia @ vdot)
         eta = np.array([v[0], v[2]])
         supply = (u - ss.u_star) @ (eta - ss.eta_star)
-        worst = max(worst, h_dot - supply)
+        residual = h_dot - supply
+        if not math.isfinite(residual):
+            raise ValueError(f"storage residual {residual} at sample {i} "
+                             f"(t={trajectory.t[i]:.6g}) is not finite")
+        worst = max(worst, residual)
     return worst

@@ -89,6 +89,18 @@ def _section(cp, name, known, required=()):
     return section
 
 
+def _number(section, key, text, kind=float):
+    """`text` as a `kind`; a malformed value raises a ValueError naming the key."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {key}: {exc}") from None
+
+
+def _floats(name, section):
+    return {key: _number(name, key, text) for key, text in section.items()}
+
+
 def load_scenario(path):
     """Parse an INI scenario file (sections vehicle/cost/gains/initial/run)."""
     cp = configparser.ConfigParser()
@@ -96,20 +108,21 @@ def load_scenario(path):
     if not read:
         raise FileNotFoundError(f"scenario file not found: {path}")
     veh = _section(cp, "vehicle", _VEHICLE_KEYS, required=_VEHICLE_KEYS)
-    vehicle = VehicleParams.diagonal(**{k: float(v) for k, v in veh.items()})
+    vehicle = VehicleParams.diagonal(**_floats("vehicle", veh))
     name = cp.get("cost", "name", fallback="quadratic")
     cost_params = _section(cp, "cost", ("name",) + costs.field_parameters(name))
-    cost = costs.get_field(name, **{k: float(v) for k, v in cost_params.items()
-                                    if k != "name"})
-    g = _section(cp, "gains", _GAINS_KEYS, required=_GAINS_KEYS)
-    gains = EsGains(k=float(g["k"]), c=float(g["c"]), epsilon=float(g["epsilon"]))
-    init = _section(cp, "initial", _STATE_KEYS)
-    initial = np.array([float(init.get(k, 0.0)) for k in _STATE_KEYS])
+    cost_params.pop("name", None)
+    cost = costs.get_field(name, **_floats("cost", cost_params))
+    gains = EsGains(**_floats("gains", _section(cp, "gains", _GAINS_KEYS,
+                                                required=_GAINS_KEYS)))
+    init = _floats("initial", _section(cp, "initial", _STATE_KEYS))
+    initial = np.array([init.get(k, 0.0) for k in _STATE_KEYS])
     run = _section(cp, "run", _RUN_KEYS)
     return Scenario(
         vehicle=vehicle, cost=cost, gains=gains, initial=initial,
-        horizon=float(run.get("horizon", 100.0)),
-        samples_per_period=int(run.get("samples_per_period", 200)),
+        horizon=_number("run", "horizon", run.get("horizon", 100.0)),
+        samples_per_period=_number("run", "samples_per_period",
+                                   run.get("samples_per_period", 200), int),
         output_dir=str(run.get("output_dir", ".")))
 
 
@@ -169,9 +182,9 @@ def run_averaged(scenario):
     self_product = es_surge_self_product(p, scenario.gains.k, scenario.cost)
 
     def rhs(_t, y):
-        out = dynamics_rhs(p, y, (0.0, c_torque))
-        out[3] -= LAMBDA_11 * self_product(y[0], y[1], y[2])
-        return out
+        dx, dy, dth, dvx, dvy, dom = dynamics_rhs(p, y, (0.0, c_torque))
+        return (dx, dy, dth, dvx - LAMBDA_11 * self_product(y[0], y[1], y[2]),
+                dvy, dom)
 
     return _run(scenario, rhs, scenario.horizon / AVERAGED_STEPS, "averaged")
 

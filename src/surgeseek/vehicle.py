@@ -28,7 +28,7 @@ the full and averaged runners, the averaged (symmetric product) system,
 the drift fields and the passivity audit all evaluate it.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,13 +40,15 @@ class VehicleParams:
     m11, m22, m33 are the diagonal inertia entries (surge, sway, yaw)
     and must be strictly positive. `d` is the 3x3 damping matrix, which
     must be symmetric positive definite; `diagonal()` is the common
-    constructor.
+    constructor. `d_rows` holds the rows of `d` as tuples of floats, for
+    `dynamics_rhs`.
     """
 
     m11: float
     m22: float
     m33: float
     d: np.ndarray
+    d_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.m11 > 0 and self.m22 > 0 and self.m33 > 0):
@@ -59,6 +61,7 @@ class VehicleParams:
         if np.any(np.linalg.eigvalsh(d) <= 0):
             raise ValueError("damping matrix must be positive definite")
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d_rows", tuple(map(tuple, d.tolist())))
 
     @classmethod
     def diagonal(cls, m11, m22, m33, d11, d22, d33):
@@ -101,21 +104,22 @@ def coriolis(params, v):
 
 
 def dynamics_rhs(params, state, u):
-    """Time derivative of the 6-state under input u = (u1, u2).
+    """Time derivative of the 6-state under input u = (u1, u2), as a 6-tuple.
 
-    C(v)v is written out (C(v) is `coriolis`) and M^{-1} is applied by
+    Works on floats: C(v)v and D v are written out (C(v) is `coriolis`,
+    the rows of D come from `params.d_rows`) and M^{-1} is applied by
     dividing by the diagonal inertia entries; D may be any valid damping
     matrix.
     """
     vx, vy, om = state[3], state[4], state[5]
     cth, sth = math.cos(state[2]), math.sin(state[2])
     m11, m22, m33 = params.m11, params.m22, params.m33
-    dv = params.d @ state[3:6]
-    return np.array([
+    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = params.d_rows
+    return (
         cth * vx - sth * vy,
         sth * vx + cth * vy,
         om,
-        (u[0] + m22 * vy * om - dv[0]) / m11,
-        (-m11 * vx * om - dv[1]) / m22,
-        (u[1] - (m22 - m11) * vx * vy - dv[2]) / m33,
-    ])
+        (u[0] + m22 * vy * om - (d11 * vx + d12 * vy + d13 * om)) / m11,
+        (-m11 * vx * om - (d21 * vx + d22 * vy + d23 * om)) / m22,
+        (u[1] - (m22 - m11) * vx * vy - (d31 * vx + d32 * vy + d33 * om)) / m33,
+    )

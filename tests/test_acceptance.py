@@ -182,7 +182,7 @@ def test_09_gain_sweep_tradeoff():
 
 def test_10_integrator_order_and_byte_determinism(tmp_path, monkeypatch):
     def rhs(_t, y):
-        return -y
+        return -np.asarray(y)
 
     settings = IntegratorSettings(step=0.1, tf=2.0)
     coarse = integrate(rhs, np.array([1.0]), settings)

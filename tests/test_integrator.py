@@ -53,12 +53,44 @@ def test_determinism():
 
 def test_blow_up_reports_time():
     def rhs(t, y):
-        return y ** 2
+        return np.asarray(y) ** 2
 
     with np.errstate(over="ignore"), pytest.raises(BlowUpError) as info:
         integrate(rhs, np.array([1.0]), IntegratorSettings(step=0.01, tf=2.0))
     assert 0.9 < info.value.time <= 2.0
     assert "t=" in str(info.value)
+
+
+def test_blow_up_carries_last_finite_state():
+    # y' = 1 up to t = 0.5, then inf: the step from t = 0.5 to 0.6 is the
+    # first to leave a non-finite state
+    def rhs(t, y):
+        return (1.0,) if t < 0.52 else (math.inf,)
+
+    with pytest.raises(BlowUpError) as info:
+        integrate(rhs, np.array([0.0]), IntegratorSettings(step=0.1, tf=1.0))
+    assert info.value.time == pytest.approx(0.6)
+    assert str(info.value) == "non-finite state encountered at t=0.6"
+    assert isinstance(info.value.state, np.ndarray)
+    assert info.value.state == pytest.approx([0.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_rhs_output_length_must_match_state(width):
+    with pytest.raises(ValueError, match=rf"rhs returned {width} values .* length 2"):
+        integrate(lambda t, y: (0.0,) * width, np.array([1.0, 2.0]),
+                  IntegratorSettings(step=0.1, tf=1.0))
+
+
+def test_rhs_receives_a_tuple_of_floats():
+    seen = []
+
+    def rhs(t, y):
+        seen.append(y)
+        return [-v for v in y]
+
+    integrate(rhs, np.array([1.0, 2.0]), IntegratorSettings(step=0.5, tf=1.0))
+    assert all(type(y) is tuple and all(type(v) is float for v in y) for y in seen)
 
 
 def test_settings_validation():

@@ -132,6 +132,16 @@ def test_residual_closed_form_identity():
     assert residual <= 0.0
 
 
+@pytest.mark.parametrize("rows, index", [(slice(3, 4), 3), (slice(None), 0)])
+def test_residual_rejects_non_finite_samples(rows, index):
+    # one NaN sample, then every sample NaN: max() would skip them and an
+    # all-NaN trajectory would read -inf, i.e. passive
+    traj = _random_input_trajectory(BOAT, 1.0, seed=7)
+    traj.states[rows, 4] = math.nan
+    with pytest.raises(ValueError, match=rf"at sample {index} .*not finite"):
+        passivity_residual(traj, BOAT, 1.0)
+
+
 def test_residual_requires_recorded_inputs():
     traj = Trajectory(t=np.linspace(0, 1, 3), states=np.zeros((3, 6)))
     with pytest.raises(ValueError, match="inputs"):

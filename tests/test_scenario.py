@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -89,6 +90,13 @@ def test_load_scenario_missing_file(tmp_path):
     ("c = 1.0\n", "", r"\[gains\] c: required key is missing"),
     ("samples_per_period", "samples_per_perod", r"\[run\] samples_per_perod: unknown key"),
     ("floor = 1.0", "flor = 2.0", r"\[cost\] flor: unknown key"),
+    ("m11 = 1.412", "m11 = 1,412", r"\[vehicle\] m11: could not convert .*'1,412'"),
+    ("\na = 1.0", "\na = one", r"\[cost\] a: could not convert"),
+    ("k = 1.0", "k = 1.0.0", r"\[gains\] k: could not convert"),
+    ("theta = 0.0", "theta = 0..1", r"\[initial\] theta: could not convert"),
+    ("horizon = 100.0", "horizon = 100 s", r"\[run\] horizon: could not convert"),
+    ("samples_per_period = 200", "samples_per_period = 200.5",
+     r"\[run\] samples_per_period: invalid literal for int"),
     (None, None, None),
 ])
 def test_load_scenario_names_the_bad_key(tmp_path, old, new, error):
@@ -187,6 +195,24 @@ def test_run_averaged_matches_generic_averaged_rhs():
 
     generic = integrate(rhs, s.initial, IntegratorSettings(step=avg.step, tf=s.horizon))
     assert _final_gap(avg, generic) <= 1e-9
+
+
+# sha256 of full.csv and averaged.csv for a horizon-2 copy of
+# scenarios/benchmark.ini, taken from the numpy-array RK4 and vessel kernel
+# that the float-tuple ones replaced: a rewrite of the stepping path must
+# keep these bytes (x86-64, glibc libm)
+PINNED_CSV_SHA256 = {
+    "full.csv": "7cab9ad3ff3367f3468bfb7b836fe184f49085ea7cb6e87e5ba48276bb0d2330",
+    "averaged.csv": "66a41b329e3fdf62ca960e51b8c1ea364c81ad1468b1743da101d436848809a9",
+}
+
+
+def test_trajectory_csv_bytes_are_pinned(tmp_path):
+    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=2.0, warnings=[])
+    for name, run in (("full.csv", sc.run_full), ("averaged.csv", sc.run_averaged)):
+        path = tmp_path / name
+        sc.write_trajectory_csv(run(s), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256[name], name
 
 
 def test_compare_identical_runs():
