@@ -25,7 +25,7 @@ import numpy as np
 from .integrator import (IntegratorSettings, Trajectory, dividing_step, hermite,
                          integrate)
 from .quadrature import DEFAULT_PANELS, cumulative_simpson, sample_period, simpson
-from .vehicle import coriolis, dynamics_rhs, kinematic_matrix
+from .vehicle import dynamics_rhs
 
 # RK4 steps over the horizon for averaged systems: they carry no dither, so
 # their grid is set by the horizon alone, fine enough for smooth flows
@@ -37,7 +37,13 @@ AVERAGED_STEPS = 10000
 
 @dataclass(frozen=True)
 class ConfigVectorField:
-    """Vector field on configurations with an optional analytic Jacobian."""
+    """Vector field on configurations with an optional analytic Jacobian.
+
+    `symmetric_product` passes the configuration on as its caller gave it
+    (a tuple of floats under `integrate`, an array row otherwise), so the
+    callables index it rather than do array arithmetic on it. They may
+    return tuples (rows of floats for the Jacobian) or arrays.
+    """
 
     value: callable            # (3,) config -> (3,) vector
     jacobian: callable = None  # (3,) config -> (3, 3) matrix
@@ -96,15 +102,34 @@ def _as_field(field):
     return ConfigVectorField(value=field)
 
 
+def _floats(v):
+    """A field's vector or matrix as Python floats; tuples pass through."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
 def _jac(field, q, probe):
     if field.jacobian is not None:
-        return np.asarray(field.jacobian(q), dtype=float)
-    return fd_jacobian(field.value, q, probe)
+        return _floats(field.jacobian(q))
+    return fd_jacobian(field.value, q, probe).tolist()
+
+
+def _apply(jac, w):
+    """The 3x3 matrix `jac` (rows of floats) applied to the 3-vector `w`."""
+    w0, w1, w2 = w
+    return [r[0] * w0 + r[1] * w1 + r[2] * w2 for r in jac]
 
 
 def coriolis_bilinear(params, xv, yv):
-    """Symmetrized Coriolis form C(X)Y + C(Y)X (the exact second v-derivative)."""
-    return coriolis(params, xv) @ yv + coriolis(params, yv) @ xv
+    """Symmetrized Coriolis form C(X)Y + C(Y)X (the exact second v-derivative).
+
+    C(v) is `vehicle.coriolis`, written out on floats; a 3-tuple.
+    """
+    m11, m22 = params.m11, params.m22
+    x0, x1, x2 = xv
+    y0, y1, y2 = yv
+    return (-(m22 * x1 * y2 + m22 * y1 * x2),
+            m11 * x0 * y2 + m11 * y0 * x2,
+            (m22 * x1 * y0 - m11 * x0 * y1) + (m22 * y1 * x0 - m11 * y0 * x1))
 
 
 def symmetric_product(x_field, y_field, params, q, probe=1e-5):
@@ -113,15 +138,21 @@ def symmetric_product(x_field, y_field, params, q, probe=1e-5):
     The last term of the product is evaluated exactly through the
     Coriolis bilinear form: the linear damping and the constant base
     input drop out under the second v-derivative, so neither enters.
+    Works on floats; fields may return tuples or arrays.
     """
     x_field, y_field = _as_field(x_field), _as_field(y_field)
-    q = np.asarray(q, dtype=float)
-    xv = np.asarray(x_field.value(q), dtype=float)
-    yv = np.asarray(y_field.value(q), dtype=float)
-    jq = kinematic_matrix(q[2])
-    term12 = _jac(x_field, q, probe) @ (jq @ yv) + _jac(y_field, q, probe) @ (jq @ xv)
-    term3 = params.inertia_inv @ coriolis_bilinear(params, xv, yv)
-    return term12 + term3
+    xv = _floats(x_field.value(q))
+    yv = _floats(y_field.value(q))
+    cth, sth = math.cos(q[2]), math.sin(q[2])
+    # J(theta) X and J(theta) Y
+    jx = (cth * xv[0] - sth * xv[1], sth * xv[0] + cth * xv[1], xv[2])
+    jy = (cth * yv[0] - sth * yv[1], sth * yv[0] + cth * yv[1], yv[2])
+    ax = _apply(_jac(x_field, q, probe), jy)
+    ay = _apply(_jac(y_field, q, probe), jx)
+    c0, c1, c2 = coriolis_bilinear(params, xv, yv)
+    return np.array([ax[0] + ay[0] + c0 / params.m11,
+                     ax[1] + ay[1] + c1 / params.m22,
+                     ax[2] + ay[2] + c2 / params.m33])
 
 
 def second_derivative_term_fd(params, b0, xv, yv, probe=1e-4, base_point=None):
@@ -161,14 +192,11 @@ def es_input_field(params, k, cost_field):
     m11 = params.m11
 
     def value(q):
-        return np.array([k * cost_field.value(q[0], q[1]) / m11, 0.0, 0.0])
+        return (k * cost_field.value(q[0], q[1]) / m11, 0.0, 0.0)
 
     def jacobian(q):
-        g = cost_field.gradient(q[0], q[1])
-        jac = np.zeros((3, 3))
-        jac[0, 0] = k * g[0] / m11
-        jac[0, 1] = k * g[1] / m11
-        return jac
+        gx, gy = cost_field.gradient(q[0], q[1])
+        return ((k * gx / m11, k * gy / m11, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
     return ConfigVectorField(value=value, jacobian=jacobian)
 

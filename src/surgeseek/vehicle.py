@@ -103,16 +103,18 @@ def coriolis(params, v):
                      [a, -b, 0.0]])
 
 
-def dynamics_rhs(params, state, u):
+def dynamics_rhs(params, state, u, cos=math.cos, sin=math.sin):
     """Time derivative of the 6-state under input u = (u1, u2), as a 6-tuple.
 
     Works on floats: C(v)v and D v are written out (C(v) is `coriolis`,
     the rows of D come from `params.d_rows`) and M^{-1} is applied by
     dividing by the diagonal inertia entries; D may be any valid damping
-    matrix.
+    matrix. Given a tuple of six equal-length columns for `state`, two
+    columns for `u` and `np.cos, np.sin`, the same arithmetic evaluates
+    every sample in one call and returns six columns.
     """
     vx, vy, om = state[3], state[4], state[5]
-    cth, sth = math.cos(state[2]), math.sin(state[2])
+    cth, sth = cos(state[2]), sin(state[2])
     m11, m22, m33 = params.m11, params.m22, params.m33
     (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = params.d_rows
     return (

@@ -14,7 +14,7 @@ from surgeseek.averaging import (ConfigVectorField, averaged_rhs,
                                  xi_field)
 from surgeseek.costs import quadratic_cost
 from surgeseek.dither import DitherComponent, DitherSet, EsGains, es_dither_set
-from surgeseek.vehicle import dynamics_rhs, reference_boat
+from surgeseek.vehicle import coriolis, dynamics_rhs, kinematic_matrix, reference_boat
 
 TWO_PI = 2.0 * math.pi
 BOAT = reference_boat()
@@ -89,6 +89,43 @@ def test_symmetric_product_is_symmetric():
         a = symmetric_product(x_field, y_field, BOAT, q)
         b = symmetric_product(y_field, x_field, BOAT, q)
         assert np.allclose(a, b, atol=1e-12)
+
+
+def _symmetric_product_matrices(x_field, y_field, params, q, probe=1e-5):
+    """Oracle: <X:Y>(q) from J(theta), C(v), M^{-1} and 3x3 Jacobian arrays."""
+    def jac(field):
+        if field.jacobian is not None:
+            return np.asarray(field.jacobian(q), dtype=float)
+        return fd_jacobian(field.value, q, probe)
+
+    xv = np.asarray(x_field.value(q), dtype=float)
+    yv = np.asarray(y_field.value(q), dtype=float)
+    jq = kinematic_matrix(q[2])
+    term3 = coriolis(params, xv) @ yv + coriolis(params, yv) @ xv
+    return jac(x_field) @ (jq @ yv) + jac(y_field) @ (jq @ xv) + params.inertia_inv @ term3
+
+
+@pytest.mark.parametrize("route", ["seeking", "arrays", "no_jacobian"])
+def test_symmetric_product_matches_matrix_oracle(route):
+    rng = np.random.default_rng(6)
+    a, b = rng.uniform(-2.0, 2.0, (2, 3, 3))
+    if route == "seeking":
+        x_field = y_field = es_input_field(BOAT, 1.3, COST)
+    elif route == "arrays":
+        x_field = ConfigVectorField(lambda q: a @ np.array([q[0], q[1] ** 2, math.sin(q[2])]),
+                                    lambda q: a * np.array([1.0, 2.0 * q[1], math.cos(q[2])]))
+        y_field = ConfigVectorField(lambda q: b @ np.array([q[1], q[0] * q[2], 1.0]),
+                                    lambda q: b @ np.array([[0.0, 1.0, 0.0], [q[2], 0.0, q[0]],
+                                                            [0.0, 0.0, 0.0]]))
+    else:
+        x_field = ConfigVectorField(es_input_field(BOAT, 1.3, COST).value)
+        y_field = ConfigVectorField(lambda q: b @ np.array([q[1], q[0] * q[2], 1.0]))
+    for _ in range(50):
+        q = rng.uniform(-5.0, 5.0, 3)
+        want = _symmetric_product_matrices(x_field, y_field, BOAT, q)
+        got = symmetric_product(x_field, y_field, BOAT, q)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_seeking_product_closed_form_matches_generic():

@@ -132,6 +132,31 @@ def test_residual_closed_form_identity():
     assert residual <= 0.0
 
 
+def _residual_per_sample(traj, params, c):
+    """Oracle: max of (v - v*).(M v_dot) - (u - u*).(eta - eta*), sample by sample."""
+    ss = steady_state_for_torque(params, c)
+    worst = -math.inf
+    for state, u in zip(traj.states, traj.inputs):
+        v = state[3:6]
+        v_dot = np.array(dynamics_rhs(params, state, u)[3:6])
+        eta = np.array([v[0], v[2]])
+        worst = max(worst, (v - ss.v_star) @ (params.inertia @ v_dot)
+                    - (u - ss.u_star) @ (eta - ss.eta_star))
+    return worst
+
+
+@pytest.mark.parametrize("vessel", ["boat", "coupled"])
+def test_column_residual_matches_per_sample_oracle(vessel):
+    # the coupled vessel's steady state has non-zero surge and sway
+    p = BOAT if vessel == "boat" else VehicleParams(
+        1.412, 1.982, 0.354, np.array([[3.0, 0.4, 0.1], [0.4, 12.0, 0.0], [0.1, 0.0, 0.9]]))
+    for seed in range(3):
+        traj = _random_input_trajectory(p, 1.0, seed, y0=np.full(6, 2.0) - seed)
+        got = passivity_residual(traj, p, 1.0)
+        assert type(got) is float
+        assert got == pytest.approx(_residual_per_sample(traj, p, 1.0), rel=1e-12)
+
+
 @pytest.mark.parametrize("rows, index", [(slice(3, 4), 3), (slice(None), 0)])
 def test_residual_rejects_non_finite_samples(rows, index):
     # one NaN sample, then every sample NaN: max() would skip them and an
@@ -139,6 +164,14 @@ def test_residual_rejects_non_finite_samples(rows, index):
     traj = _random_input_trajectory(BOAT, 1.0, seed=7)
     traj.states[rows, 4] = math.nan
     with pytest.raises(ValueError, match=rf"at sample {index} .*not finite"):
+        passivity_residual(traj, BOAT, 1.0)
+
+
+def test_residual_rejects_an_infinite_heading():
+    # the residual does not read the heading, but the sample is still not finite
+    traj = _random_input_trajectory(BOAT, 1.0, seed=8)
+    traj.states[5, 2] = math.inf
+    with pytest.raises(ValueError, match=r"at sample 5 \(t=0\.05\).*not finite"):
         passivity_residual(traj, BOAT, 1.0)
 
 

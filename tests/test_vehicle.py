@@ -119,6 +119,21 @@ def test_dynamics_rhs_matches_matrix_definitions():
             assert np.allclose(dynamics_rhs(p, state, u), want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("vessel", ["boat", "coupled"])
+def test_dynamics_rhs_on_columns_equals_the_float_kernel(vessel):
+    # one call on six state columns and two input columns, with np.cos and
+    # np.sin, must give the per-sample float kernel's values bit for bit
+    p = BOAT if vessel == "boat" else VehicleParams(
+        1.0, 2.0, 0.5, np.array([[2.0, 0.3, 0.1], [0.3, 3.0, 0.2], [0.1, 0.2, 1.0]]))
+    rng = np.random.default_rng(12)
+    states = rng.uniform(-4.0, 4.0, (2500, 6))
+    inputs = rng.uniform(-3.0, 3.0, (2500, 2))
+    columns = dynamics_rhs(p, tuple(states.T), tuple(inputs.T), np.cos, np.sin)
+    assert len(columns) == 6 and all(c.shape == (2500,) for c in columns)
+    per_sample = [dynamics_rhs(p, s, u) for s, u in zip(states.tolist(), inputs.tolist())]
+    assert np.array_equal(np.column_stack(columns), np.array(per_sample))
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         VehicleParams.diagonal(-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
