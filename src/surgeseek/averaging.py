@@ -40,9 +40,10 @@ class ConfigVectorField:
     """Vector field on configurations with an optional analytic Jacobian.
 
     `symmetric_product` passes the configuration on as its caller gave it
-    (a tuple of floats under `integrate`, an array row otherwise), so the
-    callables index it rather than do array arithmetic on it. They may
-    return tuples (rows of floats for the Jacobian) or arrays.
+    (a tuple of floats under `integrate` and `averaged_rhs`, an array row
+    otherwise), so the callables index it rather than do array arithmetic
+    on it. They may return tuples (rows of floats for the Jacobian) or
+    arrays.
     """
 
     value: callable            # (3,) config -> (3,) vector
@@ -295,21 +296,27 @@ def averaged_rhs(params, b0, fields, lam, state, probe=1e-5):
 
     The vessel dynamics under the constant base input b0 = (u1, u2), from
     `dynamics_rhs`, minus the forcing sum_ij Lambda_ij <B_i:B_j>(q) on the
-    velocity slots.
+    velocity slots, as an array. An array state is taken as a tuple of
+    floats, so the fields get q as `integrate` passes it.
     """
     fields = [_as_field(f) for f in fields]
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(fields), len(fields)):
         raise ValueError("lambda matrix dimension must match field count")
+    if isinstance(state, np.ndarray):
+        state = tuple(state.tolist())
     q = state[:3]
-    forcing = np.zeros(3)
-    for i, fi in enumerate(fields):
-        for j, fj in enumerate(fields):
-            if lam[i, j] != 0.0:
-                forcing += lam[i, j] * symmetric_product(fi, fj, params, q, probe)
-    out = np.array(dynamics_rhs(params, state, b0))
-    out[3:] -= forcing
-    return out
+    # accumulated from zero, as an array sum would be
+    f0 = f1 = f2 = 0.0
+    for fi, row in zip(fields, lam.tolist()):
+        for fj, lam_ij in zip(fields, row):
+            if lam_ij != 0.0:
+                s0, s1, s2 = symmetric_product(fi, fj, params, q, probe).tolist()
+                f0 += lam_ij * s0
+                f1 += lam_ij * s1
+                f2 += lam_ij * s2
+    d = dynamics_rhs(params, state, b0)
+    return np.array((d[0], d[1], d[2], d[3] - f0, d[4] - f1, d[5] - f2))
 
 
 def closed_loop_fields(params, gains, cost_field):

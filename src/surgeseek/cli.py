@@ -71,12 +71,23 @@ def cmd_compare(args):
     return 0
 
 
+def _sweep_values(text):
+    """The comma-separated `--values` as floats; a bad item is named."""
+    values = []
+    for item in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ValueError(f"--values: {item!r} is not a number") from None
+    if not values:
+        raise ValueError("--values: no sweep values given")
+    return values
+
+
 def cmd_sweep(args):
+    values = _sweep_values(args.values)
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ValueError("no sweep values given")
     rows = sc.sweep(s, args.axis, values)
     path = os.path.join(out, f"sweep_{args.axis}.csv")
     sc.write_metrics_csv(rows, path)

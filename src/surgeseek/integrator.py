@@ -10,7 +10,15 @@ RHS contract: `rhs(t, y)` gets the state `y` as a tuple of Python floats
 and returns any sequence of floats of the same length (a tuple, a list or
 a 1-D array). The stages are formed on Python floats, so the only numpy
 work in a step is storing its state as one row of the recorded array.
+
+The loop is generated once per state length m, from one source template,
+the way `collections.namedtuple` generates its methods: it unpacks the
+state and each RHS output into m locals and writes every stage and the
+update out in full, in the operation order of the plain comprehension
+loop, so it gives the same bits. It is built on the first `integrate` of
+a state of that length and cached.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,13 +87,69 @@ class Trajectory:
         return self.t[1] - self.t[0]
 
 
+# The RK4 loop for a state of length m. Each stage and the update are
+# written out per component, in the operation order of the plain loop
+# `tuple([a + half * b for a, b in zip(y, k)])` and so on: on Python floats
+# that is about 2.5x cheaper per stage than a comprehension, which runs as
+# its own frame over a zip.
+_LOOP_TEMPLATE = """\
+def rk4_loop(rhs, y, n, h, states):
+    half = 0.5 * h
+    sixth = h / 6.0
+    {y} = y
+    t = 0.0
+    for i in range(n):
+        k = rhs(t, y)
+        try:
+            {k1} = k
+        except ValueError:
+            raise ValueError(f"rhs returned {{len(k)}} values for a state "
+                             f"of length {m}") from None
+        {k2} = rhs(t + half, {stage2})
+        {k3} = rhs(t + half, {stage3})
+        {k4} = rhs(t + h, {stage4})
+        y = {y} = {update}
+        # the product that gives times[i + 1], bit for bit; a list of all
+        # the times would keep about 1 MB of float objects alive through
+        # the loop and raise the peak RSS
+        t = h * (i + 1)
+        # a finite sum implies finite components; only a non-finite sum
+        # (a NaN or inf, or an overflow of finite ones) needs the exact test
+        if not isfinite({total}) and not all(map(isfinite, y)):
+            raise BlowUpError(t, states[i].copy())
+        states[i + 1] = y
+"""
+
+
+@functools.cache
+def _rk4_loop(m):
+    """The RK4 loop for states of length m, generated from `_LOOP_TEMPLATE`."""
+    def tup(items):
+        # a trailing comma makes every length a tuple, (y0,) and () included
+        return "(" + "".join(f"{item}, " for item in items) + ")"
+
+    # locals: the state y0, y1, ... and the RHS outputs a*, b*, c* and d*
+    y, k1, k2, k3, k4 = ([f"{p}{j}" for j in range(m)] for p in "yabcd")
+    source = _LOOP_TEMPLATE.format(
+        m=m, y=tup(y), k1=tup(k1), k2=tup(k2), k3=tup(k3), k4=tup(k4),
+        stage2=tup(f"{a} + half * {b}" for a, b in zip(y, k1)),
+        stage3=tup(f"{a} + half * {b}" for a, b in zip(y, k2)),
+        stage4=tup(f"{a} + h * {b}" for a, b in zip(y, k3)),
+        update=tup(f"{a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})"
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)),
+        total=" + ".join(y) or "0.0")
+    namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError}
+    exec(compile(source, f"<rk4 loop, m={m}>", "exec"), namespace)
+    return namespace["rk4_loop"]
+
+
 def integrate(rhs, initial, settings):
     """Integrate y' = rhs(t, y) with fixed-step RK4, recording every step.
 
     The state is carried as a tuple of floats (see the module docstring
-    for the RHS contract). Raises a ValueError when the first RHS output
-    and the state differ in length, and a BlowUpError when a step leaves
-    the state non-finite.
+    for the RHS contract). Raises a ValueError when an RHS output and the
+    state differ in length, and a BlowUpError when a step leaves the state
+    non-finite.
     """
     n = settings.n_steps
     h = settings.step
@@ -95,29 +159,7 @@ def integrate(rhs, initial, settings):
     times = h * np.arange(n + 1)
     states = np.empty((n + 1, len(y)))
     states[0] = initial
-
-    half = 0.5 * h
-    sixth = h / 6.0
-    t = 0.0
-    for i in range(n):
-        k1 = rhs(t, y)
-        if i == 0 and len(k1) != len(y):
-            raise ValueError(f"rhs returned {len(k1)} values for a state "
-                             f"of length {len(y)}")
-        # tuples of list comprehensions: quicker than generators here
-        k2 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k1)]))
-        k3 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k2)]))
-        k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
-        y = tuple([a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
-        # the product that gives times[i + 1], bit for bit; a list of all
-        # the times would keep about 1 MB of float objects alive through
-        # the loop and raise the peak RSS
-        t = h * (i + 1)
-        if not all(map(math.isfinite, y)):
-            raise BlowUpError(t, states[i].copy())
-        states[i + 1] = y
-
+    _rk4_loop(len(y))(rhs, y, n, h, states)
     return Trajectory(t=times, states=states)
 
 

@@ -315,6 +315,20 @@ def test_averaged_rhs_dimension_mismatch():
         averaged_rhs(BOAT, B0, [b1], np.zeros((2, 2)), np.zeros(6))
 
 
+def test_averaged_rhs_of_array_row_equals_float_tuple_bit_for_bit():
+    # the audit passes array rows, `integrate` float tuples: both must give
+    # the same bits, through a closed-form Jacobian and a finite-difference one
+    fields = [es_input_field(BOAT, 1.3, COST),
+              ConfigVectorField(lambda q: (q[0] ** 2 / BOAT.m11, 0.0, math.sin(q[2])))]
+    lam = np.array([[0.25, -0.1], [-0.1, 0.0]])
+    rng = np.random.default_rng(11)
+    for row in rng.uniform(-3.0, 3.0, (20, 6)):
+        from_row = averaged_rhs(BOAT, B0, fields, lam, row)
+        from_tuple = averaged_rhs(BOAT, B0, fields, lam, tuple(row.tolist()))
+        assert isinstance(from_row, np.ndarray) and from_row.shape == (6,)
+        assert from_row.tobytes() == from_tuple.tobytes()
+
+
 def test_body_input_field_maps_through_inertia():
     field = body_input_field(BOAT, lambda q: np.array([2.0, 3.0]))
     got = field.value(np.zeros(3))

@@ -79,6 +79,16 @@ def test_sweep_bad_value_exits_nonzero(workdir):
     assert (out / "sweep_epsilon.csv").exists()
 
 
+@pytest.mark.parametrize("values, bad", [("0.5,abc", "'abc'"), ("1, 2x ,3", "'2x'"),
+                                         (" , ", "no sweep values")])
+def test_sweep_names_the_bad_value(workdir, capsys, values, bad):
+    out, scenario = workdir
+    assert main(["sweep", scenario, "--axis", "k", "--values", values]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: --values: ") and bad in err
+    assert not (out / "sweep_k.csv").exists()
+
+
 def test_validate_dither_exit_codes(capsys):
     assert main(["validate-dither", "--signal", "cos",
                  "--period", "6.283185307179586"]) == 0

@@ -7,6 +7,41 @@ from surgeseek.integrator import (BlowUpError, IntegratorSettings, Trajectory,
                                   integrate)
 
 
+def comprehension_integrate(rhs, initial, settings):
+    """The plain RK4 loop, one comprehension per stage: the oracle of the
+    loop `integrate` generates for each state length."""
+    n = settings.n_steps
+    h = settings.step
+    initial = np.asarray(initial, dtype=float)
+    y = tuple(initial.tolist())
+    times = h * np.arange(n + 1)
+    states = np.empty((n + 1, len(y)))
+    states[0] = initial
+    half = 0.5 * h
+    sixth = h / 6.0
+    t = 0.0
+    for i in range(n):
+        k1 = rhs(t, y)
+        k2 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k1)]))
+        k3 = rhs(t + half, tuple([a + half * b for a, b in zip(y, k2)]))
+        k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
+        y = tuple([a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+        t = h * (i + 1)
+        if not all(map(math.isfinite, y)):
+            raise BlowUpError(t, states[i].copy())
+        states[i + 1] = y
+    return Trajectory(t=times, states=states)
+
+
+def coupled_rhs(m, wrap):
+    """A nonlinear, time-varying RHS on m states; `wrap` builds its output."""
+    def rhs(t, y):
+        return wrap([math.sin(t + j) - 0.5 * y[j] + 0.1 * y[j - 1] * y[(j + 1) % m]
+                     for j in range(m)])
+    return rhs
+
+
 def test_zero_field_constant():
     traj = integrate(lambda t, y: np.zeros_like(y), np.array([1.0, -2.0]),
                      IntegratorSettings(step=0.1, tf=1.0))
@@ -73,6 +108,61 @@ def test_blow_up_carries_last_finite_state():
     assert str(info.value) == "non-finite state encountered at t=0.6"
     assert isinstance(info.value.state, np.ndarray)
     assert info.value.state == pytest.approx([0.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, np.array])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 6, 7])
+def test_generated_loop_matches_comprehension_loop(m, wrap):
+    rhs = coupled_rhs(m, wrap)
+    initial = np.linspace(-1.0, 1.0, m)
+    settings = IntegratorSettings(step=0.01, tf=3.0)
+    got = integrate(rhs, initial, settings)
+    want = comprehension_integrate(rhs, initial, settings)
+    assert got.states.shape == (301, m)
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.t.tobytes() == want.t.tobytes()
+
+
+def test_four_rhs_calls_per_step():
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (-y[0], y[1])
+
+    settings = IntegratorSettings(step=0.1, tf=2.0)
+    integrate(rhs, np.array([1.0, 2.0]), settings)
+    assert len(calls) == 4 * settings.n_steps
+
+
+def test_finite_state_with_overflowing_sum_is_not_a_blow_up():
+    traj = integrate(lambda t, y: (0.0, 0.0), np.array([1e308, 1e308]),
+                     IntegratorSettings(step=0.1, tf=1.0))
+    assert np.all(traj.states == 1e308)
+
+
+@pytest.mark.parametrize("m, component", [(1, 0), (6, 0), (6, 5), (7, 3)])
+def test_nan_in_one_component_reports_its_step(m, component):
+    # only the last stage of step j (from h * (j - 1) to h * j) is evaluated
+    # after t = h * (j - 0.25), so the NaN enters the state at that step
+    h, j = 0.1, 7
+
+    def clean(t, y):
+        return tuple(1.0 + 0.1 * v for v in y)
+
+    def rhs(t, y):
+        k = clean(t, y)
+        if t > h * (j - 0.25):
+            k = k[:component] + (math.nan,) + k[component + 1:]
+        return k
+
+    settings = IntegratorSettings(step=h, tf=2.0)
+    initial = np.linspace(0.0, 1.0, m)
+    with pytest.raises(BlowUpError) as info:
+        integrate(rhs, initial, settings)
+    assert info.value.time == h * j
+    want = integrate(clean, initial, settings).states[j - 1]
+    assert info.value.state.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("width", [1, 3])
