@@ -24,7 +24,7 @@ import numpy as np
 
 from .integrator import (IntegratorSettings, Trajectory, dividing_step, hermite,
                          integrate)
-from .quadrature import DEFAULT_PANELS, cumulative_simpson, sample_period, simpson
+from .quadrature import cumulative_simpson, sample_period, simpson
 from .vehicle import dynamics_rhs
 
 # RK4 steps over the horizon for averaged systems: they carry no dither, so
@@ -79,7 +79,7 @@ def lie_bracket(f, g, point, probe=1e-5):
     return fd_jacobian(f, point, probe) @ gv - fd_jacobian(g, point, probe) @ fv
 
 
-def iterated_bracket(f, g, point, order, probe=1e-3):
+def iterated_bracket(f, g, point, order):
     """ad_g^order f at `point`, nesting the finite-difference bracket.
 
     Each nesting level divides the inner evaluation's roundoff noise by
@@ -87,6 +87,7 @@ def iterated_bracket(f, g, point, order, probe=1e-3):
     single bracket does; 1e-3 balances truncation against noise for
     two to three levels.
     """
+    probe = 1e-3
     field = f
     for _ in range(order - 1):
         inner = field
@@ -108,10 +109,10 @@ def _floats(v):
     return v.tolist() if isinstance(v, np.ndarray) else v
 
 
-def _jac(field, q, probe):
+def _jac(field, q):
     if field.jacobian is not None:
         return _floats(field.jacobian(q))
-    return fd_jacobian(field.value, q, probe).tolist()
+    return fd_jacobian(field.value, q).tolist()
 
 
 def _apply(jac, w):
@@ -133,7 +134,7 @@ def coriolis_bilinear(params, xv, yv):
             (m22 * x1 * y0 - m11 * x0 * y1) + (m22 * y1 * x0 - m11 * y0 * x1))
 
 
-def symmetric_product(x_field, y_field, params, q, probe=1e-5):
+def symmetric_product(x_field, y_field, params, q):
     """<X:Y>(q) for the vehicle's velocity drift; symmetric in (X, Y).
 
     The last term of the product is evaluated exactly through the
@@ -148,8 +149,8 @@ def symmetric_product(x_field, y_field, params, q, probe=1e-5):
     # J(theta) X and J(theta) Y
     jx = (cth * xv[0] - sth * xv[1], sth * xv[0] + cth * xv[1], xv[2])
     jy = (cth * yv[0] - sth * yv[1], sth * yv[0] + cth * yv[1], yv[2])
-    ax = _apply(_jac(x_field, q, probe), jy)
-    ay = _apply(_jac(y_field, q, probe), jx)
+    ax = _apply(_jac(x_field, q), jy)
+    ay = _apply(_jac(y_field, q), jx)
     c0, c1, c2 = coriolis_bilinear(params, xv, yv)
     return np.array([ax[0] + ay[0] + c0 / params.m11,
                      ax[1] + ay[1] + c1 / params.m22,
@@ -236,14 +237,14 @@ def es_self_product(params, k, cost_field):
 
 
 # ---------------------------------------------------------------------------
-# dither averaging weights and velocity reconstruction
+# dither averaging weights and the oscillatory correction
 
 # Lambda_11 of the seeking law's single cosine dither, (1/2T) int_0^T sin^2
 # over T = 2 pi; `lambda_matrix` of `dither.es_dither_set` reproduces it
 LAMBDA_11 = 0.25
 
 
-def lambda_matrix(dither_set, panels=DEFAULT_PANELS):
+def lambda_matrix(dither_set):
     """Gram matrix of integrated dithers: (1/2T) int_0^T W_i W_j ds."""
     comps = dither_set.components
     period = comps[0].period
@@ -251,9 +252,8 @@ def lambda_matrix(dither_set, panels=DEFAULT_PANELS):
         if comp.period != period:
             raise ValueError("all dither components must share one period")
     running = []
-    h = period / panels
     for comp in comps:
-        _, values, h = sample_period(comp.w, period, panels)
+        _, values, h = sample_period(comp.w, period)
         running.append(cumulative_simpson(values, h))
     m = len(comps)
     lam = np.empty((m, m))
@@ -263,35 +263,18 @@ def lambda_matrix(dither_set, panels=DEFAULT_PANELS):
     return lam
 
 
-def dither_running_integral(comp, t, panels=512):
-    """int_0^t w(s) ds, closed form when available, else Simpson."""
-    if comp.w_integral is not None:
-        return comp.w_integral(t) - comp.w_integral(0.0)
-    if t == 0.0:
-        return 0.0
-    n = 2 * max(1, panels // 2)
-    s = np.linspace(0.0, t, n + 1)
-    return simpson(np.array([comp.w(si) for si in s]), t / n)
-
-
 def xi_field(dither_set, params, t, q):
     """Time-varying correction Xi(t, q) = sum_i (int_0^t w_i) B_i(q)."""
     xi = np.zeros(3)
     for comp in dither_set.components:
-        wint = dither_running_integral(comp, t)
-        xi += wint * body_input_field(params, comp.shape).value(q)
+        xi += comp.w_integral(t) * body_input_field(params, comp.shape).value(q)
     return xi
-
-
-def reconstruct_velocity(vhat, xi):
-    """Fast-scale velocity v = vhat + Xi(t, q)."""
-    return np.asarray(vhat, dtype=float) + np.asarray(xi, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # averaged dynamics
 
-def averaged_rhs(params, b0, fields, lam, state, probe=1e-5):
+def averaged_rhs(params, b0, fields, lam, state):
     """Right-hand side of the symmetric product system on the 6-state.
 
     The vessel dynamics under the constant base input b0 = (u1, u2), from
@@ -311,7 +294,7 @@ def averaged_rhs(params, b0, fields, lam, state, probe=1e-5):
     for fi, row in zip(fields, lam.tolist()):
         for fj, lam_ij in zip(fields, row):
             if lam_ij != 0.0:
-                s0, s1, s2 = symmetric_product(fi, fj, params, q, probe).tolist()
+                s0, s1, s2 = symmetric_product(fi, fj, params, q).tolist()
                 f0 += lam_ij * s0
                 f1 += lam_ij * s1
                 f2 += lam_ij * s2
@@ -340,6 +323,9 @@ def closed_loop_fields(params, gains, cost_field):
 # ---------------------------------------------------------------------------
 # damped double-integrator demonstration
 
+DEMO_SAMPLES_PER_PERIOD = 200
+
+
 def double_integrator_fields(k_fun):
     """Drift and input fields of the damped double integrator."""
     def f(z):
@@ -361,13 +347,18 @@ class DoubleIntegratorReport:
 
 
 def double_integrator_demo(h_fun, alpha, omega_freq, horizon,
-                           initial=(0.0, 0.0), minimizer=None,
-                           samples_per_period=200, h_prime=None):
+                           initial=(0.0, 0.0), minimizer=None, h_prime=None):
     """Simulate the oscillatory double integrator and its averaged twin.
 
     Full loop:     xi1' = xi2,  xi2' = -xi2 + h(xi1) * alpha * w * cos(w t)
     Averaged loop: z1'  = z2,   z2'  = -z2 - (alpha^2 / 4) * (h^2)'(z1)
+
+    The full loop resolves each dither period 2 pi / w in
+    `DEMO_SAMPLES_PER_PERIOD` steps.
     """
+    for name, value in (("omega_freq", omega_freq), ("horizon", horizon)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value:g}")
     if h_prime is None:
         def h_prime(z, _p=1e-6):
             return (h_fun(z + _p) - h_fun(z - _p)) / (2.0 * _p)
@@ -380,10 +371,7 @@ def double_integrator_demo(h_fun, alpha, omega_freq, horizon,
     def avg_rhs(_t, z):
         return (z[1], -z[1] - 0.5 * alpha ** 2 * h_fun(z[0]) * h_prime(z[0]))
 
-    if omega_freq > 0:
-        step = dividing_step(horizon, (2.0 * math.pi / omega_freq) / samples_per_period)
-    else:
-        step = horizon / AVERAGED_STEPS
+    step = dividing_step(horizon, (2.0 * math.pi / omega_freq) / DEMO_SAMPLES_PER_PERIOD)
     full = integrate(full_rhs, initial, IntegratorSettings(step=step, tf=horizon))
     avg = integrate(avg_rhs, initial,
                     IntegratorSettings(step=horizon / AVERAGED_STEPS, tf=horizon))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_PANELS, cumulative_simpson, sample_period, simpson
+from .quadrature import cumulative_simpson, sample_period, simpson
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,20 @@ class DitherComponent:
     """One periodic probing channel: scalar signal w and input shape b(q).
 
     `shape` maps the configuration (x, y, theta) to the 2-vector of
-    (surge, yaw) input components. `w_integral`, when given, is the
-    closed-form antiderivative of w with w_integral(0) = 0; otherwise
-    running integrals fall back to quadrature.
+    (surge, yaw) input components. `w_integral` is the closed-form
+    antiderivative of w with w_integral(0) = 0.
     """
 
     w: callable
     shape: callable
     period: float
-    w_integral: callable = None
+    w_integral: callable
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("period must be positive")
+        if self.w_integral(0.0) != 0.0:
+            raise ValueError("w_integral must vanish at 0")
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,11 @@ class DitherCheck:
     tol: float
 
 
-def validate_dither(w, period, tol=1e-8, panels=DEFAULT_PANELS):
+def validate_dither(w, period, tol=1e-8):
     """Check the zero-mean and zero-iterated-mean admissibility conditions."""
     if period <= 0:
         raise ValueError("period must be positive")
-    _, values, h = sample_period(w, period, panels)
+    _, values, h = sample_period(w, period)
     r1 = simpson(values, h)
     running = cumulative_simpson(values, h)
     r2 = simpson(running, h)
@@ -100,11 +101,6 @@ def surge_law(gains, cos=math.cos):
     return u1
 
 
-def es_control(gains, rho_value, t):
-    """Seeking input at time t given the scalar measurement rho_value."""
-    return np.array([surge_law(gains)(t, rho_value), gains.c])
-
-
 def general_input(dither_set, epsilon, t, q):
     """u = b0 + (1/eps) * sum_i b_i(q) * w_i(t/eps)."""
     u = dither_set.b0.copy()
@@ -115,7 +111,7 @@ def general_input(dither_set, epsilon, t, q):
 
 
 def es_dither_set(gains, cost_field):
-    """Single-component dither set equivalent to `es_control`."""
+    """Single-component dither set of the seeking law: `surge_law` and torque c."""
     def shape(q):
         return np.array([gains.k * cost_field.value(q[0], q[1]), 0.0])
 

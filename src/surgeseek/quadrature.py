@@ -32,7 +32,7 @@ def cumulative_simpson(values, h):
     return out
 
 
-def sample_period(w, period, panels=DEFAULT_PANELS):
-    """Sample w on a uniform grid over one period; returns (grid, values, h)."""
-    s = np.linspace(0.0, period, panels + 1)
-    return s, np.array([w(si) for si in s]), period / panels
+def sample_period(w, period):
+    """Sample w on `DEFAULT_PANELS` panels over one period; returns (grid, values, h)."""
+    s = np.linspace(0.0, period, DEFAULT_PANELS + 1)
+    return s, np.array([w(si) for si in s]), period / DEFAULT_PANELS

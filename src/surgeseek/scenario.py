@@ -48,7 +48,7 @@ class Scenario:
     horizon: float = 100.0
     samples_per_period: int = 200
     output_dir: str = "."
-    warnings: list = field(default_factory=list)
+    warnings: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
@@ -313,10 +313,10 @@ def _with_value(scenario, axis, value):
     gains = scenario.gains
     kwargs = {"k": gains.k, "c": gains.c, "epsilon": gains.epsilon}
     kwargs[axis] = value
-    return replace(scenario, gains=EsGains(**kwargs), warnings=[])
+    return replace(scenario, gains=EsGains(**kwargs))
 
 
-def sweep(base, axis, values, radius=None):
+def sweep(base, axis, values):
     """Run the full loop per value; pair each with its averaged run.
 
     Returns a list of row dicts matching the metrics CSV columns. Failing
@@ -337,7 +337,7 @@ def sweep(base, axis, values, radius=None):
             key = (sc.gains.k, sc.gains.c)
             if key not in averaged_cache:
                 averaged_cache[key] = run_averaged(sc)
-            metrics = compare(full, averaged_cache[key], sc, radius=radius)
+            metrics = compare(full, averaged_cache[key], sc)
             rows.append({
                 "param_value": value,
                 "final_error": metrics.final_error,

@@ -9,10 +9,9 @@ from surgeseek.averaging import (ConfigVectorField, averaged_rhs,
                                  double_integrator_fields, es_input_field,
                                  es_self_product, fd_jacobian,
                                  iterated_bracket, lambda_matrix, lie_bracket,
-                                 reconstruct_velocity,
                                  second_derivative_term_fd, symmetric_product,
                                  xi_field)
-from surgeseek.costs import quadratic_cost
+from surgeseek.costs import get_field, quadratic_cost
 from surgeseek.dither import DitherComponent, DitherSet, EsGains, es_dither_set
 from surgeseek.vehicle import coriolis, dynamics_rhs, kinematic_matrix, reference_boat
 
@@ -185,7 +184,8 @@ def test_second_derivative_term_base_point_independent():
 def _cos_component(freq=1.0):
     return DitherComponent(w=lambda t: math.cos(freq * t),
                            shape=lambda q: np.array([1.0, 0.0]),
-                           period=TWO_PI)
+                           period=TWO_PI,
+                           w_integral=lambda t: math.sin(freq * t) / freq)
 
 
 def test_lambda_single_cosine():
@@ -212,14 +212,15 @@ def test_lambda_positive_semidefinite():
 
 
 def test_lambda_period_mismatch():
-    bad = DitherComponent(w=math.cos, shape=lambda q: np.zeros(2), period=1.0)
+    bad = DitherComponent(w=math.cos, shape=lambda q: np.zeros(2), period=1.0,
+                          w_integral=math.sin)
     dset = DitherSet(b0=np.zeros(2), components=(_cos_component(), bad))
     with pytest.raises(ValueError, match="period"):
         lambda_matrix(dset)
 
 
 # ---------------------------------------------------------------------------
-# oscillatory correction and velocity reconstruction
+# oscillatory correction
 
 def test_xi_zero_at_start():
     dset = es_dither_set(EsGains(k=1.0, c=1.0, epsilon=0.1), COST)
@@ -233,20 +234,27 @@ def test_xi_quarter_period_value():
     assert xi[1] == 0.0 and xi[2] == 0.0
 
 
-def test_xi_vanishes_after_full_period_quadrature_route():
-    # no closed-form antiderivative attached: exercises the quadrature path
+def test_xi_vanishes_after_full_period():
+    # a constant shape with a yaw channel, unlike the seeking law's
     comp = DitherComponent(w=math.cos, shape=lambda q: np.array([2.0, 0.5]),
-                           period=TWO_PI)
+                           period=TWO_PI, w_integral=math.sin)
     dset = DitherSet(b0=np.zeros(2), components=(comp,))
     xi = xi_field(dset, BOAT, TWO_PI, np.zeros(3))
     assert np.allclose(xi, 0.0, atol=1e-9)
 
 
-def test_reconstruct_velocity():
-    vhat = np.array([0.1, -0.2, 0.3])
-    assert np.array_equal(reconstruct_velocity(vhat, np.zeros(3)), vhat)
-    xi = np.array([6.728, 0.0, 0.0])
-    assert np.allclose(reconstruct_velocity(np.zeros(3), xi), xi)
+@pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])
+def test_dither_shape_and_input_field_state_one_b1(name):
+    # es_dither_set's shape (k rho, 0) through M^{-1} G is es_input_field's
+    # (k rho / m11, 0, 0), in the same operation order, so bit for bit
+    cost = get_field(name)
+    gains = EsGains(k=1.3, c=1.0, epsilon=0.1)
+    shape = es_dither_set(gains, cost).components[0].shape
+    generic = body_input_field(BOAT, shape)
+    closed = es_input_field(BOAT, gains.k, cost)
+    rng = np.random.default_rng(11)
+    for q in rng.uniform(-5.0, 5.0, (50, 3)):
+        assert np.array_equal(generic.value(q), closed.value(q))
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,18 @@ def test_demo_di(workdir, capsys):
     assert "final_error_full=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, name", [(["--omega", "-5"], "omega_freq"),
+                                         (["--omega", "0"], "omega_freq"),
+                                         (["--horizon", "0"], "horizon"),
+                                         (["--horizon", "-1"], "horizon")])
+def test_demo_di_rejects_non_positive_values(workdir, capsys, flags, name):
+    out, _ = workdir
+    assert main(["demo-di", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and name in err
+    assert not (out / "demo_di.csv").exists()
+
+
 def test_missing_scenario_reports_error(tmp_path, capsys):
     code = main(["simulate", str(tmp_path / "nope.ini")])
     assert code == 1

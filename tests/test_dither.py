@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from surgeseek.costs import quadratic_cost
-from surgeseek.dither import (DitherComponent, DitherSet, EsGains, es_control,
-                              es_dither_set, general_input, validate_dither)
+from surgeseek.dither import (DitherComponent, DitherSet, EsGains, es_dither_set,
+                              general_input, surge_law, validate_dither)
 from surgeseek.quadrature import sample_period, simpson
 
 TWO_PI = 2.0 * math.pi
@@ -38,36 +38,31 @@ def test_period_must_be_positive():
 
 def test_es_control_cosine_zero_crossing():
     gains = EsGains(k=2.0, c=0.7, epsilon=0.05)
-    u = es_control(gains, 12.3, t=gains.epsilon * math.pi / 2)
-    assert u[0] == pytest.approx(0.0, abs=1e-12)
-    assert u[1] == 0.7
+    u1 = surge_law(gains)(gains.epsilon * math.pi / 2, 12.3)
+    assert u1 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_es_control_at_start():
-    u = es_control(EsGains(k=1.0, c=1.0, epsilon=0.1), 9.5, t=0.0)
-    assert u[0] == pytest.approx(95.0)
-    assert u[1] == 1.0
+    u1 = surge_law(EsGains(k=1.0, c=1.0, epsilon=0.1))
+    assert u1(0.0, 9.5) == pytest.approx(95.0)
 
 
 def test_es_control_torque_channel_constant():
     gains = EsGains(k=1.3, c=2.5, epsilon=0.1)
+    dset = es_dither_set(gains, quadratic_cost())
     for t in np.linspace(0.0, 5.0, 101):
-        assert es_control(gains, 4.0, t)[1] == 2.5
+        assert general_input(dset, gains.epsilon, t, np.zeros(3))[1] == 2.5
 
 
 def test_es_control_homogeneous_in_measurement():
-    gains = EsGains(k=0.8, c=1.0, epsilon=0.2)
-    u1 = es_control(gains, 3.0, 0.37)
-    u2 = es_control(gains, 6.0, 0.37)
-    assert u2[0] == pytest.approx(2.0 * u1[0])
-    assert u2[1] == u1[1]
+    u1 = surge_law(EsGains(k=0.8, c=1.0, epsilon=0.2))
+    assert u1(0.37, 6.0) == pytest.approx(2.0 * u1(0.37, 3.0))
 
 
 def test_surge_period_average_zero_with_frozen_measurement():
     gains = EsGains(k=1.0, c=1.0, epsilon=0.1)
     period = TWO_PI * gains.epsilon
-    _, values, h = sample_period(
-        lambda t: es_control(gains, 7.7, t)[0], period, 4096)
+    _, values, h = sample_period(lambda t: surge_law(gains)(t, 7.7), period)
     assert abs(simpson(values, h)) < 1e-9
 
 
@@ -81,7 +76,7 @@ def test_general_input_matches_es_control_law():
         t = rng.uniform(0, 10)
         rho = field.value(q[0], q[1])
         assert np.allclose(general_input(dset, gains.epsilon, t, q),
-                           es_control(gains, rho, t), atol=1e-12)
+                           [surge_law(gains)(t, rho), gains.c], atol=1e-12)
 
 
 def test_general_input_reduces_to_base_when_dithers_vanish():
@@ -98,7 +93,8 @@ def test_zero_shape_component_contributes_nothing():
     field = quadratic_cost()
     one = es_dither_set(gains, field)
     extra = DitherComponent(w=lambda t: math.cos(2.0 * t),
-                            shape=lambda q: np.zeros(2), period=TWO_PI)
+                            shape=lambda q: np.zeros(2), period=TWO_PI,
+                            w_integral=lambda t: 0.5 * math.sin(2.0 * t))
     two = DitherSet(b0=one.b0, components=one.components + (extra,))
     q = np.array([1.0, -2.0, 0.5])
     for t in (0.0, 0.3, 1.7):
@@ -114,6 +110,13 @@ def test_gains_validation():
     with pytest.raises(ValueError):
         EsGains(k=-1.0, c=1.0, epsilon=0.1)
     EsGains(k=0.0, c=1.0, epsilon=0.1)  # seeking disabled is allowed
+
+
+def test_dither_component_needs_w_integral_zero_at_start():
+    # xi_field reads w_integral(t) as int_0^t w, which needs w_integral(0) = 0
+    with pytest.raises(ValueError, match="w_integral"):
+        DitherComponent(w=math.cos, shape=lambda q: np.zeros(2), period=TWO_PI,
+                        w_integral=lambda t: math.sin(t) + 1.0)
 
 
 def test_empty_dither_set_rejected():

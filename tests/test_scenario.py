@@ -128,6 +128,14 @@ def test_torque_above_bound_warns_and_continues():
     assert "20.25" in s.warnings[0]
 
 
+def test_replace_gives_each_scenario_its_own_warning():
+    s = _scenario(gains=EsGains(1.0, 25.0, 0.1))
+    t = replace(s, horizon=5.0)
+    u = replace(t, horizon=6.0)
+    assert [len(x.warnings) for x in (s, t, u)] == [1, 1, 1]
+    assert s.warnings is not t.warnings and t.warnings is not u.warnings
+
+
 def test_run_full_records_inputs_and_cost(tmp_path):
     s = _scenario(horizon=5.0)
     traj = sc.run_full(s)
@@ -170,7 +178,7 @@ def _final_gap(a, b):
 
 
 def test_run_full_matches_generic_closed_loop():
-    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=1.0, warnings=[])
+    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=1.0)
     full = sc.run_full(s)
     f, g = closed_loop_fields(s.vehicle, s.gains, s.cost)
     eps = s.gains.epsilon
@@ -183,7 +191,7 @@ def test_run_full_matches_generic_closed_loop():
 
 
 def test_run_averaged_matches_generic_averaged_rhs():
-    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=1.0, warnings=[])
+    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=1.0)
     avg = sc.run_averaged(s)
     p, gains = s.vehicle, s.gains
     fields = [es_input_field(p, gains.k, s.cost)]
@@ -208,7 +216,7 @@ PINNED_CSV_SHA256 = {
 
 
 def test_trajectory_csv_bytes_are_pinned(tmp_path):
-    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=2.0, warnings=[])
+    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=2.0)
     for name, run in (("full.csv", sc.run_full), ("averaged.csv", sc.run_averaged)):
         path = tmp_path / name
         sc.write_trajectory_csv(run(s), str(path))
