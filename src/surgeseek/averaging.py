@@ -24,7 +24,7 @@ import numpy as np
 
 from .integrator import (IntegratorSettings, Trajectory, dividing_step, hermite,
                          integrate)
-from .quadrature import cumulative_simpson, sample_period, simpson
+from .quadrature import sample_period, simpson
 from .vehicle import dynamics_rhs
 
 # RK4 steps over the horizon for averaged systems: they carry no dither, so
@@ -98,12 +98,6 @@ def iterated_bracket(f, g, point, order):
 # ---------------------------------------------------------------------------
 # symmetric product
 
-def _as_field(field):
-    if isinstance(field, ConfigVectorField):
-        return field
-    return ConfigVectorField(value=field)
-
-
 def _floats(v):
     """A field's vector or matrix as Python floats; tuples pass through."""
     return v.tolist() if isinstance(v, np.ndarray) else v
@@ -142,7 +136,6 @@ def symmetric_product(x_field, y_field, params, q):
     input drop out under the second v-derivative, so neither enters.
     Works on floats; fields may return tuples or arrays.
     """
-    x_field, y_field = _as_field(x_field), _as_field(y_field)
     xv = _floats(x_field.value(q))
     yv = _floats(y_field.value(q))
     cth, sth = math.cos(q[2]), math.sin(q[2])
@@ -245,21 +238,25 @@ LAMBDA_11 = 0.25
 
 
 def lambda_matrix(dither_set):
-    """Gram matrix of integrated dithers: (1/2T) int_0^T W_i W_j ds."""
+    """Gram matrix of integrated dithers: (1/2T) int_0^T W_i W_j ds.
+
+    W_i is each component's closed-form `w_integral`, the same W that
+    `xi_field` reads, sampled on the `sample_period` grid.
+    """
     comps = dither_set.components
     period = comps[0].period
     for comp in comps:
         if comp.period != period:
             raise ValueError("all dither components must share one period")
-    running = []
+    samples = []
     for comp in comps:
-        _, values, h = sample_period(comp.w, period)
-        running.append(cumulative_simpson(values, h))
+        _, values, h = sample_period(comp.w_integral, period)
+        samples.append(values)
     m = len(comps)
     lam = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            lam[i, j] = lam[j, i] = simpson(running[i] * running[j], h) / (2.0 * period)
+            lam[i, j] = lam[j, i] = simpson(samples[i] * samples[j], h) / (2.0 * period)
     return lam
 
 
@@ -282,7 +279,6 @@ def averaged_rhs(params, b0, fields, lam, state):
     velocity slots, as an array. An array state is taken as a tuple of
     floats, so the fields get q as `integrate` passes it.
     """
-    fields = [_as_field(f) for f in fields]
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(fields), len(fields)):
         raise ValueError("lambda matrix dimension must match field count")

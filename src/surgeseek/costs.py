@@ -22,12 +22,16 @@ class CostField:
     minimizer: tuple = None  # known (x_star, y_star), if any
 
 
-def quadratic_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0, floor=1.0):
-    """a*(x-x_star)^2 + b*(y-y_star)^2 + floor."""
+def _check_coefficients(a, b, floor):
     if not (a > 0 and b > 0):
         raise ValueError("quadratic coefficients must be strictly positive")
-    if floor < 0:
+    if not floor >= 0:
         raise ValueError("floor must be non-negative")
+
+
+def quadratic_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0, floor=1.0):
+    """a*(x-x_star)^2 + b*(y-y_star)^2 + floor."""
+    _check_coefficients(a, b, floor)
 
     def value(x, y):
         return a * (x - x_star) ** 2 + b * (y - y_star) ** 2 + floor
@@ -41,10 +45,7 @@ def quadratic_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0, floor=1.0):
 def rotated_quadratic_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0,
                            floor=1.0, angle=0.5):
     """Anisotropic quadratic with principal axes rotated by `angle`."""
-    if not (a > 0 and b > 0):
-        raise ValueError("quadratic coefficients must be strictly positive")
-    if floor < 0:
-        raise ValueError("floor must be non-negative")
+    _check_coefficients(a, b, floor)
     c, s = math.cos(angle), math.sin(angle)
 
     def value(x, y):
@@ -65,10 +66,7 @@ def rotated_quadratic_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0,
 
 def log_bowl_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0, floor=1.0):
     """log(1 + quadratic) + floor: smooth, non-quadratic, same minimizer."""
-    if not (a > 0 and b > 0):
-        raise ValueError("quadratic coefficients must be strictly positive")
-    if floor < 0:
-        raise ValueError("floor must be non-negative")
+    _check_coefficients(a, b, floor)
 
     def value(x, y):
         return math.log1p(a * (x - x_star) ** 2 + b * (y - y_star) ** 2) + floor

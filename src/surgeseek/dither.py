@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import cumulative_simpson, sample_period, simpson
+from .quadrature import sample_period, simpson
+
+
+def _require_finite_positive(name, value):
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +33,9 @@ class EsGains:
     epsilon: float  # dither time scale (s)
 
     def __post_init__(self):
-        if not (self.k >= 0 and self.c > 0 and self.epsilon > 0):
-            raise ValueError("require k >= 0 and c, epsilon > 0")
+        inf = math.inf
+        if not (0 <= self.k < inf and 0 < self.c < inf and 0 < self.epsilon < inf):
+            raise ValueError("require finite k >= 0 and c, epsilon > 0")
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,7 @@ class DitherComponent:
     w_integral: callable
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        _require_finite_positive("period", self.period)
         if self.w_integral(0.0) != 0.0:
             raise ValueError("w_integral must vanish at 0")
 
@@ -74,14 +79,16 @@ class DitherCheck:
 
 
 def validate_dither(w, period, tol=1e-8):
-    """Check the zero-mean and zero-iterated-mean admissibility conditions."""
-    if period <= 0:
-        raise ValueError("period must be positive")
-    _, values, h = sample_period(w, period)
-    r1 = simpson(values, h)
-    running = cumulative_simpson(values, h)
-    r2 = simpson(running, h)
-    r1, r2 = abs(r1), abs(r2)
+    """Check the zero-mean and zero-iterated-mean admissibility conditions.
+
+    The iterated mean int_0^T int_0^s w is taken by Cauchy's formula for a
+    repeated integral, int_0^T (T - s) w(s) ds, on the same samples.
+    """
+    _require_finite_positive("period", period)
+    _require_finite_positive("tol", tol)
+    s, values, h = sample_period(w, period)
+    r1 = abs(simpson(values, h))
+    r2 = abs(simpson((period - s) * values, h))
     return DitherCheck(passed=(r1 < tol and r2 < tol),
                        mean_residual=r1, iterated_residual=r2, tol=tol)
 

@@ -90,11 +90,15 @@ def _section(cp, name, known, required=()):
 
 
 def _number(section, key, text, kind=float):
-    """`text` as a `kind`; a malformed value raises a ValueError naming the key."""
+    """`text` as a finite `kind`; a malformed or non-finite value raises a
+    ValueError naming the key."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
         raise ValueError(f"[{section}] {key}: {exc}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"[{section}] {key}: {text!r} is not a finite number")
+    return value
 
 
 def _floats(name, section):

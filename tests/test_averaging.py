@@ -204,6 +204,16 @@ def test_lambda_cos_pair():
     assert np.array_equal(lam, lam.T)
 
 
+def test_lambda_two_harmonic_component():
+    # W = sin t + sin(2t) / 2: (1/4 pi) int_0^{2 pi} W^2 = (1/4 pi)(pi + pi/4) = 5/16
+    comp = DitherComponent(w=lambda t: math.cos(t) + math.cos(2.0 * t),
+                           shape=lambda q: np.array([1.0, 0.0]),
+                           period=TWO_PI,
+                           w_integral=lambda t: math.sin(t) + 0.5 * math.sin(2.0 * t))
+    lam = lambda_matrix(DitherSet(b0=np.zeros(2), components=(comp,)))
+    assert lam[0, 0] == pytest.approx(5.0 / 16.0, abs=1e-15)
+
+
 def test_lambda_positive_semidefinite():
     dset = DitherSet(b0=np.zeros(2),
                      components=tuple(_cos_component(f) for f in (1.0, 2.0, 3.0)))

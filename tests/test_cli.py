@@ -98,6 +98,18 @@ def test_validate_dither_exit_codes(capsys):
     assert "fail" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, name", [(["--period", "nan"], "period"),
+                                         (["--period", "inf"], "period"),
+                                         (["--period", "0"], "period"),
+                                         (["--period", "6.28", "--tol", "-1"], "tol"),
+                                         (["--period", "6.28", "--tol", "nan"], "tol")])
+def test_validate_dither_rejects_bad_period_or_tol(capsys, flags, name):
+    assert main(["validate-dither", "--signal", "cos", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ValueError: ") and name in captured.err
+    assert "fail" not in captured.out
+
+
 def test_passivity_report(workdir, capsys):
     _, scenario = workdir
     assert main(["passivity", "--scenario", scenario]) == 0

@@ -42,6 +42,9 @@ def test_degenerate_coefficients_rejected():
         rotated_quadratic_cost(b=0.0)
     with pytest.raises(ValueError):
         log_bowl_cost(floor=-0.1)
+    for factory in (quadratic_cost, rotated_quadratic_cost, log_bowl_cost):
+        with pytest.raises(ValueError, match="floor"):
+            factory(floor=float("nan"))
 
 
 @pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])

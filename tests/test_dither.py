@@ -32,8 +32,22 @@ def test_constant_rejected_by_mean_condition():
 
 
 def test_period_must_be_positive():
-    with pytest.raises(ValueError):
-        validate_dither(math.cos, 0.0)
+    for period in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="period"):
+            validate_dither(math.cos, period)
+        with pytest.raises(ValueError, match="period"):
+            DitherComponent(w=math.cos, shape=lambda q: (1.0, 0.0), period=period,
+                            w_integral=math.sin)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            validate_dither(math.cos, TWO_PI, tol=tol)
+
+
+def test_iterated_mean_weights_by_time_remaining():
+    # int_0^1 int_0^s u du ds = 1/6, where the weight s instead of 1 - s gives 1/3
+    check = validate_dither(lambda t: t, 1.0)
+    assert check.mean_residual == pytest.approx(0.5, rel=1e-12)
+    assert check.iterated_residual == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
 def test_es_control_cosine_zero_crossing():
@@ -109,6 +123,12 @@ def test_gains_validation():
         EsGains(k=1.0, c=1.0, epsilon=-0.1)
     with pytest.raises(ValueError):
         EsGains(k=-1.0, c=1.0, epsilon=0.1)
+    for bad in (math.nan, math.inf):
+        for gains in ({"k": bad, "c": 1.0, "epsilon": 0.1},
+                      {"k": 1.0, "c": bad, "epsilon": 0.1},
+                      {"k": 1.0, "c": 1.0, "epsilon": bad}):
+            with pytest.raises(ValueError, match="finite"):
+                EsGains(**gains)
     EsGains(k=0.0, c=1.0, epsilon=0.1)  # seeking disabled is allowed
 
 

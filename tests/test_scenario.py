@@ -97,6 +97,10 @@ def test_load_scenario_missing_file(tmp_path):
     ("horizon = 100.0", "horizon = 100 s", r"\[run\] horizon: could not convert"),
     ("samples_per_period = 200", "samples_per_period = 200.5",
      r"\[run\] samples_per_period: invalid literal for int"),
+    ("epsilon = 0.1", "epsilon = inf", r"\[gains\] epsilon: 'inf' is not a finite number"),
+    ("horizon = 100.0", "horizon = nan", r"\[run\] horizon: 'nan' is not a finite number"),
+    ("floor = 1.0", "floor = nan", r"\[cost\] floor: 'nan' is not a finite number"),
+    ("x = 0.0", "x = nan", r"\[initial\] x: 'nan' is not a finite number"),
     (None, None, None),
 ])
 def test_load_scenario_names_the_bad_key(tmp_path, old, new, error):
