@@ -10,8 +10,8 @@ input vector fields,
 where f2(v) = -M^{-1} (C(v)v + Dv - B0) is the drift of the velocity
 subsystem. Because C(v)v is quadratic in v, the second v-derivative term
 is an exact bilinear form in (X, Y) and is evaluated from the Coriolis
-structure directly; a finite-difference route is kept alongside as an
-independent oracle.
+structure directly (`coriolis_bilinear`); the tests check it against
+nested finite differences of the drift.
 
 The averaged dynamics replace the oscillatory input by the forcing
 -M * sum_ij Lambda_ij <B_i:B_j>(q), where Lambda is the Gram matrix of
@@ -69,8 +69,6 @@ def _field_name(field):
 
 def lie_bracket(f, g, point, probe=1e-5):
     """ad_g f = (df/dx) g - (dg/dx) f at `point`, by central differences."""
-    if probe <= 0:
-        raise ValueError("probe must be positive")
     fv = np.asarray(f(point), dtype=float)
     gv = np.asarray(g(point), dtype=float)
     for val, field in ((fv, f), (gv, g)):
@@ -128,14 +126,8 @@ def coriolis_bilinear(params, xv, yv):
             (m22 * x1 * y0 - m11 * x0 * y1) + (m22 * y1 * x0 - m11 * y0 * x1))
 
 
-def symmetric_product(x_field, y_field, params, q):
-    """<X:Y>(q) for the vehicle's velocity drift; symmetric in (X, Y).
-
-    The last term of the product is evaluated exactly through the
-    Coriolis bilinear form: the linear damping and the constant base
-    input drop out under the second v-derivative, so neither enters.
-    Works on floats; fields may return tuples or arrays.
-    """
+def _symmetric_product(x_field, y_field, params, q):
+    """<X:Y>(q) as a 3-tuple of floats; see `symmetric_product`."""
     xv = _floats(x_field.value(q))
     yv = _floats(y_field.value(q))
     cth, sth = math.cos(q[2]), math.sin(q[2])
@@ -145,30 +137,20 @@ def symmetric_product(x_field, y_field, params, q):
     ax = _apply(_jac(x_field, q), jy)
     ay = _apply(_jac(y_field, q), jx)
     c0, c1, c2 = coriolis_bilinear(params, xv, yv)
-    return np.array([ax[0] + ay[0] + c0 / params.m11,
-                     ax[1] + ay[1] + c1 / params.m22,
-                     ax[2] + ay[2] + c2 / params.m33])
+    return (ax[0] + ay[0] + c0 / params.m11,
+            ax[1] + ay[1] + c1 / params.m22,
+            ax[2] + ay[2] + c2 / params.m33)
 
 
-def second_derivative_term_fd(params, b0, xv, yv, probe=1e-4, base_point=None):
-    """(d/dv((df2/dv) X)) Y by nested finite differences of f2 (test oracle).
+def symmetric_product(x_field, y_field, params, q):
+    """<X:Y>(q) for the vehicle's velocity drift; symmetric in (X, Y).
 
-    f2 is quadratic in v, so the result is independent of `base_point`;
-    exposing the base point lets tests assert exactly that.
+    The last term of the product is evaluated exactly through the
+    Coriolis bilinear form: the linear damping and the constant base
+    input drop out under the second v-derivative, so neither enters.
+    Works on floats; fields may return tuples or arrays. A (3,) array.
     """
-    def f2(v):
-        """f2(v) = -M^{-1} (C(v)v + Dv - B0), the velocity drift under b0."""
-        return np.array(dynamics_rhs(params, np.concatenate([np.zeros(3), v]), b0)[3:])
-
-    xv = np.asarray(xv, dtype=float)
-    yv = np.asarray(yv, dtype=float)
-    if base_point is None:
-        base_point = np.zeros(3)
-
-    def df2_x(v):
-        return fd_jacobian(f2, v, probe) @ xv
-
-    return fd_jacobian(df2_x, np.asarray(base_point, dtype=float), probe) @ yv
+    return np.array(_symmetric_product(x_field, y_field, params, q))
 
 
 def body_input_field(params, shape):
@@ -290,7 +272,7 @@ def averaged_rhs(params, b0, fields, lam, state):
     for fi, row in zip(fields, lam.tolist()):
         for fj, lam_ij in zip(fields, row):
             if lam_ij != 0.0:
-                s0, s1, s2 = symmetric_product(fi, fj, params, q).tolist()
+                s0, s1, s2 = _symmetric_product(fi, fj, params, q)
                 f0 += lam_ij * s0
                 f1 += lam_ij * s1
                 f2 += lam_ij * s2

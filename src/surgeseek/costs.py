@@ -11,8 +11,6 @@ import inspect
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class CostField:
@@ -102,18 +100,3 @@ def get_field(name, **params):
 def field_parameters(name):
     """Names of the keyword parameters of the registered field `name`."""
     return tuple(inspect.signature(_factory(name)).parameters)
-
-
-def gradient_check(field, points):
-    """Worst relative error of central-difference vs analytic gradient."""
-    probe = 1e-5
-    worst = 0.0
-    for x, y in points:
-        fd = np.array([
-            (field.value(x + probe, y) - field.value(x - probe, y)) / (2 * probe),
-            (field.value(x, y + probe) - field.value(x, y - probe)) / (2 * probe),
-        ])
-        g = field.gradient(x, y)
-        scale = max(np.linalg.norm(g), 1.0)
-        worst = max(worst, np.linalg.norm(fd - g) / scale)
-    return worst

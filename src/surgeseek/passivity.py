@@ -39,9 +39,9 @@ class SteadyState:
 
 
 def _steady_residual(params, v, u):
-    """C(v)v + Dv - Gu, i.e. -M v_dot from the dynamics."""
-    vdot = np.array(dynamics_rhs(params, np.concatenate([np.zeros(3), v]), u)[3:])
-    return -(params.inertia @ vdot)
+    """C(v)v + Dv - Gu, i.e. -M v_dot from the dynamics (M is diagonal)."""
+    vdot = dynamics_rhs(params, np.concatenate([np.zeros(3), v]), u)[3:]
+    return -(np.array([params.m11, params.m22, params.m33]) * vdot)
 
 
 def steady_state_for_torque(params, c):

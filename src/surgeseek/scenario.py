@@ -54,8 +54,8 @@ class Scenario:
         self.initial = np.asarray(self.initial, dtype=float)
         if self.initial.shape != (6,):
             raise ValueError("initial state must have 6 components")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.samples_per_period < 50:
             raise ValueError("need at least 50 samples per dither period")
         bound = c_hat_bound(self.vehicle)
@@ -364,8 +364,6 @@ def sweep(base, axis, values):
 # file output
 
 def _fmt(x):
-    if isinstance(x, float) and math.isinf(x):
-        return "never"
     return format(x, ".15g")
 
 
@@ -402,7 +400,7 @@ def write_metrics_csv(rows, path):
             f.write(",".join([
                 _fmt(float(r["param_value"])),
                 _fmt(r["final_error"]),
-                _fmt(r["conv_time_r"]),
+                "never" if math.isinf(r["conv_time_r"]) else _fmt(r["conv_time_r"]),
                 _fmt(r["path_length"]),
                 _fmt(r["sup_deviation"]),
                 str(r["status"]),

@@ -38,10 +38,10 @@ class VehicleParams:
     """Inertia and damping of the planar vehicle.
 
     m11, m22, m33 are the diagonal inertia entries (surge, sway, yaw)
-    and must be strictly positive. `d` is the 3x3 damping matrix, which
-    must be symmetric positive definite; `diagonal()` is the common
-    constructor. `d_rows` holds the rows of `d` as tuples of floats, for
-    `dynamics_rhs`.
+    and must be finite and strictly positive. `d` is the 3x3 damping
+    matrix, which must be finite and symmetric positive definite;
+    `diagonal()` is the common constructor. `d_rows` holds the rows of
+    `d` as tuples of floats, for `dynamics_rhs`.
     """
 
     m11: float
@@ -51,11 +51,16 @@ class VehicleParams:
     d_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.m11 > 0 and self.m22 > 0 and self.m33 > 0):
-            raise ValueError("inertia entries must be strictly positive")
+        for name in ("m11", "m22", "m33"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"inertia entry {name} must be finite and strictly "
+                                 f"positive, got {getattr(self, name)}")
         d = np.asarray(self.d, dtype=float)
         if d.shape != (3, 3):
             raise ValueError("damping matrix must be 3x3")
+        for (i, j), value in np.ndenumerate(d):
+            if not math.isfinite(value):
+                raise ValueError(f"damping entry d{i + 1}{j + 1} must be finite, got {value}")
         if not np.allclose(d, d.T, atol=1e-12):
             raise ValueError("damping matrix must be symmetric")
         if np.any(np.linalg.eigvalsh(d) <= 0):
@@ -67,14 +72,6 @@ class VehicleParams:
     def diagonal(cls, m11, m22, m33, d11, d22, d33):
         return cls(m11, m22, m33, np.diag([float(d11), float(d22), float(d33)]))
 
-    @property
-    def inertia(self):
-        return np.diag([self.m11, self.m22, self.m33])
-
-    @property
-    def inertia_inv(self):
-        return np.diag([1.0 / self.m11, 1.0 / self.m22, 1.0 / self.m33])
-
     def is_diagonal_damping(self):
         return bool(np.all(self.d == np.diag(np.diag(self.d))))
 
@@ -83,14 +80,6 @@ def reference_boat():
     """Benchmark boat with linear hydrodynamic damping."""
     return VehicleParams.diagonal(m11=1.412, m22=1.982, m33=0.354,
                                   d11=3.436, d22=12.99, d33=0.864)
-
-
-def kinematic_matrix(theta):
-    """Body-to-world kinematic transformation J(theta); block-orthogonal."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s, 0.0],
-                     [s, c, 0.0],
-                     [0.0, 0.0, 1.0]])
 
 
 def coriolis(params, v):

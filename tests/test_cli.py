@@ -1,8 +1,12 @@
+import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from surgeseek.cli import main
+
+BENCHMARK_INI = Path(__file__).resolve().parents[1] / "scenarios" / "benchmark.ini"
 
 SCENARIO_INI = """\
 [vehicle]
@@ -77,6 +81,19 @@ def test_sweep_bad_value_exits_nonzero(workdir):
     code = main(["sweep", scenario, "--axis", "epsilon", "--values", "0.1,-1"])
     assert code == 1
     assert (out / "sweep_epsilon.csv").exists()
+
+
+def test_sweep_writes_never_only_for_an_unreached_radius(tmp_path, monkeypatch):
+    monkeypatch.setenv("SURGESEEK_OUTPUT_DIR", str(tmp_path))
+    scenario = tmp_path / "scenario.ini"
+    scenario.write_text(BENCHMARK_INI.read_text().replace("horizon = 100.0", "horizon = 2.0"))
+    assert main(["sweep", str(scenario), "--axis", "epsilon", "--values", "0.1,inf"]) == 1
+    with open(tmp_path / "sweep_epsilon.csv", newline="") as f:
+        ok, failed = csv.DictReader(f)
+    # 2 s is too short to reach the radius; an infinite epsilon fails the row
+    assert (ok["param_value"], ok["conv_time_r"], ok["status"]) == ("0.1", "never", "ok")
+    assert (failed["param_value"], failed["conv_time_r"]) == ("inf", "nan")
+    assert failed["status"] != "ok"
 
 
 @pytest.mark.parametrize("values, bad", [("0.5,abc", "'abc'"), ("1, 2x ,3", "'2x'"),

@@ -8,6 +8,8 @@ from surgeseek.passivity import (c_hat_bound, monotonicity_check,
                                  passivity_residual, steady_state_for_torque)
 from surgeseek.vehicle import VehicleParams, coriolis, dynamics_rhs, reference_boat
 
+from oracles import inertia
+
 BOAT = reference_boat()
 
 
@@ -140,7 +142,7 @@ def _residual_per_sample(traj, params, c):
         v = state[3:6]
         v_dot = np.array(dynamics_rhs(params, state, u)[3:6])
         eta = np.array([v[0], v[2]])
-        worst = max(worst, (v - ss.v_star) @ (params.inertia @ v_dot)
+        worst = max(worst, (v - ss.v_star) @ (inertia(params) @ v_dot)
                     - (u - ss.u_star) @ (eta - ss.eta_star))
     return worst
 

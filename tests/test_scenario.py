@@ -126,6 +126,25 @@ def test_scenario_validation():
         _scenario(initial=np.zeros(4))
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf])
+def test_scenario_names_a_non_finite_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        _scenario(horizon=horizon)
+
+
+@pytest.mark.parametrize("name", ["rotated_quadratic", "log_bowl"])
+def test_benchmark_seeks_the_other_fields(tmp_path, name):
+    # the benchmark scenario with only the field swapped: the full loop must
+    # meet claim 1's declared threshold and settle within the radius
+    path = tmp_path / "scenario.ini"
+    path.write_text(BENCHMARK_INI.read_text().replace("name = quadratic", f"name = {name}"))
+    s = sc.load_scenario(str(path))
+    assert s.cost.name == name
+    metrics = sc.compare(sc.run_full(s), sc.run_averaged(s), s)
+    assert metrics.final_error < sc.DECLARED_CONSTANTS["final_error_threshold_eps_0.1"]
+    assert math.isfinite(metrics.convergence_time)
+
+
 def test_torque_above_bound_warns_and_continues():
     s = _scenario(gains=EsGains(1.0, 25.0, 0.1))
     assert len(s.warnings) == 1

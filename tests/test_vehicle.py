@@ -5,8 +5,9 @@ import pytest
 
 from surgeseek.integrator import IntegratorSettings, integrate
 from surgeseek.passivity import c_hat_bound
-from surgeseek.vehicle import (VehicleParams, coriolis,
-                               dynamics_rhs, kinematic_matrix, reference_boat)
+from surgeseek.vehicle import VehicleParams, coriolis, dynamics_rhs, reference_boat
+
+from oracles import inertia, inertia_inv, kinematic_matrix
 
 BOAT = reference_boat()
 
@@ -87,7 +88,7 @@ def test_energy_balance_along_trajectory():
     # integrate kinetic energy's claimed balance dE/dt = v'Gu - v'Dv as an
     # extra state; the Coriolis term must do no work
     u = np.array([0.8, -0.4])
-    m = BOAT.inertia
+    m = inertia(BOAT)
 
     def rhs(t, y):
         base = dynamics_rhs(BOAT, y[:6], u)
@@ -115,7 +116,7 @@ def test_dynamics_rhs_matches_matrix_definitions():
             gu = np.array([u[0], 0.0, u[1]])
             want = np.concatenate([
                 kinematic_matrix(state[2]) @ v,
-                p.inertia_inv @ (gu - coriolis(p, v) @ v - p.d @ v)])
+                inertia_inv(p) @ (gu - coriolis(p, v) @ v - p.d @ v)])
             assert np.allclose(dynamics_rhs(p, state, u), want, rtol=0.0, atol=1e-12)
 
 
@@ -144,6 +145,15 @@ def test_params_validation():
     asym = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError):
         VehicleParams(1.0, 1.0, 1.0, asym)
+
+
+@pytest.mark.parametrize("entry, value", [("m11", math.inf), ("m33", math.nan),
+                                          ("d22", math.inf), ("d11", math.nan)])
+def test_params_name_a_non_finite_entry(entry, value):
+    entries = {"m11": 1.0, "m22": 1.0, "m33": 1.0, "d11": 1.0, "d22": 1.0, "d33": 1.0}
+    entries[entry] = value
+    with pytest.raises(ValueError, match=rf"{entry} must be finite"):
+        VehicleParams.diagonal(**entries)
 
 
 def test_nondiagonal_damping_accepted():
