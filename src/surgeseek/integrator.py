@@ -8,8 +8,9 @@ period. No wrapping or projection is applied to the state.
 
 RHS contract: `rhs(t, y)` gets the state `y` as a tuple of Python floats
 and returns any sequence of floats of the same length (a tuple, a list or
-a 1-D array). The stages are formed on Python floats, so the only numpy
-work in a step is storing its state as one row of the recorded array.
+a 1-D array). The stages are formed on Python floats, and each step's
+state is packed into its row of the preallocated record by `struct`, so a
+step calls no numpy function.
 
 The loop is generated once per state length m, from one source template,
 the way `collections.namedtuple` generates its methods: it unpacks the
@@ -20,6 +21,7 @@ a state of that length and cached.
 """
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +119,9 @@ def rk4_loop(rhs, y, n, h, states):
         # (a NaN or inf, or an overflow of finite ones) needs the exact test
         if not isfinite({total}) and not all(map(isfinite, y)):
             raise BlowUpError(t, states[i].copy())
-        states[i + 1] = y
+        # the row's bytes in place: cheaper than `states[i + 1] = y`, which
+        # converts the tuple through numpy
+        pack_row(states, row_bytes * (i + 1), {ylist})
 """
 
 
@@ -137,8 +141,11 @@ def _rk4_loop(m):
         stage4=tup(f"{a} + h * {b}" for a, b in zip(y, k3)),
         update=tup(f"{a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})"
                    for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)),
-        total=" + ".join(y) or "0.0")
-    namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError}
+        total=" + ".join(y) or "0.0", ylist="".join(f"{a}, " for a in y))
+    # native doubles, the layout of a C-contiguous float64 row
+    row = struct.Struct(f"{m}d")
+    namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError,
+                 "pack_row": row.pack_into, "row_bytes": row.size}
     exec(compile(source, f"<rk4 loop, m={m}>", "exec"), namespace)
     return namespace["rk4_loop"]
 

@@ -52,17 +52,23 @@ def steady_state_for_torque(params, c):
     if params.is_diagonal_damping():
         v_star = np.array([0.0, 0.0, c / params.d[2, 2]])
     else:
-        # damped fixed-point iteration on the steady-state residual
+        # damped fixed-point iteration on the steady-state residual; an
+        # iterate that overflows stops it at once
         d_inv = np.linalg.inv(params.d)
         gu = np.array([0.0, 0.0, c])
         v_star = d_inv @ gu
-        for _ in range(10000):
-            res = _steady_residual(params, v_star, u_star)
-            if np.linalg.norm(res) < 1e-14:
-                break
-            v_star = v_star - 0.5 * (d_inv @ res)
-        else:
-            raise RuntimeError("steady-state solve did not converge")
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for _ in range(10000):
+                    res = _steady_residual(params, v_star, u_star)
+                    if np.linalg.norm(res) < 1e-14:
+                        break
+                    v_star = v_star - 0.5 * (d_inv @ res)
+                else:
+                    raise RuntimeError("steady-state solve did not converge")
+        except FloatingPointError as exc:
+            raise RuntimeError(f"steady-state iteration diverged at c={c:g} "
+                               f"({exc})") from exc
     res = np.linalg.norm(_steady_residual(params, v_star, u_star))
     if res > _RESIDUAL_TOL:
         raise RuntimeError(f"steady-state residual {res:.3e} above tolerance")

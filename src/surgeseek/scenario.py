@@ -10,6 +10,10 @@ the horizon alone; `compare` evaluates the averaged run on the full run's
 grid by cubic Hermite dense output and reports planar-position deviation
 metrics. Heading deviation is deliberately excluded from the metrics: only
 the linear motion is claimed to converge, while the vehicle keeps spinning.
+
+Each runner integrates its loop and then records the cost and the inputs
+along the states. The metrics read states and times only, so `sweep`
+integrates the same two loops and records states only.
 """
 import configparser
 import math
@@ -130,39 +134,42 @@ def load_scenario(path):
         output_dir=str(run.get("output_dir", ".")))
 
 
-def _run(scenario, rhs, step, name, surge=None):
-    """Integrate `rhs` over the horizon; record the cost and the inputs.
+def _integrate(scenario, rhs, step, name, eps=""):
+    """Integrate `rhs` over the horizon, recording the states only.
 
-    `surge` is the surge law on arrays of samples; the averaged run has
-    none (zero surge input) and does not read epsilon. A failure is
-    re-raised as a RuntimeError naming the run and its gains.
+    A failure is re-raised as a RuntimeError naming the run and its gains;
+    `eps` is the epsilon clause of that message, empty for the averaged
+    run, which does not read epsilon.
     """
     gains = scenario.gains
     try:
-        traj = integrate(rhs, scenario.initial,
+        return integrate(rhs, scenario.initial,
                          IntegratorSettings(step=step, tf=scenario.horizon))
     except Exception as exc:
-        eps = "" if surge is None else f" eps={gains.epsilon}"
         raise RuntimeError(
             f"{name} run failed ({exc}); gains k={gains.k} c={gains.c}{eps}, "
             f"horizon={scenario.horizon}") from exc
+
+
+def _record(scenario, traj, surge=None):
+    """Record the cost and the inputs along the integrated `traj`.
+
+    `surge` is the surge law on arrays of samples; the averaged run has
+    none (zero surge input).
+    """
     # sample by sample: on whole columns numpy squares by x * x, where a
     # scalar's ** 2 calls libm pow, and 4 of the reference run's 31,832
     # quadratic values would move by 1 ULP
     states = traj.states
     rho = np.fromiter(map(scenario.cost.value, states[:, 0], states[:, 1]), float, len(traj.t))
     u1 = np.zeros_like(rho) if surge is None else surge(traj.t, rho)
-    traj.inputs = np.column_stack([u1, np.full_like(rho, gains.c)])
+    traj.inputs = np.column_stack([u1, np.full_like(rho, scenario.gains.c)])
     traj.rho = rho
     return traj
 
 
-def run_full(scenario):
-    """Integrate the oscillatory closed loop, recording input and cost.
-
-    The step is the largest that divides the horizon and resolves the
-    dither period in `samples_per_period` steps.
-    """
+def _integrate_full(scenario):
+    """The oscillatory closed loop's states, on `run_full`'s grid."""
     p = scenario.vehicle
     gains = scenario.gains
     value = scenario.cost.value
@@ -174,16 +181,11 @@ def run_full(scenario):
 
     step = dividing_step(scenario.horizon, gains.epsilon * 2.0 * math.pi
                          / scenario.samples_per_period)
-    return _run(scenario, rhs, step, "full", surge=surge_law(gains, np.cos))
+    return _integrate(scenario, rhs, step, "full", f" eps={gains.epsilon}")
 
 
-def run_averaged(scenario):
-    """Integrate the symmetric product system (single-dither closed form).
-
-    The surge velocity is forced by -Lambda_11 <B1:B1>. The averaged system
-    has no dither, so its grid is `AVERAGED_STEPS` steps over the horizon
-    whatever epsilon and samples_per_period are.
-    """
+def _integrate_averaged(scenario):
+    """The symmetric product system's states, on `run_averaged`'s grid."""
     p = scenario.vehicle
     c_torque = scenario.gains.c
     self_product = es_surge_self_product(p, scenario.gains.k, scenario.cost)
@@ -193,7 +195,27 @@ def run_averaged(scenario):
         return (dx, dy, dth, dvx - LAMBDA_11 * self_product(y[0], y[1], y[2]),
                 dvy, dom)
 
-    return _run(scenario, rhs, scenario.horizon / AVERAGED_STEPS, "averaged")
+    return _integrate(scenario, rhs, scenario.horizon / AVERAGED_STEPS, "averaged")
+
+
+def run_full(scenario):
+    """Integrate the oscillatory closed loop, recording input and cost.
+
+    The step is the largest that divides the horizon and resolves the
+    dither period in `samples_per_period` steps.
+    """
+    return _record(scenario, _integrate_full(scenario), surge_law(scenario.gains, np.cos))
+
+
+def run_averaged(scenario):
+    """Integrate the symmetric product system (single-dither closed form).
+
+    The surge velocity is forced by -Lambda_11 <B1:B1>. The averaged system
+    has no dither, so its grid is `AVERAGED_STEPS` steps over the horizon
+    whatever epsilon and samples_per_period are. The cost is recorded and
+    the surge input is zero.
+    """
+    return _record(scenario, _integrate_averaged(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +346,14 @@ def sweep(base, axis, values):
     """Run the full loop per value; pair each with its averaged run.
 
     Returns a list of row dicts matching the metrics CSV columns. Failing
-    runs are recorded with their reason and the sweep continues. Averaged
-    runs are cached per (k, c): within a sweep only the axis value varies,
-    and the averaged run reads neither epsilon nor samples_per_period (its
-    grid is `AVERAGED_STEPS` steps over the horizon), so (k, c) fixes it
-    and a row's result does not depend on the order of the values.
+    runs are recorded with their reason and the sweep continues. A sweep
+    records states only: `compare` reads the states and times, so the cost
+    and input columns of `run_full` and `run_averaged` are never built.
+    Averaged runs are cached per (k, c): within a sweep only the axis value
+    varies, and the averaged run reads neither epsilon nor
+    samples_per_period (its grid is `AVERAGED_STEPS` steps over the
+    horizon), so (k, c) fixes it and a row's result does not depend on the
+    order of the values.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
@@ -337,10 +362,10 @@ def sweep(base, axis, values):
     for value in values:
         try:
             sc = _with_value(base, axis, value)
-            full = run_full(sc)
+            full = _integrate_full(sc)
             key = (sc.gains.k, sc.gains.c)
             if key not in averaged_cache:
-                averaged_cache[key] = run_averaged(sc)
+                averaged_cache[key] = _integrate_averaged(sc)
             metrics = compare(full, averaged_cache[key], sc)
             rows.append({
                 "param_value": value,

@@ -43,6 +43,20 @@ def test_steady_state_nondiagonal_damping():
     assert np.linalg.norm(res) <= 1e-10
 
 
+def test_steady_state_iteration_fails_fast_when_it_diverges():
+    # a valid coupled vessel whose fixed-point iteration converges at c = 1
+    # and overflows at c = 3; whether a steady state exists there is open
+    d = np.array([[3.0653, 0.1772, 0.0203], [0.1772, 2.1668, -0.1518],
+                  [0.0203, -0.1518, 1.4053]])
+    p = VehicleParams(2.9521, 2.2139, 2.1261, d)
+    v_star = steady_state_for_torque(p, 1.0).v_star
+    assert v_star == pytest.approx([0.012307, 0.037132, 0.715665], abs=1e-6)
+    # the suite makes any RuntimeWarning an error, so this also checks that
+    # the diverging iteration raises none
+    with pytest.raises(RuntimeError, match=r"diverged at c=3\b"):
+        steady_state_for_torque(p, 3.0)
+
+
 def test_torque_bound_boat():
     assert c_hat_bound(BOAT) == pytest.approx(20.25, abs=0.01)
 

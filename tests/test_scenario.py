@@ -280,14 +280,40 @@ def test_v1_monitor_non_increasing_on_averaged_run():
 
 
 def test_singleton_sweep_matches_single_run():
-    s = _scenario(horizon=10.0)
-    rows = sc.sweep(s, "epsilon", [0.1])
-    full = sc.run_full(s)
-    avg = sc.run_averaged(s)
-    metrics = sc.compare(full, avg, s)
-    assert rows[0]["status"] == "ok"
-    assert rows[0]["final_error"] == pytest.approx(metrics.final_error, rel=1e-12)
-    assert rows[0]["sup_deviation"] == pytest.approx(metrics.sup_deviation, rel=1e-12)
+    # a sweep integrates without recording cost and inputs; its rows must
+    # still be the runners' metrics exactly, for one value and for several
+    base = _scenario(horizon=10.0)
+    for axis, values in (("epsilon", [0.1]), ("k", [0.5, 1.0, 1.5])):
+        rows = sc.sweep(base, axis, values)
+        assert len(rows) == len(values)
+        for row, value in zip(rows, values):
+            s = sc._with_value(base, axis, value)
+            metrics = sc.compare(sc.run_full(s), sc.run_averaged(s), s)
+            assert row["status"] == "ok"
+            assert row["param_value"] == value
+            assert row["final_error"] == metrics.final_error
+            assert row["conv_time_r"] == metrics.convergence_time
+            assert row["path_length"] == metrics.path_length
+            assert row["sup_deviation"] == metrics.sup_deviation
+
+
+def test_sweep_evaluates_the_cost_once_per_rhs_evaluation(monkeypatch):
+    calls = {"value": 0, "rhs": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    integrate = sc.integrate
+    monkeypatch.setattr(sc, "integrate", lambda rhs, initial, settings:
+                        integrate(counted("rhs", rhs), initial, settings))
+    cost = replace(COST, value=counted("value", COST.value))
+    rows = sc.sweep(_scenario(cost=cost, horizon=2.0), "k", [0.5, 1.5])
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    assert calls["rhs"] > 0
+    assert calls["value"] == calls["rhs"]
 
 
 def test_sweep_rows_do_not_depend_on_value_order_or_epsilon():
