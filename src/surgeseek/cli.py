@@ -58,6 +58,8 @@ def cmd_average(args):
 
 
 def cmd_compare(args):
+    if args.radius is not None and not 0 < args.radius < math.inf:
+        raise ValueError(f"--radius: {args.radius!r} is not a finite positive number")
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s)
     full = sc.run_full(s)

@@ -45,9 +45,12 @@ def _steady_residual(params, v, u):
 
 
 def steady_state_for_torque(params, c):
-    """Steady state under u* = (0, c); closed form for diagonal damping."""
-    if c <= 0:
-        raise ValueError("torque must be positive")
+    """Steady state under u* = (0, c); closed form for diagonal damping.
+
+    The torque must be finite and positive.
+    """
+    if not 0 < c < math.inf:
+        raise ValueError(f"torque c must be finite and positive, got {c!r}")
     u_star = np.array([0.0, c])
     if params.is_diagonal_damping():
         v_star = np.array([0.0, 0.0, c / params.d[2, 2]])

@@ -13,10 +13,14 @@ the linear motion is claimed to converge, while the vehicle keeps spinning.
 
 Each runner integrates its loop and then records the cost and the inputs
 along the states. The metrics read states and times only, so `sweep`
-integrates the same two loops and records states only.
+integrates the same two loops and records states only. A sweep's values
+are independent: it splits them into one strided share per usable CPU,
+computes the first share itself and forks a child for each other share,
+and every row keeps its bits whatever the number of shares.
 """
 import configparser
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -342,47 +346,131 @@ def _with_value(scenario, axis, value):
     return replace(scenario, gains=EsGains(**kwargs))
 
 
+def _failed_row(value, reason):
+    return {
+        "param_value": value,
+        "final_error": math.nan, "conv_time_r": math.nan,
+        "path_length": math.nan, "sup_deviation": math.nan,
+        "status": reason.replace("\n", " ").replace(",", ";"),
+    }
+
+
+def _sweep_row(base, axis, value, averaged_cache):
+    """The metrics row of one value; a failing run gives a row naming why."""
+    try:
+        sc = _with_value(base, axis, value)
+        full = _integrate_full(sc)
+        key = (sc.gains.k, sc.gains.c)
+        if key not in averaged_cache:
+            averaged_cache[key] = _integrate_averaged(sc)
+        metrics = compare(full, averaged_cache[key], sc)
+    except Exception as exc:
+        return _failed_row(value, str(exc))
+    return {
+        "param_value": value,
+        "final_error": metrics.final_error,
+        "conv_time_r": metrics.convergence_time,
+        "path_length": metrics.path_length,
+        "sup_deviation": metrics.sup_deviation,
+        "status": "ok",
+    }
+
+
+def _sweep_share(base, axis, values):
+    """The rows of `values` in order, sharing one averaged-run cache."""
+    averaged_cache = {}
+    return [_sweep_row(base, axis, value, averaged_cache) for value in values]
+
+
+def _send_share(sender, base, axis, values):
+    """A forked worker's body: compute a share and send its rows."""
+    sender.send(_sweep_share(base, axis, values))
+    sender.close()
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask, as `taskset` sets it.
+
+    Where the OS has no affinity mask (macOS, Windows), 1: such a sweep
+    runs in-process and never forks.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _sweep_forked(base, axis, values, n):
+    """The rows of `values` over `n` processes: share i is values[i::n].
+
+    The parent computes share 0 while n - 1 forked children compute the
+    others and each sends back its rows through a one-way pipe. Fork, not
+    spawn: the scenario's cost closures cannot be pickled, and a forked
+    child inherits them. Fork copies the calling thread only; surgeseek
+    starts no other thread. A child that exits without sending its rows fails
+    each of its values with a row naming its exit code. Every child is
+    terminated if still running and joined, whatever way this returns.
+    """
+    import multiprocessing  # only a sweep that forks pays for the import
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for i in range(1, n):
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_share,
+                                    args=(sender, base, axis, values[i::n]))
+            child.start()
+            children.append((child, receiver))
+            # the parent's copy of the write end would keep EOF from showing
+            sender.close()
+        shares = [_sweep_share(base, axis, values[0::n])]
+        for i, (child, receiver) in enumerate(children, start=1):
+            try:
+                shares.append(receiver.recv())
+            except EOFError:
+                child.join()
+                reason = (f"sweep worker exited with code {child.exitcode} "
+                          f"before sending its rows")
+                shares.append([_failed_row(value, reason) for value in values[i::n]])
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+    rows = [None] * len(values)
+    for i, share in enumerate(shares):
+        rows[i::n] = share
+    return rows
+
+
 def sweep(base, axis, values):
     """Run the full loop per value; pair each with its averaged run.
 
-    Returns a list of row dicts matching the metrics CSV columns. Failing
-    runs are recorded with their reason and the sweep continues. A sweep
-    records states only: `compare` reads the states and times, so the cost
-    and input columns of `run_full` and `run_averaged` are never built.
-    Averaged runs are cached per (k, c): within a sweep only the axis value
-    varies, and the averaged run reads neither epsilon nor
+    Returns a list of row dicts matching the metrics CSV columns, in the
+    order of `values`. Failing runs are recorded with their reason and the
+    sweep continues. A sweep records states only: `compare` reads the
+    states and times, so the cost and input columns of `run_full` and
+    `run_averaged` are never built.
+
+    The values are independent, so they run on n = min(len(values), CPUs)
+    processes, CPUs being the affinity mask's (`taskset` limits it): the
+    parent computes the strided share values[0::n] in-process and forked
+    children the others (see `_sweep_forked`). With n = 1 nothing is forked.
+    Each share caches its averaged runs per (k, c): within a sweep only the
+    axis value varies, and the averaged run reads neither epsilon nor
     samples_per_period (its grid is `AVERAGED_STEPS` steps over the
-    horizon), so (k, c) fixes it and a row's result does not depend on the
-    order of the values.
+    horizon), so (k, c) fixes it. Every run is deterministic, so a row's
+    result depends neither on the order of the values nor on the number of
+    processes.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
-    rows = []
-    averaged_cache = {}
-    for value in values:
-        try:
-            sc = _with_value(base, axis, value)
-            full = _integrate_full(sc)
-            key = (sc.gains.k, sc.gains.c)
-            if key not in averaged_cache:
-                averaged_cache[key] = _integrate_averaged(sc)
-            metrics = compare(full, averaged_cache[key], sc)
-            rows.append({
-                "param_value": value,
-                "final_error": metrics.final_error,
-                "conv_time_r": metrics.convergence_time,
-                "path_length": metrics.path_length,
-                "sup_deviation": metrics.sup_deviation,
-                "status": "ok",
-            })
-        except Exception as exc:
-            rows.append({
-                "param_value": value,
-                "final_error": math.nan, "conv_time_r": math.nan,
-                "path_length": math.nan, "sup_deviation": math.nan,
-                "status": str(exc).replace("\n", " ").replace(",", ";"),
-            })
-    return rows
+    values = list(values)
+    n = min(len(values), _usable_cpus())
+    if n <= 1:
+        return _sweep_share(base, axis, values)
+    return _sweep_forked(base, axis, values, n)
 
 
 # ---------------------------------------------------------------------------

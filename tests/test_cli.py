@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,27 @@ def test_passivity_report(workdir, capsys):
     assert main(["passivity", "--scenario", scenario]) == 0
     stdout = capsys.readouterr().out
     assert "c_hat=20.25" in stdout and "monotone=True" in stdout
+
+
+@pytest.mark.parametrize("torque", ["nan", "inf"])
+def test_passivity_names_a_non_finite_torque(workdir, capsys, torque):
+    _, scenario = workdir
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["passivity", "--scenario", scenario, "--c", torque]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ValueError: torque c ")
+    assert torque in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("radius", ["nan", "-1", "0", "inf"])
+def test_compare_rejects_a_meaningless_radius(workdir, capsys, radius):
+    out, scenario = workdir
+    assert main(["compare", scenario, "--radius", radius]) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: --radius: ")
+    assert sorted(p.name for p in out.iterdir()) == ["scenario.ini"]
 
 
 def test_demo_di(workdir, capsys):

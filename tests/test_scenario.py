@@ -1,5 +1,10 @@
+import contextlib
 import hashlib
 import math
+import multiprocessing
+import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -279,22 +284,26 @@ def test_v1_monitor_non_increasing_on_averaged_run():
     assert v1[-1] < 0.1 * v1[0]
 
 
+def _assert_rows_are_single_runs(base, axis, values, rows):
+    """Each row equals the runners' metrics of its value exactly."""
+    assert len(rows) == len(values)
+    for row, value in zip(rows, values):
+        s = sc._with_value(base, axis, value)
+        metrics = sc.compare(sc.run_full(s), sc.run_averaged(s), s)
+        assert row["status"] == "ok"
+        assert row["param_value"] == value
+        assert row["final_error"] == metrics.final_error
+        assert row["conv_time_r"] == metrics.convergence_time
+        assert row["path_length"] == metrics.path_length
+        assert row["sup_deviation"] == metrics.sup_deviation
+
+
 def test_singleton_sweep_matches_single_run():
     # a sweep integrates without recording cost and inputs; its rows must
     # still be the runners' metrics exactly, for one value and for several
     base = _scenario(horizon=10.0)
     for axis, values in (("epsilon", [0.1]), ("k", [0.5, 1.0, 1.5])):
-        rows = sc.sweep(base, axis, values)
-        assert len(rows) == len(values)
-        for row, value in zip(rows, values):
-            s = sc._with_value(base, axis, value)
-            metrics = sc.compare(sc.run_full(s), sc.run_averaged(s), s)
-            assert row["status"] == "ok"
-            assert row["param_value"] == value
-            assert row["final_error"] == metrics.final_error
-            assert row["conv_time_r"] == metrics.convergence_time
-            assert row["path_length"] == metrics.path_length
-            assert row["sup_deviation"] == metrics.sup_deviation
+        _assert_rows_are_single_runs(base, axis, values, sc.sweep(base, axis, values))
 
 
 def test_sweep_evaluates_the_cost_once_per_rhs_evaluation(monkeypatch):
@@ -314,6 +323,116 @@ def test_sweep_evaluates_the_cost_once_per_rhs_evaluation(monkeypatch):
     assert [row["status"] for row in rows] == ["ok", "ok"]
     assert calls["rhs"] > 0
     assert calls["value"] == calls["rhs"]
+
+
+def _three_cpus(monkeypatch):
+    """Make a sweep see three usable CPUs, so that it forks two children."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False)
+
+
+def _counted_starts(monkeypatch):
+    """Count the worker processes started; the list holds one entry per start."""
+    starts = []
+    start = multiprocessing.context.ForkProcess.start
+
+    def counted(process):
+        starts.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted)
+    return starts
+
+
+def test_forked_sweep_matches_single_runs(monkeypatch):
+    # share 0 (k = 0.5) runs in-process, k = 1 and k = 1.5 in two children
+    _three_cpus(monkeypatch)
+    starts = _counted_starts(monkeypatch)
+    base = _scenario(horizon=10.0)
+    values = [0.5, 1.0, 1.5]
+    rows = sc.sweep(base, "k", values)
+    assert len(starts) == 2
+    assert multiprocessing.active_children() == []
+    _assert_rows_are_single_runs(base, "k", values, rows)
+
+
+def test_forked_sweep_equals_one_value_sweeps(monkeypatch):
+    _three_cpus(monkeypatch)
+    starts = _counted_starts(monkeypatch)
+    s = _scenario(horizon=5.0)
+    rows = sc.sweep(s, "epsilon", [0.1, 0.05])
+    # two values start one child, never more than min(values, CPUs) - 1
+    assert len(starts) == 1
+    assert rows == sc.sweep(s, "epsilon", [0.1]) + sc.sweep(s, "epsilon", [0.05])
+    # a one-value sweep runs in-process
+    assert len(starts) == 1
+
+
+def test_sweep_without_an_affinity_mask_runs_in_process(monkeypatch):
+    _three_cpus(monkeypatch)
+    starts = _counted_starts(monkeypatch)
+    s = _scenario(horizon=2.0)
+    forked = sc.sweep(s, "k", [0.5, 1.5])
+    assert len(starts) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    del starts[:]
+    assert sc.sweep(s, "k", [0.5, 1.5]) == forked
+    assert starts == []
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail, rather than hang, a block still running after `seconds`."""
+    # pytest.fail raises a BaseException: neither a sweep row's `except
+    # Exception` nor multiprocessing's `except OSError` around waitpid
+    # swallows it
+    def expire(_signum, _frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_sweep_survives_a_worker_that_dies(monkeypatch):
+    _three_cpus(monkeypatch)
+    parent = os.getpid()
+    share = sc._sweep_share
+
+    def dies_in_children(base, axis, values):
+        if os.getpid() != parent:
+            os._exit(3)
+        return share(base, axis, values)
+
+    monkeypatch.setattr(sc, "_sweep_share", dies_in_children)
+    with _within(10.0):
+        rows = sc.sweep(_scenario(horizon=2.0), "k", [0.5, 1.0, 1.5, 2.0])
+    assert multiprocessing.active_children() == []
+    # the parent computes values[0::3]; one child each had [1.0] and [1.5]
+    assert [row["param_value"] for row in rows] == [0.5, 1.0, 1.5, 2.0]
+    assert [row["status"] for row in rows[0::3]] == ["ok", "ok"]
+    for row in rows[1:3]:
+        assert row["status"] != "ok" and "code 3" in row["status"]
+        assert math.isnan(row["final_error"])
+
+
+def test_sweep_reaps_its_workers_when_the_parent_is_interrupted(monkeypatch):
+    _three_cpus(monkeypatch)
+    parent = os.getpid()
+
+    def interrupted(_base, _axis, _values):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sc, "_sweep_share", interrupted)
+    # the children sleep for 60 s; only terminating them returns sooner
+    with _within(10.0), pytest.raises(KeyboardInterrupt):
+        sc.sweep(_scenario(), "k", [0.5, 1.0, 1.5])
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_rows_do_not_depend_on_value_order_or_epsilon():
