@@ -127,15 +127,24 @@ def coriolis_bilinear(params, xv, yv):
 
 
 def _symmetric_product(x_field, y_field, params, q):
-    """<X:Y>(q) as a 3-tuple of floats; see `symmetric_product`."""
-    xv = _floats(x_field.value(q))
-    yv = _floats(y_field.value(q))
+    """<X:Y>(q) as a 3-tuple of floats; see `symmetric_product`.
+
+    A self product <X:X> evaluates X, its Jacobian and J(theta) X once:
+    its two Jacobian terms are then the same floats, and their sum is the
+    one the two-field route forms.
+    """
     cth, sth = math.cos(q[2]), math.sin(q[2])
-    # J(theta) X and J(theta) Y
+    xv = _floats(x_field.value(q))
+    # J(theta) X
     jx = (cth * xv[0] - sth * xv[1], sth * xv[0] + cth * xv[1], xv[2])
-    jy = (cth * yv[0] - sth * yv[1], sth * yv[0] + cth * yv[1], yv[2])
-    ax = _apply(_jac(x_field, q), jy)
-    ay = _apply(_jac(y_field, q), jx)
+    if y_field is x_field:
+        yv = xv
+        ax = ay = _apply(_jac(x_field, q), jx)
+    else:
+        yv = _floats(y_field.value(q))
+        jy = (cth * yv[0] - sth * yv[1], sth * yv[0] + cth * yv[1], yv[2])
+        ax = _apply(_jac(x_field, q), jy)
+        ay = _apply(_jac(y_field, q), jx)
     c0, c1, c2 = coriolis_bilinear(params, xv, yv)
     return (ax[0] + ay[0] + c0 / params.m11,
             ax[1] + ay[1] + c1 / params.m22,
@@ -202,10 +211,14 @@ def es_surge_self_product(params, k, cost_field):
 
 
 def es_self_product(params, k, cost_field):
-    """Closed form of <B1:B1> for the seeking law, a 3-vector field of q."""
+    """Closed form of <B1:B1> for the seeking law, a 3-vector field of q.
+
+    An array row q is taken as Python floats, as `dynamics_rhs` takes it.
+    """
     surge = es_surge_self_product(params, k, cost_field)
 
     def value(q):
+        q = _floats(q)
         return np.array([surge(q[0], q[1], q[2]), 0.0, 0.0])
 
     return value

@@ -33,9 +33,10 @@ class EsGains:
     epsilon: float  # dither time scale (s)
 
     def __post_init__(self):
-        inf = math.inf
-        if not (0 <= self.k < inf and 0 < self.c < inf and 0 < self.epsilon < inf):
-            raise ValueError("require finite k >= 0 and c, epsilon > 0")
+        if not 0 <= self.k < math.inf:
+            raise ValueError(f"k must be a finite non-negative number, got {self.k!r}")
+        _require_finite_positive("c", self.c)
+        _require_finite_positive("epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,14 @@ steppers are deliberately avoided: a fixed step keeps reruns
 byte-identical and the harness enforces enough samples per dither
 period. No wrapping or projection is applied to the state.
 
-RHS contract: `rhs(t, y)` gets the state `y` as a tuple of Python floats
-and returns any sequence of floats of the same length (a tuple, a list or
-a 1-D array). The stages are formed on Python floats, and each step's
-state is packed into its row of the preallocated record by `struct`, so a
-step calls no numpy function.
+RHS contract: `rhs(t, y)` gets the state `y` as a tuple and returns any
+sequence of floats of the same length (a tuple, a list or a 1-D array).
+The stages are formed on what the RHS returns. Python floats keep every
+stage, and so every `y`, on floats; a numpy array or numpy scalars make
+the later stages step on numpy scalars: the same bits, at about three
+times the cost per operation. So an RHS should return a tuple of floats.
+Each step's state is packed into its row of the preallocated record by
+`struct`, so on floats a step calls no numpy function.
 
 The loop is generated once per state length m, from one source template,
 the way `collections.namedtuple` generates its methods: it unpacks the

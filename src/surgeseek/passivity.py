@@ -39,8 +39,13 @@ class SteadyState:
 
 
 def _steady_residual(params, v, u):
-    """C(v)v + Dv - Gu, i.e. -M v_dot from the dynamics (M is diagonal)."""
-    vdot = dynamics_rhs(params, np.concatenate([np.zeros(3), v]), u)[3:]
+    """C(v)v + Dv - Gu, i.e. -M v_dot from the dynamics (M is diagonal).
+
+    Evaluated on numpy scalars (`np.cos`, `np.sin`), so that an overflow
+    in the kernel raises under the fixed-point iteration's `np.errstate`;
+    on Python floats it would pass on as an inf.
+    """
+    vdot = dynamics_rhs(params, np.concatenate([np.zeros(3), v]), u, np.cos, np.sin)[3:]
     return -(np.array([params.m11, params.m22, params.m33]) * vdot)
 
 
@@ -114,6 +119,11 @@ def passivity_residual(trajectory, params, c):
     """
     if trajectory.inputs is None:
         raise ValueError("trajectory has no recorded inputs")
+    # `Trajectory` checks lengths at construction only, and callers assign
+    # `inputs` afterwards; a one-row record would broadcast silently
+    if len(trajectory.inputs) != len(trajectory.states):
+        raise ValueError(f"trajectory has {len(trajectory.inputs)} input rows "
+                         f"for {len(trajectory.states)} states")
     ss = steady_state_for_torque(params, c)
     vx_star, vy_star, wz_star = ss.v_star.tolist()
     u1_star, u2_star = ss.u_star.tolist()

@@ -20,6 +20,7 @@ and every row keeps its bits whatever the number of shares.
 """
 import configparser
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -64,8 +65,10 @@ class Scenario:
             raise ValueError("initial state must have 6 components")
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.samples_per_period < 50:
-            raise ValueError("need at least 50 samples per dither period")
+        spp = self.samples_per_period
+        if not (isinstance(spp, numbers.Integral) and spp >= 50):
+            raise ValueError(f"samples_per_period must be an integer of at least 50, "
+                             f"got {spp!r}")
         bound = c_hat_bound(self.vehicle)
         if self.gains.c >= bound:
             self.warnings.append(

@@ -98,10 +98,19 @@ def dynamics_rhs(params, state, u, cos=math.cos, sin=math.sin):
     Works on floats: C(v)v and D v are written out (C(v) is `coriolis`,
     the rows of D come from `params.d_rows`) and M^{-1} is applied by
     dividing by the diagonal inertia entries; D may be any valid damping
-    matrix. Given a tuple of six equal-length columns for `state`, two
-    columns for `u` and `np.cos, np.sin`, the same arithmetic evaluates
-    every sample in one call and returns six columns.
+    matrix. A numpy row given for `state` or `u` is taken as Python floats,
+    so the result is a 6-tuple of floats whatever the caller indexed: on
+    numpy scalars every operation would cost about three times as much
+    and carry that type into an RK4 loop's later stages. Given a tuple of
+    six equal-length columns for `state`, two columns for `u` and
+    `np.cos, np.sin`, the same arithmetic evaluates every sample in one
+    call and returns six columns.
     """
+    if (u.__class__ is not tuple or state.__class__ is not tuple) and cos is math.cos:
+        if isinstance(state, np.ndarray):
+            state = state.tolist()
+        if isinstance(u, np.ndarray):
+            u = u.tolist()
     vx, vy, om = state[3], state[4], state[5]
     cth, sth = cos(state[2]), sin(state[2])
     m11, m22, m33 = params.m11, params.m22, params.m33

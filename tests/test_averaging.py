@@ -128,6 +128,22 @@ def test_symmetric_product_matches_matrix_oracle(route):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("route", ["seeking", "no_jacobian"])
+def test_self_product_equals_the_two_field_route_bit_for_bit(route):
+    # <X:X> evaluates X once; a copy of X with another identity takes the
+    # two-field route, which must give the same bits
+    field = es_input_field(BOAT, 1.3, COST)
+    if route == "no_jacobian":
+        field = ConfigVectorField(field.value)
+    copy = ConfigVectorField(field.value, field.jacobian)
+    assert copy is not field
+    rng = np.random.default_rng(15)
+    for q in rng.uniform(-5.0, 5.0, (50, 3)):
+        q = tuple(q.tolist())
+        assert (symmetric_product(field, field, BOAT, q).tobytes()
+                == symmetric_product(field, copy, BOAT, q).tobytes())
+
+
 def test_seeking_product_closed_form_matches_generic():
     b1 = es_input_field(BOAT, 1.0, COST)
     closed = es_self_product(BOAT, 1.0, COST)

@@ -132,6 +132,15 @@ def test_gains_validation():
     EsGains(k=0.0, c=1.0, epsilon=0.1)  # seeking disabled is allowed
 
 
+@pytest.mark.parametrize("name, value", [("k", -1.0), ("k", math.nan), ("c", 0.0),
+                                         ("c", math.inf), ("epsilon", 0.0),
+                                         ("epsilon", -0.1)])
+def test_gains_name_the_bad_field(name, value):
+    gains = {"k": 1.0, "c": 1.0, "epsilon": 0.1, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite .*, got {value!r}$"):
+        EsGains(**gains)
+
+
 def test_dither_component_needs_w_integral_zero_at_start():
     # xi_field reads w_integral(t) as int_0^t w, which needs w_integral(0) = 0
     with pytest.raises(ValueError, match="w_integral"):

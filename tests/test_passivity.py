@@ -197,6 +197,16 @@ def test_residual_requires_recorded_inputs():
         passivity_residual(traj, BOAT, 1.0)
 
 
+@pytest.mark.parametrize("rows", [1, 100, 102])
+def test_residual_rejects_inputs_of_another_length(rows):
+    # one row would broadcast over every sample, and 100 rows raise a bare
+    # numpy broadcast error
+    traj = _random_input_trajectory(BOAT, 1.0, seed=9)
+    traj.inputs = np.resize(traj.inputs, (rows, 2))
+    with pytest.raises(ValueError, match=rf"{rows} input rows for 101 states"):
+        passivity_residual(traj, BOAT, 1.0)
+
+
 def test_torque_must_be_positive():
     with pytest.raises(ValueError):
         steady_state_for_torque(BOAT, 0.0)

@@ -131,6 +131,12 @@ def test_scenario_validation():
         _scenario(initial=np.zeros(4))
 
 
+@pytest.mark.parametrize("value", [math.nan, 200.0, "200", 49])
+def test_scenario_names_a_bad_samples_per_period(value):
+    with pytest.raises(ValueError, match=rf"samples_per_period .*, got {value!r}"):
+        _scenario(samples_per_period=value)
+
+
 @pytest.mark.parametrize("horizon", [math.nan, math.inf])
 def test_scenario_names_a_non_finite_horizon(horizon):
     with pytest.raises(ValueError, match="horizon must be finite"):

@@ -120,12 +120,15 @@ def test_dynamics_rhs_matches_matrix_definitions():
             assert np.allclose(dynamics_rhs(p, state, u), want, rtol=0.0, atol=1e-12)
 
 
+COUPLED = VehicleParams(1.0, 2.0, 0.5, np.array([[2.0, 0.3, 0.1], [0.3, 3.0, 0.2],
+                                                [0.1, 0.2, 1.0]]))
+
+
 @pytest.mark.parametrize("vessel", ["boat", "coupled"])
 def test_dynamics_rhs_on_columns_equals_the_float_kernel(vessel):
     # one call on six state columns and two input columns, with np.cos and
     # np.sin, must give the per-sample float kernel's values bit for bit
-    p = BOAT if vessel == "boat" else VehicleParams(
-        1.0, 2.0, 0.5, np.array([[2.0, 0.3, 0.1], [0.3, 3.0, 0.2], [0.1, 0.2, 1.0]]))
+    p = BOAT if vessel == "boat" else COUPLED
     rng = np.random.default_rng(12)
     states = rng.uniform(-4.0, 4.0, (2500, 6))
     inputs = rng.uniform(-3.0, 3.0, (2500, 2))
@@ -133,6 +136,43 @@ def test_dynamics_rhs_on_columns_equals_the_float_kernel(vessel):
     assert len(columns) == 6 and all(c.shape == (2500,) for c in columns)
     per_sample = [dynamics_rhs(p, s, u) for s, u in zip(states.tolist(), inputs.tolist())]
     assert np.array_equal(np.column_stack(columns), np.array(per_sample))
+
+
+@pytest.mark.parametrize("rows", ["state", "u", "both"])
+@pytest.mark.parametrize("p", [BOAT, COUPLED], ids=["boat", "coupled"])
+def test_dynamics_rhs_takes_numpy_rows_as_floats(p, rows):
+    # a row indexed out of an array gives a 6-tuple of floats, bit-equal to
+    # the call on float tuples
+    rng = np.random.default_rng(13)
+    for state, u in zip(rng.uniform(-4.0, 4.0, (200, 6)), rng.uniform(-3.0, 3.0, (200, 2))):
+        want = dynamics_rhs(p, tuple(state.tolist()), tuple(u.tolist()))
+        got = dynamics_rhs(p, state if rows != "u" else tuple(state.tolist()),
+                           u if rows != "state" else tuple(u.tolist()))
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_rk4_stages_stay_on_floats_under_array_inputs():
+    # the audit's right-hand side indexes its input array; every stage the
+    # loop forms must then be Python floats, and the states must be those of
+    # float-tuple inputs
+    rng = np.random.default_rng(14)
+    us = rng.uniform(-2.0, 2.0, (100, 2)) + np.array([0.0, 1.0])
+    y0 = rng.uniform(-1.0, 1.0, 6)
+    settings = IntegratorSettings(step=0.01, tf=1.0)
+    stages = []
+
+    def rhs_of(inputs):
+        def rhs(t, y):
+            stages.append(y)
+            return dynamics_rhs(BOAT, y, inputs[min(int(t / 0.01), 99)])
+        return rhs
+
+    from_rows = integrate(rhs_of(us), y0, settings)
+    assert len(stages) == 400
+    assert all(type(v) is float for y in stages for v in y)
+    from_tuples = integrate(rhs_of([tuple(u) for u in us.tolist()]), y0, settings)
+    assert from_rows.states.tobytes() == from_tuples.states.tobytes()
 
 
 def test_params_validation():
