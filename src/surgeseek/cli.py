@@ -1,5 +1,6 @@
 """Command-line interface for simulation, averaging, comparison, and sweeps."""
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import averaging, passivity, scenario as sc
 from .dither import validate_dither
-from .integrator import IntegratorSettings, integrate
+from .integrator import IntegratorSettings, Trajectory, integrate
 from .vehicle import dynamics_rhs
 
 
@@ -35,14 +36,18 @@ def _write_meta(out, name, s, extra=None):
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
+def _print_warnings(s):
+    for w in s.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+
+
 def cmd_simulate(args):
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s)
     traj = sc.run_full(s)
     sc.write_trajectory_csv(traj, os.path.join(out, "full.csv"))
     _write_meta(out, "full_meta.json", s)
-    for w in s.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _print_warnings(s)
     print(os.path.join(out, "full.csv"))
     return 0
 
@@ -53,21 +58,64 @@ def cmd_average(args):
     traj = sc.run_averaged(s)
     sc.write_trajectory_csv(traj, os.path.join(out, "averaged.csv"))
     _write_meta(out, "averaged_meta.json", s)
+    _print_warnings(s)
     print(os.path.join(out, "averaged.csv"))
     return 0
 
 
+def _compare_forked(s, full_path, avg_path):
+    """The full and averaged runs of `compare`, each written to its CSV, with
+    the averaged run in a forked child while this process runs the full one.
+
+    Both CSVs are written under temporary names and renamed only once both
+    runs have succeeded, so a failure leaves no file behind, as in-process.
+    """
+    temp = {path: f"{path}.{os.getpid()}.tmp" for path in (full_path, avg_path)}
+
+    def full_to_csv():
+        full = sc.run_full(s)
+        sc.write_trajectory_csv(full, temp[full_path])
+        return full
+
+    def averaged_to_csv():
+        # the child's task: it sends back only what `compare` reads
+        avg = sc.run_averaged(s)
+        sc.write_trajectory_csv(avg, temp[avg_path])
+        return avg.t, avg.states
+
+    def exited(_i, code):
+        raise RuntimeError(f"averaged run worker exited with code {code} "
+                           f"before sending its run")
+
+    try:
+        full, (t, states) = sc.run_forked([full_to_csv, averaged_to_csv], exited)
+        for path, name in temp.items():
+            os.replace(name, path)
+    finally:
+        for name in temp.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
+    return full, Trajectory(t, states)
+
+
 def cmd_compare(args):
+    """The full run against its averaged run; on two or more usable CPUs the
+    averaged run goes to a forked child (see `_compare_forked`)."""
     if args.radius is not None and not 0 < args.radius < math.inf:
         raise ValueError(f"--radius: {args.radius!r} is not a finite positive number")
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s)
-    full = sc.run_full(s)
-    avg = sc.run_averaged(s)
-    sc.write_trajectory_csv(full, os.path.join(out, "full.csv"))
-    sc.write_trajectory_csv(avg, os.path.join(out, "averaged.csv"))
+    full_path, avg_path = os.path.join(out, "full.csv"), os.path.join(out, "averaged.csv")
+    if sc.usable_cpus() >= 2:
+        full, avg = _compare_forked(s, full_path, avg_path)
+    else:
+        full = sc.run_full(s)
+        avg = sc.run_averaged(s)
+        sc.write_trajectory_csv(full, full_path)
+        sc.write_trajectory_csv(avg, avg_path)
     metrics = sc.compare(full, avg, s, radius=args.radius)
     _write_meta(out, "compare_meta.json", s, extra={"metrics": asdict(metrics)})
+    _print_warnings(s)
     for key, val in asdict(metrics).items():
         print(f"{key}={val:.6g}")
     return 0

@@ -13,16 +13,19 @@ the linear motion is claimed to converge, while the vehicle keeps spinning.
 
 Each runner integrates its loop and then records the cost and the inputs
 along the states. The metrics read states and times only, so `sweep`
-integrates the same two loops and records states only. A sweep's values
-are independent: it splits them into one strided share per usable CPU,
-computes the first share itself and forks a child for each other share,
-and every row keeps its bits whatever the number of shares.
+integrates the same two loops and records states only. Independent work
+runs on the usable CPUs through one fork helper, `run_forked`: a sweep
+splits its values into one strided share per CPU, computes the first share
+itself and forks a child for each other share; CLI `compare` runs the full
+loop itself while one forked child runs the averaged loop. Every output
+keeps its bits whatever the number of CPUs.
 """
 import configparser
 import math
 import numbers
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -385,17 +388,11 @@ def _sweep_share(base, axis, values):
     return [_sweep_row(base, axis, value, averaged_cache) for value in values]
 
 
-def _send_share(sender, base, axis, values):
-    """A forked worker's body: compute a share and send its rows."""
-    sender.send(_sweep_share(base, axis, values))
-    sender.close()
-
-
-def _usable_cpus():
+def usable_cpus():
     """CPUs this process may run on: its affinity mask, as `taskset` sets it.
 
-    Where the OS has no affinity mask (macOS, Windows), 1: such a sweep
-    runs in-process and never forks.
+    Where the OS has no affinity mask (macOS, Windows), 1: `sweep` and CLI
+    `compare` then run in-process and never fork.
     """
     try:
         return len(os.sched_getaffinity(0))
@@ -403,48 +400,58 @@ def _usable_cpus():
         return 1
 
 
-def _sweep_forked(base, axis, values, n):
-    """The rows of `values` over `n` processes: share i is values[i::n].
+def _send_outcome(sender, task):
+    """A forked child's body: run `task` and send (True, its result) or
+    (False, the exception it raised)."""
+    try:
+        outcome = (True, task())
+    except Exception as exc:
+        outcome = (False, exc)
+    sender.send(outcome)
+    sender.close()
 
-    The parent computes share 0 while n - 1 forked children compute the
-    others and each sends back its rows through a one-way pipe. Fork, not
-    spawn: the scenario's cost closures cannot be pickled, and a forked
+
+def run_forked(tasks, exited):
+    """The results of `tasks`, in order: tasks[0] runs in this process while
+    forked children run the others, concurrently.
+
+    Each child sends back its task's result through a one-way pipe. Fork,
+    not spawn: the scenario's cost closures cannot be pickled, and a forked
     child inherits them. Fork copies the calling thread only; surgeseek
-    starts no other thread. A child that exits without sending its rows fails
-    each of its values with a row naming its exit code. Every child is
+    starts no other thread. An exception that a child's task raises is
+    re-raised here. A child that exits without sending gives
+    `exited(i, exitcode)` in place of the result of tasks[i]. Every child is
     terminated if still running and joined, whatever way this returns.
     """
-    import multiprocessing  # only a sweep that forks pays for the import
+    import multiprocessing  # only a run that forks pays for the import
     context = multiprocessing.get_context("fork")
     children = []
     try:
-        for i in range(1, n):
+        for task in tasks[1:]:
             receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_send_share,
-                                    args=(sender, base, axis, values[i::n]))
+            child = context.Process(target=_send_outcome, args=(sender, task))
             child.start()
             children.append((child, receiver))
             # the parent's copy of the write end would keep EOF from showing
             sender.close()
-        shares = [_sweep_share(base, axis, values[0::n])]
+        results = [tasks[0]()]
         for i, (child, receiver) in enumerate(children, start=1):
             try:
-                shares.append(receiver.recv())
+                ok, result = receiver.recv()
             except EOFError:
                 child.join()
-                reason = (f"sweep worker exited with code {child.exitcode} "
-                          f"before sending its rows")
-                shares.append([_failed_row(value, reason) for value in values[i::n]])
+                results.append(exited(i, child.exitcode))
+                continue
+            if not ok:
+                raise result
+            results.append(result)
     finally:
         for child, receiver in children:
             receiver.close()
             if child.is_alive():
                 child.terminate()
             child.join()
-    rows = [None] * len(values)
-    for i, share in enumerate(shares):
-        rows[i::n] = share
-    return rows
+    return results
 
 
 def sweep(base, axis, values):
@@ -459,7 +466,8 @@ def sweep(base, axis, values):
     The values are independent, so they run on n = min(len(values), CPUs)
     processes, CPUs being the affinity mask's (`taskset` limits it): the
     parent computes the strided share values[0::n] in-process and forked
-    children the others (see `_sweep_forked`). With n = 1 nothing is forked.
+    children the others (see `run_forked`); a child that dies fails each of
+    its values with a row naming its exit code. With n = 1 nothing is forked.
     Each share caches its averaged runs per (k, c): within a sweep only the
     axis value varies, and the averaged run reads neither epsilon nor
     samples_per_period (its grid is `AVERAGED_STEPS` steps over the
@@ -470,10 +478,20 @@ def sweep(base, axis, values):
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
     values = list(values)
-    n = min(len(values), _usable_cpus())
+    n = min(len(values), usable_cpus())
     if n <= 1:
         return _sweep_share(base, axis, values)
-    return _sweep_forked(base, axis, values, n)
+
+    def exited(i, code):
+        reason = f"sweep worker exited with code {code} before sending its rows"
+        return [_failed_row(value, reason) for value in values[i::n]]
+
+    shares = run_forked([partial(_sweep_share, base, axis, values[i::n]) for i in range(n)],
+                        exited)
+    rows = [None] * len(values)
+    for i, share in enumerate(shares):
+        rows[i::n] = share
+    return rows
 
 
 # ---------------------------------------------------------------------------

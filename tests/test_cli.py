@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -66,6 +67,20 @@ def test_average_and_compare(workdir, capsys):
     assert "final_error=" in stdout and "sup_deviation=" in stdout
     meta = json.loads((out / "compare_meta.json").read_text())
     assert meta["metrics"]["convergence_radius"] == 0.5
+
+
+@pytest.mark.parametrize("command", ["simulate", "average", "compare"])
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_runs_print_the_torque_warning_once(workdir, capfd, monkeypatch, command, cpus):
+    # c = 25 is above the reference boat's c_hat = 20.2535; on two CPUs
+    # compare forks a child, which must not print the warning again
+    _, scenario = workdir
+    Path(scenario).write_text(SCENARIO_INI.replace("c = 1.0", "c = 25.0"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: cpus, raising=False)
+    assert main([command, scenario]) == 0
+    assert capfd.readouterr().err == (
+        "warning: torque c=25 is at or above the shifted-passivity bound 20.2535; "
+        "continuing anyway\n")
 
 
 def test_sweep_writes_metrics(workdir):

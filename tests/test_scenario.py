@@ -14,6 +14,7 @@ import pytest
 import surgeseek.scenario as sc
 from surgeseek.averaging import (LAMBDA_11, averaged_rhs, closed_loop_fields,
                                  es_input_field, lambda_matrix)
+from surgeseek.cli import main
 from surgeseek.costs import quadratic_cost
 from surgeseek.dither import EsGains, es_dither_set
 from surgeseek.integrator import IntegratorSettings, Trajectory, integrate
@@ -439,6 +440,114 @@ def test_sweep_reaps_its_workers_when_the_parent_is_interrupted(monkeypatch):
     with _within(10.0), pytest.raises(KeyboardInterrupt):
         sc.sweep(_scenario(), "k", [0.5, 1.0, 1.5])
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def compare_dir(tmp_path, monkeypatch):
+    """An output directory holding a 5 s scenario for CLI compare."""
+    monkeypatch.setenv(sc.OUTPUT_DIR_ENV, str(tmp_path))
+    (tmp_path / "scenario.ini").write_text(
+        SCENARIO_INI.replace("horizon = 20.0", "horizon = 5.0"))
+    return tmp_path
+
+
+def _cli_compare(monkeypatch, capsys, out, cpus):
+    """Exit code, stderr and written files of CLI compare on the CPUs `cpus`
+    (None: no affinity mask); the written files are removed afterwards."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: cpus, raising=False)
+    code = main(["compare", str(out / "scenario.ini")])
+    written = {}
+    for path in out.iterdir():
+        if path.name != "scenario.ini":
+            written[path.name] = path.read_bytes()
+            path.unlink()
+    return code, capsys.readouterr().err, written
+
+
+def test_compare_forks_one_child_on_two_cpus_and_writes_the_same_bytes(
+        monkeypatch, capsys, compare_dir):
+    starts = _counted_starts(monkeypatch)
+    code, err, forked = _cli_compare(monkeypatch, capsys, compare_dir, {0, 1})
+    assert (code, err, len(starts)) == (0, "", 1)
+    assert multiprocessing.active_children() == []
+    assert sorted(forked) == ["averaged.csv", "compare_meta.json", "full.csv"]
+    for cpus in ({0}, None):
+        assert _cli_compare(monkeypatch, capsys, compare_dir, cpus) == (0, "", forked)
+    assert len(starts) == 1
+
+
+def test_compare_reports_a_child_that_dies(monkeypatch, capsys, compare_dir):
+    parent = os.getpid()
+    run_averaged = sc.run_averaged
+
+    def dies_in_the_child(s):
+        if os.getpid() != parent:
+            os._exit(3)
+        return run_averaged(s)
+
+    monkeypatch.setattr(sc, "run_averaged", dies_in_the_child)
+    with _within(10.0):
+        code, err, written = _cli_compare(monkeypatch, capsys, compare_dir, {0, 1})
+    assert multiprocessing.active_children() == []
+    assert code == 1 and "exited with code 3" in err
+    assert written == {}
+
+
+def test_compare_reraises_a_failed_averaged_run(monkeypatch, capsys, compare_dir):
+    # a NaN forcing makes the averaged run blow up at its first step
+    monkeypatch.setattr(sc, "es_surge_self_product",
+                        lambda *_args: lambda _x, _y, _theta: math.nan)
+    code, err, written = _cli_compare(monkeypatch, capsys, compare_dir, {0})
+    assert code == 1 and err.startswith("error: RuntimeError: averaged run failed (")
+    assert written == {}
+    with _within(10.0):
+        assert _cli_compare(monkeypatch, capsys, compare_dir, {0, 1}) == (code, err, {})
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_reaps_its_child_when_the_full_run_fails(monkeypatch, capsys, compare_dir):
+    # a NaN surge force makes the full run blow up at its first step
+    monkeypatch.setattr(sc, "surge_law", lambda *_args: lambda _t, _rho: math.nan)
+    code, err, written = _cli_compare(monkeypatch, capsys, compare_dir, {0})
+    assert code == 1 and err.startswith("error: RuntimeError: full run failed (")
+    assert written == {}
+
+    parent = os.getpid()
+    run_full, write = sc.run_full, sc.write_trajectory_csv
+
+    def after_the_child_wrote(s):
+        while not list(compare_dir.glob("averaged.csv.*")):
+            time.sleep(0.01)
+        return run_full(s)
+
+    def writes_then_sleeps(traj, path):
+        write(traj, path)
+        if os.getpid() != parent:
+            time.sleep(60.0)
+
+    monkeypatch.setattr(sc, "run_full", after_the_child_wrote)
+    monkeypatch.setattr(sc, "write_trajectory_csv", writes_then_sleeps)
+    # the child sleeps for 60 s after writing its CSV; only terminating it
+    # returns sooner, and its temporary file is removed
+    with _within(10.0):
+        assert _cli_compare(monkeypatch, capsys, compare_dir, {0, 1}) == (code, err, {})
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_reaps_its_child_when_the_parent_is_interrupted(
+        monkeypatch, capsys, compare_dir):
+    def interrupted(_s):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sc, "run_full", interrupted)
+    monkeypatch.setattr(sc, "run_averaged", lambda _s: time.sleep(60.0))
+    with _within(10.0), pytest.raises(KeyboardInterrupt):
+        _cli_compare(monkeypatch, capsys, compare_dir, {0, 1})
+    assert multiprocessing.active_children() == []
+    assert [path.name for path in compare_dir.iterdir()] == ["scenario.ini"]
 
 
 def test_sweep_rows_do_not_depend_on_value_order_or_epsilon():
