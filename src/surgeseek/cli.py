@@ -45,7 +45,7 @@ def cmd_simulate(args):
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s)
     traj = sc.run_full(s)
-    sc.write_trajectory_csv(traj, os.path.join(out, "full.csv"))
+    sc.write_trajectory_csv(traj, os.path.join(out, "full.csv"), split=True)
     _write_meta(out, "full_meta.json", s)
     _print_warnings(s)
     print(os.path.join(out, "full.csv"))
@@ -56,7 +56,7 @@ def cmd_average(args):
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s)
     traj = sc.run_averaged(s)
-    sc.write_trajectory_csv(traj, os.path.join(out, "averaged.csv"))
+    sc.write_trajectory_csv(traj, os.path.join(out, "averaged.csv"), split=True)
     _write_meta(out, "averaged_meta.json", s)
     _print_warnings(s)
     print(os.path.join(out, "averaged.csv"))
@@ -69,12 +69,15 @@ def _compare_forked(s, full_path, avg_path):
 
     Both CSVs are written under temporary names and renamed only once both
     runs have succeeded, so a failure leaves no file behind, as in-process.
+    This process writes `full.csv` in two shares (see `sc.write_columns`),
+    as the child is mostly done by then; the child writes `averaged.csv` in
+    one, as a child of its own would slow the full run beside it.
     """
     temp = {path: f"{path}.{os.getpid()}.tmp" for path in (full_path, avg_path)}
 
     def full_to_csv():
         full = sc.run_full(s)
-        sc.write_trajectory_csv(full, temp[full_path])
+        sc.write_trajectory_csv(full, temp[full_path], split=True)
         return full
 
     def averaged_to_csv():

@@ -17,13 +17,17 @@ integrates the same two loops and records states only. Independent work
 runs on the usable CPUs through one fork helper, `run_forked`: a sweep
 splits its values into one strided share per CPU, computes the first share
 itself and forks a child for each other share; CLI `compare` runs the full
-loop itself while one forked child runs the averaged loop. Every output
-keeps its bits whatever the number of CPUs.
+loop itself while one forked child runs the averaged loop; and
+`write_columns`, asked to split a long CSV, formats its first rows itself
+while one forked child formats the rest. Every output keeps its bits
+whatever the number of CPUs.
 """
 import configparser
+import contextlib
 import math
 import numbers
 import os
+import shutil
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -391,8 +395,8 @@ def _sweep_share(base, axis, values):
 def usable_cpus():
     """CPUs this process may run on: its affinity mask, as `taskset` sets it.
 
-    Where the OS has no affinity mask (macOS, Windows), 1: `sweep` and CLI
-    `compare` then run in-process and never fork.
+    Where the OS has no affinity mask (macOS, Windows), 1: `sweep`, CLI
+    `compare` and a split `write_columns` then run in-process and never fork.
     """
     try:
         return len(os.sched_getaffinity(0))
@@ -507,24 +511,65 @@ def _fmt(x):
 _CSV_BLOCK_ROWS = 1024
 
 
-def write_columns(path, header, columns):
-    """CSV of column-stacked arrays under `header`, 15 significant digits.
+def _write_rows(path, header, columns, lo, hi):
+    """Write `header` (none if None), then rows [lo, hi) of `columns`, to `path`.
 
     Each block of rows is formatted by one `%` over a template of that many
     rows.
     """
     with open(path, "w", newline="") as f:
-        f.write(header + "\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
+        if header is not None:
+            f.write(header + "\n")
+        for start in range(lo, hi, _CSV_BLOCK_ROWS):
+            end = min(start + _CSV_BLOCK_ROWS, hi)
+            block = np.column_stack([c[start:end] for c in columns])
             rows, width = block.shape
             row = ",".join(["%.15g"] * width) + "\n"
             f.write((row * rows) % tuple(block.ravel().tolist()))
 
 
-def write_trajectory_csv(traj, path):
-    """Plot-ready CSV, one row per integrator step, full precision."""
-    write_columns(path, TRAJECTORY_HEADER, [traj.t, traj.states, traj.inputs, traj.rho])
+def write_columns(path, header, columns, split=False):
+    """CSV of column-stacked arrays under `header`, 15 significant digits.
+
+    With `split`, two usable CPUs and more than two blocks of rows, the
+    rows are formatted in two shares through `run_forked`: this process
+    writes the header and rows [0, mid) to `path` while a forked child
+    writes rows [mid, n) to `<path>.part`, which is then appended to `path`
+    and removed. `mid` is the block boundary nearest below n / 2, and the
+    child inherits the columns, so nothing is pickled and no formatted text
+    crosses the pipe. The bytes are those of the one-share write. If either
+    share fails, or the child dies, neither `path` nor the part file is
+    left.
+    """
+    n = len(columns[0])
+    if not (split and n > 2 * _CSV_BLOCK_ROWS and usable_cpus() >= 2):
+        _write_rows(path, header, columns, 0, n)
+        return
+    mid = n // 2 // _CSV_BLOCK_ROWS * _CSV_BLOCK_ROWS
+    part = f"{path}.part"
+
+    def exited(_i, code):
+        raise RuntimeError(f"CSV writer of rows {mid}-{n} exited with code {code}")
+
+    try:
+        run_forked([partial(_write_rows, path, header, columns, 0, mid),
+                    partial(_write_rows, part, None, columns, mid, n)], exited)
+        with open(path, "ab") as f, open(part, "rb") as tail:
+            shutil.copyfileobj(tail, f)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        raise
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+
+
+def write_trajectory_csv(traj, path, split=False):
+    """Plot-ready CSV, one row per integrator step, full precision; `split`
+    as in `write_columns`."""
+    write_columns(path, TRAJECTORY_HEADER, [traj.t, traj.states, traj.inputs, traj.rho],
+                  split)
 
 
 def write_metrics_csv(rows, path):

@@ -38,10 +38,10 @@ class VehicleParams:
     """Inertia and damping of the planar vehicle.
 
     m11, m22, m33 are the diagonal inertia entries (surge, sway, yaw)
-    and must be finite and strictly positive. `d` is the 3x3 damping
-    matrix, which must be finite and symmetric positive definite;
-    `diagonal()` is the common constructor. `d_rows` holds the rows of
-    `d` as tuples of floats, for `dynamics_rhs`.
+    and must be finite and strictly positive; they are kept as Python
+    floats. `d` is the 3x3 damping matrix, which must be finite and
+    symmetric positive definite; `diagonal()` is the common constructor.
+    `d_rows` holds the rows of `d` as tuples of floats, for `dynamics_rhs`.
     """
 
     m11: float
@@ -52,9 +52,12 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("m11", "m22", "m33"):
-            if not 0 < getattr(self, name) < math.inf:
+            # a numpy scalar would step `dynamics_rhs` at numpy-scalar speed
+            value = float(getattr(self, name))
+            if not 0 < value < math.inf:
                 raise ValueError(f"inertia entry {name} must be finite and strictly "
-                                 f"positive, got {getattr(self, name)}")
+                                 f"positive, got {value}")
+            object.__setattr__(self, name, value)
         d = np.asarray(self.d, dtype=float)
         if d.shape != (3, 3):
             raise ValueError("damping matrix must be 3x3")

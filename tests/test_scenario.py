@@ -18,7 +18,7 @@ from surgeseek.cli import main
 from surgeseek.costs import quadratic_cost
 from surgeseek.dither import EsGains, es_dither_set
 from surgeseek.integrator import IntegratorSettings, Trajectory, integrate
-from surgeseek.vehicle import reference_boat
+from surgeseek.vehicle import VehicleParams, reference_boat
 
 BOAT = reference_boat()
 COST = quadratic_cost()
@@ -233,11 +233,22 @@ def test_run_averaged_matches_generic_averaged_rhs():
     lam = lambda_matrix(es_dither_set(gains, s.cost))
     assert lam[0, 0] == pytest.approx(LAMBDA_11, rel=1e-12)
 
+    # as floats, so that `integrate` steps its later stages on floats
     def rhs(_t, y):
-        return averaged_rhs(p, (0.0, gains.c), fields, lam, y)
+        return tuple(averaged_rhs(p, (0.0, gains.c), fields, lam, y).tolist())
 
     generic = integrate(rhs, s.initial, IntegratorSettings(step=avg.step, tf=s.horizon))
     assert _final_gap(avg, generic) <= 1e-9
+
+
+def test_a_numpy_built_vessel_runs_as_a_float_built_one():
+    entries = (1.412, 1.982, 0.354, 3.436, 12.99, 0.864)
+    from_numpy = VehicleParams.diagonal(*np.array(entries))
+    assert [type(v) for v in (from_numpy.m11, from_numpy.m22, from_numpy.m33)] == [float] * 3
+    s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=2.0)
+    want = sc.run_averaged(replace(s, vehicle=VehicleParams.diagonal(*entries)))
+    got = sc.run_averaged(replace(s, vehicle=from_numpy))
+    assert got.states.tobytes() == want.states.tobytes()
 
 
 # sha256 of full.csv and averaged.csv for a horizon-2 copy of
@@ -451,20 +462,24 @@ def compare_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _cli_compare(monkeypatch, capsys, out, cpus):
-    """Exit code, stderr and written files of CLI compare on the CPUs `cpus`
+def _cli_run(command, monkeypatch, capsys, out, cpus):
+    """Exit code, stderr and written files of CLI `command` on the CPUs `cpus`
     (None: no affinity mask); the written files are removed afterwards."""
     if cpus is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: cpus, raising=False)
-    code = main(["compare", str(out / "scenario.ini")])
+    code = main([command, str(out / "scenario.ini")])
     written = {}
     for path in out.iterdir():
         if path.name != "scenario.ini":
             written[path.name] = path.read_bytes()
             path.unlink()
     return code, capsys.readouterr().err, written
+
+
+def _cli_compare(monkeypatch, capsys, out, cpus):
+    return _cli_run("compare", monkeypatch, capsys, out, cpus)
 
 
 def test_compare_forks_one_child_on_two_cpus_and_writes_the_same_bytes(
@@ -548,6 +563,93 @@ def test_compare_reaps_its_child_when_the_parent_is_interrupted(
         _cli_compare(monkeypatch, capsys, compare_dir, {0, 1})
     assert multiprocessing.active_children() == []
     assert [path.name for path in compare_dir.iterdir()] == ["scenario.ini"]
+
+
+def _columns(rows):
+    """Seeded trajectory-shaped columns of `rows` rows."""
+    rng = np.random.default_rng(rows)
+    return [np.arange(rows) * 0.01, rng.normal(size=(rows, 6)),
+            rng.uniform(-2.0, 2.0, (rows, 2)), rng.exponential(size=rows)]
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 2047, 2048, 2049, 5003])
+def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
+    starts = _counted_starts(monkeypatch)
+    columns = _columns(rows)
+    written = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus,
+                            raising=False)
+        path = tmp_path / f"{len(cpus)}.csv"
+        sc.write_columns(str(path), sc.TRAJECTORY_HEADER, columns, split=True)
+        written[len(cpus)] = path.read_bytes()
+    # only more than two blocks of rows on two CPUs fork the tail share
+    assert len(starts) == (rows > 2 * sc._CSV_BLOCK_ROWS)
+    assert multiprocessing.active_children() == []
+    assert written[2] == written[1]
+    assert written[1].count(b"\n") == rows + 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["1.csv", "2.csv"]
+
+
+@pytest.mark.parametrize("share, failure", [("tail", "raises"), ("tail", "exits"),
+                                            ("head", "raises")])
+def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share, failure):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    write_rows = sc._write_rows
+
+    def fails_after_writing(path, *args):
+        write_rows(path, *args)
+        if path.endswith(".part") != (share == "tail"):
+            # the other share: a head that fails finds its tail still running
+            if share == "head":
+                time.sleep(60.0)
+            return
+        if failure == "exits":
+            os._exit(3)
+        raise OSError(f"{share} share failed")
+
+    monkeypatch.setattr(sc, "_write_rows", fails_after_writing)
+    want = "exited with code 3" if failure == "exits" else f"{share} share failed"
+    with _within(10.0), pytest.raises((OSError, RuntimeError), match=want):
+        sc.write_columns(str(tmp_path / "run.csv"), sc.TRAJECTORY_HEADER, _columns(5003),
+                         split=True)
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, children", [("compare", 2), ("simulate", 1),
+                                               ("average", 1)])
+def test_cli_writes_a_long_csv_in_two_shares_with_the_same_bytes(
+        monkeypatch, capsys, compare_dir, command, children):
+    # 64-row blocks split the 5 s scenario's trajectories; compare forks its
+    # averaged run and the tail share of full.csv, and its child writes
+    # averaged.csv in one share
+    monkeypatch.setattr(sc, "_CSV_BLOCK_ROWS", 64)
+    starts = _counted_starts(monkeypatch)
+    code, err, split = _cli_run(command, monkeypatch, capsys, compare_dir, {0, 1})
+    assert (code, err, len(starts)) == (0, "", children)
+    assert multiprocessing.active_children() == []
+    for cpus in ({0}, None):
+        assert _cli_run(command, monkeypatch, capsys, compare_dir, cpus) == (0, "", split)
+    assert len(starts) == children
+
+
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_cli_leaves_no_csv_when_a_tail_share_dies(monkeypatch, capsys, compare_dir, command):
+    monkeypatch.setattr(sc, "_CSV_BLOCK_ROWS", 64)
+    write_rows = sc._write_rows
+
+    def tail_dies(path, *args):
+        write_rows(path, *args)
+        if path.endswith(".part"):
+            os._exit(3)
+
+    monkeypatch.setattr(sc, "_write_rows", tail_dies)
+    with _within(10.0):
+        code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, {0, 1})
+    assert multiprocessing.active_children() == []
+    assert code == 1 and "exited with code 3" in err
+    assert written == {}
 
 
 def test_sweep_rows_do_not_depend_on_value_order_or_epsilon():
