@@ -28,6 +28,7 @@ the full and averaged runners, the averaged (symmetric product) system,
 the drift fields and the passivity audit all evaluate it.
 """
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ class VehicleParams:
     """Inertia and damping of the planar vehicle.
 
     m11, m22, m33 are the diagonal inertia entries (surge, sway, yaw)
-    and must be finite and strictly positive; they are kept as Python
-    floats. `d` is the 3x3 damping matrix, which must be finite and
+    and must be real numbers, finite and strictly positive; they are kept
+    as Python floats. `d` is the 3x3 damping matrix, which must be finite and
     symmetric positive definite; `diagonal()` is the common constructor.
     `d_rows` holds the rows of `d` as tuples of floats, for `dynamics_rhs`.
     """
@@ -52,8 +53,11 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("m11", "m22", "m33"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise TypeError(f"inertia entry {name} must be a real number, got {value!r}")
             # a numpy scalar would step `dynamics_rhs` at numpy-scalar speed
-            value = float(getattr(self, name))
+            value = float(value)
             if not 0 < value < math.inf:
                 raise ValueError(f"inertia entry {name} must be finite and strictly "
                                  f"positive, got {value}")

@@ -245,6 +245,9 @@ def test_a_numpy_built_vessel_runs_as_a_float_built_one():
     entries = (1.412, 1.982, 0.354, 3.436, 12.99, 0.864)
     from_numpy = VehicleParams.diagonal(*np.array(entries))
     assert [type(v) for v in (from_numpy.m11, from_numpy.m22, from_numpy.m33)] == [float] * 3
+    # only real numbers are converted: a string is still refused
+    with pytest.raises(TypeError, match="m22 must be a real number"):
+        VehicleParams.diagonal(1.412, "1.982", 0.354, 3.436, 12.99, 0.864)
     s = replace(sc.load_scenario(str(BENCHMARK_INI)), horizon=2.0)
     want = sc.run_averaged(replace(s, vehicle=VehicleParams.diagonal(*entries)))
     got = sc.run_averaged(replace(s, vehicle=from_numpy))
@@ -617,13 +620,37 @@ def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, name", [("simulate", "full.csv"),
+                                           ("average", "averaged.csv")])
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_cli_keeps_the_earlier_csv_when_its_write_fails(
+        monkeypatch, capsys, compare_dir, command, name, cpus):
+    monkeypatch.setattr(sc, "_CSV_BLOCK_ROWS", 64)
+    (compare_dir / name).write_bytes(b"earlier run\n")
+    write_rows, paths = sc._write_rows, []
+
+    def fails_after_writing(path, *args):
+        paths.append(path)
+        write_rows(path, *args)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sc, "_write_rows", fails_after_writing)
+    with _within(10.0):
+        code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, cpus)
+    # this process's share goes to a name of its own, never to the CSV's
+    assert paths == [f"{compare_dir / name}.{os.getpid()}.tmp"]
+    assert multiprocessing.active_children() == []
+    assert code == 1 and "disk full" in err
+    assert written == {name: b"earlier run\n"}
+
+
 @pytest.mark.parametrize("command, children", [("compare", 2), ("simulate", 1),
-                                               ("average", 1)])
+                                               ("average", 0)])
 def test_cli_writes_a_long_csv_in_two_shares_with_the_same_bytes(
         monkeypatch, capsys, compare_dir, command, children):
-    # 64-row blocks split the 5 s scenario's trajectories; compare forks its
-    # averaged run and the tail share of full.csv, and its child writes
-    # averaged.csv in one share
+    # 64-row blocks would split the 5 s scenario's trajectories, but only
+    # full.csv is split: compare forks its averaged run and the tail share of
+    # full.csv, its child and average write averaged.csv in one share
     monkeypatch.setattr(sc, "_CSV_BLOCK_ROWS", 64)
     starts = _counted_starts(monkeypatch)
     code, err, split = _cli_run(command, monkeypatch, capsys, compare_dir, {0, 1})
