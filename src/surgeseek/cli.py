@@ -15,8 +15,8 @@ from .integrator import IntegratorSettings, Trajectory, integrate
 from .vehicle import dynamics_rhs
 
 
-def _output_dir(s):
-    out = os.environ.get(sc.OUTPUT_DIR_ENV, s.output_dir)
+def _output_dir(default):
+    out = os.environ.get(sc.OUTPUT_DIR_ENV, default)
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -41,24 +41,28 @@ def _print_warnings(s):
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _write_renamed(traj, path, split):
-    """`traj` written to `path` under a temporary name renamed once complete:
-    a failed write leaves `path` as it was and no temporary file, as in
-    `_compare_forked`. `split` as in `sc.write_columns`."""
-    temp = f"{path}.{os.getpid()}.tmp"
+@contextlib.contextmanager
+def _renamed(*paths):
+    """Temporary names for `paths`, each renamed to its path once the block
+    completes: a failure in the block leaves every path as it was. No
+    temporary file is left either way."""
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
-        sc.write_trajectory_csv(traj, temp, split=split)
-        os.replace(temp, path)
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(temp)
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def cmd_simulate(args):
     s = sc.load_scenario(args.scenario)
-    out = _output_dir(s)
+    out = _output_dir(s.output_dir)
     traj = sc.run_full(s)
-    _write_renamed(traj, os.path.join(out, "full.csv"), split=True)
+    with _renamed(os.path.join(out, "full.csv")) as (temp,):
+        sc.write_trajectory_csv(traj, temp)
     _write_meta(out, "full_meta.json", s)
     _print_warnings(s)
     print(os.path.join(out, "full.csv"))
@@ -67,70 +71,47 @@ def cmd_simulate(args):
 
 def cmd_average(args):
     s = sc.load_scenario(args.scenario)
-    out = _output_dir(s)
+    out = _output_dir(s.output_dir)
     traj = sc.run_averaged(s)
-    # in one share: a split of its 10,001 rows costs more than it saves
-    _write_renamed(traj, os.path.join(out, "averaged.csv"), split=False)
+    with _renamed(os.path.join(out, "averaged.csv")) as (temp,):
+        sc.write_trajectory_csv(traj, temp)
     _write_meta(out, "averaged_meta.json", s)
     _print_warnings(s)
     print(os.path.join(out, "averaged.csv"))
     return 0
 
 
-def _compare_forked(s, full_path, avg_path):
-    """The full and averaged runs of `compare`, each written to its CSV, with
-    the averaged run in a forked child while this process runs the full one.
-
-    Both CSVs are written under temporary names and renamed only once both
-    runs have succeeded, so a failure leaves no file behind, as in-process.
-    This process writes `full.csv` in two shares (see `sc.write_columns`),
-    as the child is mostly done by then; the child writes `averaged.csv` in
-    one, as `average` does: split, it measured no faster here either.
-    """
-    temp = {path: f"{path}.{os.getpid()}.tmp" for path in (full_path, avg_path)}
-
-    def full_to_csv():
-        full = sc.run_full(s)
-        sc.write_trajectory_csv(full, temp[full_path], split=True)
-        return full
-
-    def averaged_to_csv():
-        # the child's task: it sends back only what `compare` reads
-        avg = sc.run_averaged(s)
-        sc.write_trajectory_csv(avg, temp[avg_path])
-        return avg.t, avg.states
-
-    def exited(_i, code):
-        raise RuntimeError(f"averaged run worker exited with code {code} "
-                           f"before sending its run")
-
-    try:
-        full, (t, states) = sc.run_forked([full_to_csv, averaged_to_csv], exited)
-        for path, name in temp.items():
-            os.replace(name, path)
-    finally:
-        for name in temp.values():
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(name)
-    return full, Trajectory(t, states)
-
-
 def cmd_compare(args):
-    """The full run against its averaged run; on two or more usable CPUs the
-    averaged run goes to a forked child (see `_compare_forked`)."""
+    """The full run against its averaged run.
+
+    The two runs are the two tasks of `sc.run_forked`: on two or more usable
+    CPUs a forked child runs the averaged one while this process runs the
+    full one, and otherwise this process runs both in turn. Both CSVs are
+    renamed into place only once both runs and both writes have succeeded.
+    """
     if args.radius is not None and not 0 < args.radius < math.inf:
         raise ValueError(f"--radius: {args.radius!r} is not a finite positive number")
     s = sc.load_scenario(args.scenario)
-    out = _output_dir(s)
-    full_path, avg_path = os.path.join(out, "full.csv"), os.path.join(out, "averaged.csv")
-    if sc.usable_cpus() >= 2:
-        full, avg = _compare_forked(s, full_path, avg_path)
-    else:
-        full = sc.run_full(s)
-        avg = sc.run_averaged(s)
-        sc.write_trajectory_csv(full, full_path)
-        sc.write_trajectory_csv(avg, avg_path)
-    metrics = sc.compare(full, avg, s, radius=args.radius)
+    out = _output_dir(s.output_dir)
+    with _renamed(os.path.join(out, "full.csv"),
+                  os.path.join(out, "averaged.csv")) as (full_temp, avg_temp):
+        def full_to_csv():
+            full = sc.run_full(s)
+            sc.write_trajectory_csv(full, full_temp)
+            return full
+
+        def averaged_to_csv():
+            # a forked child sends back only what `compare` reads
+            avg = sc.run_averaged(s)
+            sc.write_trajectory_csv(avg, avg_temp)
+            return avg.t, avg.states
+
+        def exited(_i, code):
+            raise RuntimeError(f"averaged run worker exited with code {code} "
+                               f"before sending its run")
+
+        full, (t, states) = sc.run_forked([full_to_csv, averaged_to_csv], exited)
+    metrics = sc.compare(full, Trajectory(t, states), s, radius=args.radius)
     _write_meta(out, "compare_meta.json", s, extra={"metrics": asdict(metrics)})
     _print_warnings(s)
     for key, val in asdict(metrics).items():
@@ -154,7 +135,7 @@ def _sweep_values(text):
 def cmd_sweep(args):
     values = _sweep_values(args.values)
     s = sc.load_scenario(args.scenario)
-    out = _output_dir(s)
+    out = _output_dir(s.output_dir)
     rows = sc.sweep(s, args.axis, values)
     path = os.path.join(out, f"sweep_{args.axis}.csv")
     sc.write_metrics_csv(rows, path)
@@ -206,10 +187,9 @@ def cmd_demo_di(args):
     report = averaging.double_integrator_demo(
         h, alpha=args.alpha, omega_freq=args.omega, horizon=args.horizon,
         minimizer=1.0, h_prime=lambda z: 2.0 * (z - 1.0))
-    out = os.environ.get(sc.OUTPUT_DIR_ENV, ".")
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "demo_di.csv")
-    sc.write_columns(path, "t,xi1,xi2", [report.full.t, report.full.states])
+    path = os.path.join(_output_dir("."), "demo_di.csv")
+    with _renamed(path) as (temp,):
+        sc.write_columns(temp, "t,xi1,xi2", [report.full.t, report.full.states])
     print(f"sup_gap={report.sup_gap:.6g} "
           f"final_error_full={report.final_error_full:.6g} "
           f"final_error_averaged={report.final_error_averaged:.6g}")

@@ -103,28 +103,33 @@ def rk4_loop(rhs, y, n, h, states):
     sixth = h / 6.0
     {y} = y
     t = 0.0
-    for i in range(n):
-        k = rhs(t, y)
-        try:
-            {k1} = k
-        except ValueError:
-            raise ValueError(f"rhs returned {{len(k)}} values for a state "
-                             f"of length {m}") from None
-        {k2} = rhs(t + half, {stage2})
-        {k3} = rhs(t + half, {stage3})
-        {k4} = rhs(t + h, {stage4})
-        y = {y} = {update}
-        # the product that gives times[i + 1], bit for bit; a list of all
-        # the times would keep about 1 MB of float objects alive through
-        # the loop and raise the peak RSS
-        t = h * (i + 1)
-        # a finite sum implies finite components; only a non-finite sum
-        # (a NaN or inf, or an overflow of finite ones) needs the exact test
-        if not isfinite({total}) and not all(map(isfinite, y)):
-            raise BlowUpError(t, states[i].copy())
-        # the row's bytes in place: cheaper than `states[i + 1] = y`, which
-        # converts the tuple through numpy
-        pack_row(states, row_bytes * (i + 1), {ylist})
+    try:
+        for i in range(n):
+            k = rhs(t, y)
+            try:
+                {k1} = k
+            except ValueError:
+                raise ValueError(f"rhs returned {{len(k)}} values for a state "
+                                 f"of length {m}") from None
+            {k2} = rhs(t + half, {stage2})
+            {k3} = rhs(t + half, {stage3})
+            {k4} = rhs(t + h, {stage4})
+            y = {y} = {update}
+            # the product that gives times[i + 1], bit for bit; a list of all
+            # the times would keep about 1 MB of float objects alive through
+            # the loop and raise the peak RSS
+            t = h * (i + 1)
+            # a finite sum implies finite components; only a non-finite sum
+            # (a NaN or inf, or an overflow of finite ones) needs the exact test
+            if not isfinite({total}) and not all(map(isfinite, y)):
+                raise BlowUpError(t, states[i].copy())
+            # the row's bytes in place: cheaper than `states[i + 1] = y`, which
+            # converts the tuple through numpy
+            pack_row(states, row_bytes * (i + 1), {ylist})
+    # an RHS on floats overflows by raising (a float ** 2 calls libm pow),
+    # where numpy would return inf; that too is a blow-up in step i
+    except OverflowError as exc:
+        raise BlowUpError(h * (i + 1), states[i].copy()) from exc
 """
 
 
@@ -159,7 +164,7 @@ def integrate(rhs, initial, settings):
     The state is carried as a tuple of floats (see the module docstring
     for the RHS contract). Raises a ValueError when an RHS output and the
     state differ in length, and a BlowUpError when a step leaves the state
-    non-finite.
+    non-finite or the RHS raises an OverflowError (chained as its cause).
     """
     n = settings.n_steps
     h = settings.step

@@ -14,12 +14,12 @@ the linear motion is claimed to converge, while the vehicle keeps spinning.
 Each runner integrates its loop and then records the cost and the inputs
 along the states. The metrics read states and times only, so `sweep`
 integrates the same two loops and records states only. Independent work
-runs on the usable CPUs through one fork helper, `run_forked`: a sweep
-splits its values into one strided share per CPU, computes the first share
-itself and forks a child for each other share; CLI `compare` runs the full
-loop itself while one forked child runs the averaged loop; and
-`write_columns`, asked to split a long CSV, formats its first rows itself
-while one forked child formats the rest. Every output keeps its bits
+goes through one fork helper, `run_forked`: on two or more usable CPUs
+it forks a child for each task after the first, and otherwise it runs the
+tasks in order in this process. A sweep splits its values into one
+strided share per CPU; CLI `compare` runs the full loop and the averaged
+loop as two tasks; and `write_columns` formats a CSV of more than
+`_SPLIT_NUMBERS` numbers in two shares. Every output keeps its bits
 whatever the number of CPUs.
 """
 import configparser
@@ -395,8 +395,8 @@ def _sweep_share(base, axis, values):
 def usable_cpus():
     """CPUs this process may run on: its affinity mask, as `taskset` sets it.
 
-    Where the OS has no affinity mask (macOS, Windows), 1: `sweep`, CLI
-    `compare` and a split `write_columns` then run in-process and never fork.
+    Where the OS has no affinity mask (macOS, Windows), 1, so `run_forked`
+    never forks there.
     """
     try:
         return len(os.sched_getaffinity(0))
@@ -416,10 +416,12 @@ def _send_outcome(sender, task):
 
 
 def run_forked(tasks, exited):
-    """The results of `tasks`, in order: tasks[0] runs in this process while
-    forked children run the others, concurrently.
+    """The results of `tasks`, in order.
 
-    Each child sends back its task's result through a one-way pipe. Fork,
+    With one task, or fewer than two usable CPUs, every task runs in this
+    process, in order, and nothing is forked. Otherwise tasks[0] runs in
+    this process while forked children run the others, concurrently. Each
+    child sends back its task's result through a one-way pipe. Fork,
     not spawn: the scenario's cost closures cannot be pickled, and a forked
     child inherits them. Fork copies the calling thread only; surgeseek
     starts no other thread. An exception that a child's task raises is
@@ -427,6 +429,8 @@ def run_forked(tasks, exited):
     `exited(i, exitcode)` in place of the result of tasks[i]. Every child is
     terminated if still running and joined, whatever way this returns.
     """
+    if len(tasks) <= 1 or usable_cpus() < 2:
+        return [task() for task in tasks]
     import multiprocessing  # only a run that forks pays for the import
     context = multiprocessing.get_context("fork")
     children = []
@@ -467,11 +471,11 @@ def sweep(base, axis, values):
     states and times, so the cost and input columns of `run_full` and
     `run_averaged` are never built.
 
-    The values are independent, so they run on n = min(len(values), CPUs)
-    processes, CPUs being the affinity mask's (`taskset` limits it): the
-    parent computes the strided share values[0::n] in-process and forked
-    children the others (see `run_forked`); a child that dies fails each of
-    its values with a row naming its exit code. With n = 1 nothing is forked.
+    The values are independent, so they run in n = min(len(values), CPUs)
+    strided shares values[i::n], CPUs being the affinity mask's (`taskset`
+    limits it): the parent computes share 0 and forked children the others
+    (see `run_forked`, which forks nothing for one share); a child that
+    dies fails each of its values with a row naming its exit code.
     Each share caches its averaged runs per (k, c): within a sweep only the
     axis value varies, and the averaged run reads neither epsilon nor
     samples_per_period (its grid is `AVERAGED_STEPS` steps over the
@@ -483,8 +487,6 @@ def sweep(base, axis, values):
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
     values = list(values)
     n = min(len(values), usable_cpus())
-    if n <= 1:
-        return _sweep_share(base, axis, values)
 
     def exited(i, code):
         reason = f"sweep worker exited with code {code} before sending its rows"
@@ -510,6 +512,14 @@ def _fmt(x):
 # later arrays on the heap (+2 MB peak RSS over repeated CLI compare runs)
 _CSV_BLOCK_ROWS = 1024
 
+# numbers (rows x columns) above which `write_columns` formats in two shares.
+# On two vCPUs (median wall time of 20 alternating fresh CLI runs of
+# scenarios/benchmark.ini) a split paid for the full run's 318,320 numbers,
+# `simulate` taking 0.80 s split and 0.90 s not, but not for the averaged
+# run's 100,010, `average` taking 0.54 s split and 0.52 s not; the bound
+# sits between the two
+_SPLIT_NUMBERS = 200_000
+
 
 def _write_rows(path, header, columns, lo, hi):
     """Write `header` (none if None), then rows [lo, hi) of `columns`, to `path`.
@@ -528,28 +538,24 @@ def _write_rows(path, header, columns, lo, hi):
             f.write((row * rows) % tuple(block.ravel().tolist()))
 
 
-def write_columns(path, header, columns, split=False):
+def write_columns(path, header, columns):
     """CSV of column-stacked arrays under `header`, 15 significant digits.
 
-    With `split`, two usable CPUs and more than two blocks of rows, the
-    rows are formatted in two shares through `run_forked`: this process
-    writes the header and rows [0, mid) to `path` while a forked child
-    writes rows [mid, n) to `<path>.<pid>.part`, which is then appended to
-    `path` and removed. `mid` is the block boundary nearest below n / 2, and
-    the child inherits the columns, so nothing is pickled and no formatted
-    text crosses the pipe. The bytes are those of the one-share write. If
-    either share fails, or the child dies, neither `path` nor the part file
-    is left. `path` is written in place: the CLI writes under a temporary
-    name that it renames once complete.
-
-    A split pays for the full run's rows, not for the averaged run's 10,001:
-    on two vCPUs, median wall time of 20 alternating fresh CLI runs of
-    scenarios/benchmark.ini, `simulate` (31,832 rows) takes 0.80 s split
-    and 0.90 s not, while `average` takes 0.54 s split and 0.52 s not.
-    Hence the switch, which only the full run's writers set.
+    With more than `_SPLIT_NUMBERS` numbers to format, more than two blocks
+    of rows and two usable CPUs, the rows are formatted in two shares
+    through `run_forked`: this process writes the header and rows [0, mid)
+    to `path` while a forked child writes rows [mid, n) to
+    `<path>.<pid>.part`, which is then appended to `path` and removed.
+    `mid` is the block boundary nearest below n / 2, and the child inherits
+    the columns, so nothing is pickled and no formatted text crosses the
+    pipe. The bytes are those of the one-share write. If either share
+    fails, or the child dies, neither `path` nor the part file is left.
+    `path` is written in place: the CLI writes under a temporary name that
+    it renames once complete.
     """
     n = len(columns[0])
-    if not (split and n > 2 * _CSV_BLOCK_ROWS and usable_cpus() >= 2):
+    if (sum(map(np.size, columns)) <= _SPLIT_NUMBERS or n <= 2 * _CSV_BLOCK_ROWS
+            or usable_cpus() < 2):
         _write_rows(path, header, columns, 0, n)
         return
     mid = n // 2 // _CSV_BLOCK_ROWS * _CSV_BLOCK_ROWS
@@ -573,11 +579,9 @@ def write_columns(path, header, columns, split=False):
             os.remove(part)
 
 
-def write_trajectory_csv(traj, path, split=False):
-    """Plot-ready CSV, one row per integrator step, full precision; `split`
-    as in `write_columns`."""
-    write_columns(path, TRAJECTORY_HEADER, [traj.t, traj.states, traj.inputs, traj.rho],
-                  split)
+def write_trajectory_csv(traj, path):
+    """Plot-ready CSV, one row per integrator step, full precision."""
+    write_columns(path, TRAJECTORY_HEADER, [traj.t, traj.states, traj.inputs, traj.rho])
 
 
 def write_metrics_csv(rows, path):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import surgeseek.scenario as sc
 from surgeseek.cli import main
 
 BENCHMARK_INI = Path(__file__).resolve().parents[1] / "scenarios" / "benchmark.ini"
@@ -176,6 +177,22 @@ def test_demo_di(workdir, capsys):
     assert main(["demo-di", "--omega", "10", "--horizon", "10"]) == 0
     assert (out / "demo_di.csv").exists()
     assert "final_error_full=" in capsys.readouterr().out
+
+
+def test_demo_di_keeps_the_earlier_csv_when_its_write_fails(workdir, capsys, monkeypatch):
+    out, _ = workdir
+    (out / "demo_di.csv").write_bytes(b"earlier run\n")
+    write_rows = sc._write_rows
+
+    def fails_after_writing(path, *args):
+        write_rows(path, *args)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sc, "_write_rows", fails_after_writing)
+    assert main(["demo-di", "--omega", "10", "--horizon", "10"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["demo_di.csv", "scenario.ini"]
+    assert (out / "demo_di.csv").read_bytes() == b"earlier run\n"
 
 
 @pytest.mark.parametrize("flags, name", [(["--omega", "-5"], "omega_freq"),

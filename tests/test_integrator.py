@@ -110,6 +110,18 @@ def test_blow_up_carries_last_finite_state():
     assert info.value.state == pytest.approx([0.5], abs=1e-12)
 
 
+def test_an_overflowing_rhs_is_a_blow_up_naming_its_time():
+    # a float ** 2 raises where numpy would give inf: the first step's
+    # second stage squares 1e100 + 0.05 * 1e200
+    with pytest.raises(BlowUpError) as info:
+        integrate(lambda t, y: (y[0] ** 2,), np.array([1e100]),
+                  IntegratorSettings(step=0.1, tf=1.0))
+    assert info.value.time == 0.1
+    assert str(info.value) == "non-finite state encountered at t=0.1"
+    assert info.value.state.tolist() == [1e100]
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
 @pytest.mark.parametrize("wrap", [tuple, list, np.array])
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 6, 7])
 def test_generated_loop_matches_comprehension_loop(m, wrap):

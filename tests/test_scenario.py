@@ -4,8 +4,11 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from surgeseek.averaging import (LAMBDA_11, averaged_rhs, closed_loop_fields,
 from surgeseek.cli import main
 from surgeseek.costs import quadratic_cost
 from surgeseek.dither import EsGains, es_dither_set
-from surgeseek.integrator import IntegratorSettings, Trajectory, integrate
+from surgeseek.integrator import BlowUpError, IntegratorSettings, Trajectory, integrate
 from surgeseek.vehicle import VehicleParams, reference_boat
 
 BOAT = reference_boat()
@@ -400,6 +403,45 @@ def test_sweep_without_an_affinity_mask_runs_in_process(monkeypatch):
     assert starts == []
 
 
+def test_run_forked_on_one_cpu_runs_the_tasks_in_order_in_this_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+    starts = _counted_starts(monkeypatch)
+    ran = []
+
+    def task(i):
+        ran.append((i, os.getpid()))
+        return i * i
+
+    assert sc.run_forked([partial(task, i) for i in range(3)], None) == [0, 1, 4]
+    assert ran == [(i, os.getpid()) for i in range(3)]
+    assert starts == []
+
+
+def test_run_forked_on_one_cpu_reraises_a_later_tasks_exception(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+    starts = _counted_starts(monkeypatch)
+
+    def fails():
+        raise OSError("task 1 failed")
+
+    with pytest.raises(OSError, match="task 1 failed"):
+        sc.run_forked([lambda: 0, fails], None)
+    assert starts == []
+
+
+def test_run_forked_on_one_cpu_imports_no_multiprocessing():
+    code = ("import os, sys; os.sched_getaffinity = lambda _pid: {0}; "
+            "import surgeseek.cli as cli; "
+            "assert cli.sc.run_forked([int, float], None) == [0, 0.0]; "
+            "print('multiprocessing' in sys.modules)")
+    src = str(Path(sc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"
+
+
 @contextlib.contextmanager
 def _within(seconds):
     """Fail, rather than hang, a block still running after `seconds`."""
@@ -526,6 +568,28 @@ def test_compare_reraises_a_failed_averaged_run(monkeypatch, capsys, compare_dir
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_compare_keeps_both_earlier_csvs_when_the_averaged_write_fails(
+        monkeypatch, capsys, compare_dir, cpus):
+    earlier = {"full.csv": b"earlier full run\n", "averaged.csv": b"earlier averaged run\n"}
+    for name, data in earlier.items():
+        (compare_dir / name).write_bytes(data)
+    write_rows = sc._write_rows
+
+    def fails_for_averaged(path, *args):
+        write_rows(path, *args)
+        if "averaged.csv" in path:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(sc, "_write_rows", fails_for_averaged)
+    with _within(10.0):
+        code, err, written = _cli_compare(monkeypatch, capsys, compare_dir, cpus)
+    assert multiprocessing.active_children() == []
+    assert code == 1 and "disk full" in err
+    # no temporary file is left, and neither CSV was touched
+    assert written == earlier
+
+
 def test_compare_reaps_its_child_when_the_full_run_fails(monkeypatch, capsys, compare_dir):
     # a NaN surge force makes the full run blow up at its first step
     monkeypatch.setattr(sc, "surge_law", lambda *_args: lambda _t, _rho: math.nan)
@@ -577,6 +641,7 @@ def _columns(rows):
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 2047, 2048, 2049, 5003])
 def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
+    monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
     starts = _counted_starts(monkeypatch)
     columns = _columns(rows)
     written = {}
@@ -584,7 +649,7 @@ def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
         monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus,
                             raising=False)
         path = tmp_path / f"{len(cpus)}.csv"
-        sc.write_columns(str(path), sc.TRAJECTORY_HEADER, columns, split=True)
+        sc.write_columns(str(path), sc.TRAJECTORY_HEADER, columns)
         written[len(cpus)] = path.read_bytes()
     # only more than two blocks of rows on two CPUs fork the tail share
     assert len(starts) == (rows > 2 * sc._CSV_BLOCK_ROWS)
@@ -597,6 +662,7 @@ def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
 @pytest.mark.parametrize("share, failure", [("tail", "raises"), ("tail", "exits"),
                                             ("head", "raises")])
 def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share, failure):
+    monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     write_rows = sc._write_rows
 
@@ -614,10 +680,16 @@ def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share,
     monkeypatch.setattr(sc, "_write_rows", fails_after_writing)
     want = "exited with code 3" if failure == "exits" else f"{share} share failed"
     with _within(10.0), pytest.raises((OSError, RuntimeError), match=want):
-        sc.write_columns(str(tmp_path / "run.csv"), sc.TRAJECTORY_HEADER, _columns(5003),
-                         split=True)
+        sc.write_columns(str(tmp_path / "run.csv"), sc.TRAJECTORY_HEADER, _columns(5003))
     assert multiprocessing.active_children() == []
     assert list(tmp_path.iterdir()) == []
+
+
+def _split_small_csvs(monkeypatch):
+    """Make `write_columns` split the 5 s scenario's trajectories (797 and
+    10,001 rows) on two CPUs."""
+    monkeypatch.setattr(sc, "_CSV_BLOCK_ROWS", 64)
+    monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
 
 
 @pytest.mark.parametrize("command, name", [("simulate", "full.csv"),
@@ -625,7 +697,7 @@ def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share,
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
 def test_cli_keeps_the_earlier_csv_when_its_write_fails(
         monkeypatch, capsys, compare_dir, command, name, cpus):
-    monkeypatch.setattr(sc, "_CSV_BLOCK_ROWS", 64)
+    _split_small_csvs(monkeypatch)
     (compare_dir / name).write_bytes(b"earlier run\n")
     write_rows, paths = sc._write_rows, []
 
@@ -645,13 +717,13 @@ def test_cli_keeps_the_earlier_csv_when_its_write_fails(
 
 
 @pytest.mark.parametrize("command, children", [("compare", 2), ("simulate", 1),
-                                               ("average", 0)])
+                                               ("average", 1)])
 def test_cli_writes_a_long_csv_in_two_shares_with_the_same_bytes(
         monkeypatch, capsys, compare_dir, command, children):
-    # 64-row blocks would split the 5 s scenario's trajectories, but only
-    # full.csv is split: compare forks its averaged run and the tail share of
-    # full.csv, its child and average write averaged.csv in one share
-    monkeypatch.setattr(sc, "_CSV_BLOCK_ROWS", 64)
+    # both trajectories split: compare forks its averaged run and the tail
+    # share of full.csv; its child forks the tail share of averaged.csv,
+    # which this process does not count
+    _split_small_csvs(monkeypatch)
     starts = _counted_starts(monkeypatch)
     code, err, split = _cli_run(command, monkeypatch, capsys, compare_dir, {0, 1})
     assert (code, err, len(starts)) == (0, "", children)
@@ -661,9 +733,9 @@ def test_cli_writes_a_long_csv_in_two_shares_with_the_same_bytes(
     assert len(starts) == children
 
 
-@pytest.mark.parametrize("command", ["compare", "simulate"])
+@pytest.mark.parametrize("command", ["compare", "simulate", "average"])
 def test_cli_leaves_no_csv_when_a_tail_share_dies(monkeypatch, capsys, compare_dir, command):
-    monkeypatch.setattr(sc, "_CSV_BLOCK_ROWS", 64)
+    _split_small_csvs(monkeypatch)
     write_rows = sc._write_rows
 
     def tail_dies(path, *args):
@@ -677,6 +749,31 @@ def test_cli_leaves_no_csv_when_a_tail_share_dies(monkeypatch, capsys, compare_d
     assert multiprocessing.active_children() == []
     assert code == 1 and "exited with code 3" in err
     assert written == {}
+
+
+@pytest.mark.parametrize("rows, width, children", [(31832, 10, 1), (10001, 10, 0),
+                                                    (31831, 3, 0)])
+def test_only_a_csv_of_more_numbers_than_the_bound_splits(
+        monkeypatch, tmp_path, rows, width, children):
+    # the reference full.csv, averaged.csv and demo_di.csv: only the first
+    # has more than _SPLIT_NUMBERS numbers (rows x columns)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    starts = _counted_starts(monkeypatch)
+    path = tmp_path / "run.csv"
+    sc.write_columns(str(path), "header", [np.arange(rows), np.ones((rows, width - 1))])
+    assert len(starts) == children
+    assert path.read_bytes().count(b"\n") == rows + 1
+
+
+def test_a_full_run_that_overflows_names_the_time_of_its_blow_up():
+    # the quadratic cost's float ** 2 overflows at x = 1e152 (ROADMAP item 1)
+    s = _scenario(initial=[1e152, 0.0, 0.0, 0.0, 0.0, 0.0])
+    step = sc.dividing_step(s.horizon, 0.1 * 2.0 * math.pi / 100)
+    with pytest.raises(RuntimeError, match=r"^full run failed \(non-finite state "
+                       rf"encountered at t={step:.6g}\); gains k=1.0") as info:
+        sc.run_full(s)
+    assert isinstance(info.value.__cause__, BlowUpError)
+    assert isinstance(info.value.__cause__.__cause__, OverflowError)
 
 
 def test_sweep_rows_do_not_depend_on_value_order_or_epsilon():
