@@ -348,8 +348,10 @@ def double_integrator_demo(h_fun, alpha, omega_freq, horizon,
     `DEMO_SAMPLES_PER_PERIOD` steps.
     """
     for name, value in (("omega_freq", omega_freq), ("horizon", horizon)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value:g}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value:g}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha:g}")
     if h_prime is None:
         def h_prime(z, _p=1e-6):
             return (h_fun(z + _p) - h_fun(z - _p)) / (2.0 * _p)

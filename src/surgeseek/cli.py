@@ -82,13 +82,9 @@ def cmd_average(args):
 
 
 def cmd_compare(args):
-    """The full run against its averaged run.
-
-    The two runs are the two tasks of `sc.run_forked`: on two or more usable
-    CPUs a forked child runs the averaged one while this process runs the
-    full one, and otherwise this process runs both in turn. Both CSVs are
-    renamed into place only once both runs and both writes have succeeded.
-    """
+    """The full run against its averaged run, the two tasks of
+    `sc.run_forked`. Both CSVs are renamed into place only once both runs
+    and both writes have succeeded."""
     if args.radius is not None and not 0 < args.radius < math.inf:
         raise ValueError(f"--radius: {args.radius!r} is not a finite positive number")
     s = sc.load_scenario(args.scenario)
@@ -138,7 +134,8 @@ def cmd_sweep(args):
     out = _output_dir(s.output_dir)
     rows = sc.sweep(s, args.axis, values)
     path = os.path.join(out, f"sweep_{args.axis}.csv")
-    sc.write_metrics_csv(rows, path)
+    with _renamed(path) as (temp,):
+        sc.write_metrics_csv(rows, temp)
     print(path)
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 

@@ -130,6 +130,25 @@ def rk4_loop(rhs, y, n, h, states):
     # where numpy would return inf; that too is a blow-up in step i
     except OverflowError as exc:
         raise BlowUpError(h * (i + 1), states[i].copy()) from exc
+    # math.cos and math.sin raise a ValueError on an infinite argument, where
+    # numpy would return NaN; that is a blow-up in step i too when the stage
+    # state of the RHS call that raised is not finite. The traceback's line
+    # in this loop tells which call it was
+    except ValueError as exc:
+        call = exc.__traceback__.tb_lineno
+        if call == rhs_lines[0]:
+            stage = y
+        elif call == rhs_lines[1]:
+            stage = {stage2}
+        elif call == rhs_lines[2]:
+            stage = {stage3}
+        elif call == rhs_lines[3]:
+            stage = {stage4}
+        else:
+            raise
+        if all(map(isfinite, stage)):
+            raise
+        raise BlowUpError(h * (i + 1), states[i].copy()) from exc
 """
 
 
@@ -152,8 +171,11 @@ def _rk4_loop(m):
         total=" + ".join(y) or "0.0", ylist="".join(f"{a}, " for a in y))
     # native doubles, the layout of a C-contiguous float64 row
     row = struct.Struct(f"{m}d")
+    # the lines of the four RHS calls, stages 1 to 4
+    rhs_lines = [n for n, line in enumerate(source.splitlines(), 1) if "= rhs(" in line]
     namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError,
-                 "pack_row": row.pack_into, "row_bytes": row.size}
+                 "pack_row": row.pack_into, "row_bytes": row.size,
+                 "rhs_lines": rhs_lines}
     exec(compile(source, f"<rk4 loop, m={m}>", "exec"), namespace)
     return namespace["rk4_loop"]
 
@@ -164,7 +186,8 @@ def integrate(rhs, initial, settings):
     The state is carried as a tuple of floats (see the module docstring
     for the RHS contract). Raises a ValueError when an RHS output and the
     state differ in length, and a BlowUpError when a step leaves the state
-    non-finite or the RHS raises an OverflowError (chained as its cause).
+    non-finite, the RHS raises an OverflowError, or it raises a ValueError
+    on a stage state that is not finite (the error chained as its cause).
     """
     n = settings.n_steps
     h = settings.step

@@ -14,13 +14,9 @@ the linear motion is claimed to converge, while the vehicle keeps spinning.
 Each runner integrates its loop and then records the cost and the inputs
 along the states. The metrics read states and times only, so `sweep`
 integrates the same two loops and records states only. Independent work
-goes through one fork helper, `run_forked`: on two or more usable CPUs
-it forks a child for each task after the first, and otherwise it runs the
-tasks in order in this process. A sweep splits its values into one
-strided share per CPU; CLI `compare` runs the full loop and the averaged
-loop as two tasks; and `write_columns` formats a CSV of more than
-`_SPLIT_NUMBERS` numbers in two shares. Every output keeps its bits
-whatever the number of CPUs.
+(a sweep's values, CLI `compare`'s two runs, the two shares of a long
+CSV) goes through `run_forked`, which shares the tasks out over the
+usable CPUs. Every output keeps its bits whatever the number of CPUs.
 """
 import configparser
 import contextlib
@@ -386,29 +382,11 @@ def _sweep_row(base, axis, value, averaged_cache):
     }
 
 
-def _sweep_share(base, axis, values):
-    """The rows of `values` in order, sharing one averaged-run cache."""
-    averaged_cache = {}
-    return [_sweep_row(base, axis, value, averaged_cache) for value in values]
-
-
-def usable_cpus():
-    """CPUs this process may run on: its affinity mask, as `taskset` sets it.
-
-    Where the OS has no affinity mask (macOS, Windows), 1, so `run_forked`
-    never forks there.
-    """
+def _send_outcome(sender, tasks):
+    """A forked child's body: run `tasks` in order and send (True, their
+    results) or (False, the exception one raised)."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
-def _send_outcome(sender, task):
-    """A forked child's body: run `task` and send (True, its result) or
-    (False, the exception it raised)."""
-    try:
-        outcome = (True, task())
+        outcome = (True, [task() for task in tasks])
     except Exception as exc:
         outcome = (False, exc)
     sender.send(outcome)
@@ -418,41 +396,48 @@ def _send_outcome(sender, task):
 def run_forked(tasks, exited):
     """The results of `tasks`, in order.
 
-    With one task, or fewer than two usable CPUs, every task runs in this
-    process, in order, and nothing is forked. Otherwise tasks[0] runs in
-    this process while forked children run the others, concurrently. Each
-    child sends back its task's result through a one-way pipe. Fork,
-    not spawn: the scenario's cost closures cannot be pickled, and a forked
-    child inherits them. Fork copies the calling thread only; surgeseek
-    starts no other thread. An exception that a child's task raises is
-    re-raised here. A child that exits without sending gives
-    `exited(i, exitcode)` in place of the result of tasks[i]. Every child is
-    terminated if still running and joined, whatever way this returns.
+    The tasks run in n = min(len(tasks), CPUs) strided shares tasks[i::n],
+    CPUs being this process's affinity mask as `taskset` sets it (1 where
+    the OS has none, as on macOS and Windows). With n <= 1 every task runs
+    in this process, in order, and nothing is forked. Otherwise this process
+    runs share 0 while one forked child per other share runs its tasks in
+    order and sends back their results as one list through a one-way pipe.
+    Fork, not spawn: the scenario's cost closures cannot be pickled, and a
+    forked child inherits them. Fork copies the calling thread only;
+    surgeseek starts no other thread. An exception that a child's task
+    raises is re-raised here. A child that exits without sending gives
+    `exited(i, exitcode)` in place of the result of each of its tasks[i].
+    Every child is terminated if still running and joined, whatever way
+    this returns.
     """
-    if len(tasks) <= 1 or usable_cpus() < 2:
+    try:
+        n = min(len(tasks), len(os.sched_getaffinity(0)))
+    except AttributeError:
+        n = 1
+    if n <= 1:
         return [task() for task in tasks]
     import multiprocessing  # only a run that forks pays for the import
     context = multiprocessing.get_context("fork")
     children = []
+    results = [None] * len(tasks)
     try:
-        for task in tasks[1:]:
+        for i in range(1, n):
             receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_send_outcome, args=(sender, task))
+            child = context.Process(target=_send_outcome, args=(sender, tasks[i::n]))
             child.start()
             children.append((child, receiver))
             # the parent's copy of the write end would keep EOF from showing
             sender.close()
-        results = [tasks[0]()]
+        results[0::n] = [task() for task in tasks[0::n]]
         for i, (child, receiver) in enumerate(children, start=1):
             try:
-                ok, result = receiver.recv()
+                ok, share = receiver.recv()
             except EOFError:
                 child.join()
-                results.append(exited(i, child.exitcode))
-                continue
+                ok, share = True, [exited(j, child.exitcode) for j in range(i, len(tasks), n)]
             if not ok:
-                raise result
-            results.append(result)
+                raise share
+            results[i::n] = share
     finally:
         for child, receiver in children:
             receiver.close()
@@ -471,33 +456,24 @@ def sweep(base, axis, values):
     states and times, so the cost and input columns of `run_full` and
     `run_averaged` are never built.
 
-    The values are independent, so they run in n = min(len(values), CPUs)
-    strided shares values[i::n], CPUs being the affinity mask's (`taskset`
-    limits it): the parent computes share 0 and forked children the others
-    (see `run_forked`, which forks nothing for one share); a child that
-    dies fails each of its values with a row naming its exit code.
-    Each share caches its averaged runs per (k, c): within a sweep only the
-    axis value varies, and the averaged run reads neither epsilon nor
-    samples_per_period (its grid is `AVERAGED_STEPS` steps over the
-    horizon), so (k, c) fixes it. Every run is deterministic, so a row's
-    result depends neither on the order of the values nor on the number of
-    processes.
+    Each value is one task of `run_forked`; a worker that dies fails each
+    of its values with a row naming its exit code. The averaged runs are
+    cached per (k, c), which fixes them: the averaged run reads neither
+    epsilon nor samples_per_period. Each process holds its own copy of the
+    cache. Every run is deterministic, so a row depends neither on the
+    order of the values nor on the number of processes.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
     values = list(values)
-    n = min(len(values), usable_cpus())
+    averaged_cache = {}
 
     def exited(i, code):
-        reason = f"sweep worker exited with code {code} before sending its rows"
-        return [_failed_row(value, reason) for value in values[i::n]]
+        return _failed_row(values[i], f"sweep worker exited with code {code} "
+                                      f"before sending its rows")
 
-    shares = run_forked([partial(_sweep_share, base, axis, values[i::n]) for i in range(n)],
-                        exited)
-    rows = [None] * len(values)
-    for i, share in enumerate(shares):
-        rows[i::n] = share
-    return rows
+    return run_forked([partial(_sweep_row, base, axis, value, averaged_cache)
+                       for value in values], exited)
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +517,16 @@ def _write_rows(path, header, columns, lo, hi):
 def write_columns(path, header, columns):
     """CSV of column-stacked arrays under `header`, 15 significant digits.
 
-    With more than `_SPLIT_NUMBERS` numbers to format, more than two blocks
-    of rows and two usable CPUs, the rows are formatted in two shares
-    through `run_forked`: this process writes the header and rows [0, mid)
-    to `path` while a forked child writes rows [mid, n) to
-    `<path>.<pid>.part`, which is then appended to `path` and removed.
-    `mid` is the block boundary nearest below n / 2, and the child inherits
-    the columns, so nothing is pickled and no formatted text crosses the
-    pipe. The bytes are those of the one-share write. If either share
-    fails, or the child dies, neither `path` nor the part file is left.
-    `path` is written in place: the CLI writes under a temporary name that
-    it renames once complete.
+    More than `_SPLIT_NUMBERS` numbers are formatted in two shares, the two
+    tasks of `run_forked`: the header and rows [0, mid) go to `path`, and
+    rows [mid, n) to `<path>.<pid>.part`, which is then appended to `path`
+    and removed. A forked share inherits the columns, so no formatted text
+    crosses the pipe. The bytes are those of a one-share write. If a share
+    fails, neither file is left. `path` is written in place: the CLI
+    renames it into place once complete.
     """
     n = len(columns[0])
-    if (sum(map(np.size, columns)) <= _SPLIT_NUMBERS or n <= 2 * _CSV_BLOCK_ROWS
-            or usable_cpus() < 2):
+    if sum(map(np.size, columns)) <= _SPLIT_NUMBERS:
         _write_rows(path, header, columns, 0, n)
         return
     mid = n // 2 // _CSV_BLOCK_ROWS * _CSV_BLOCK_ROWS

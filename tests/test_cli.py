@@ -100,6 +100,22 @@ def test_sweep_bad_value_exits_nonzero(workdir):
     assert (out / "sweep_epsilon.csv").exists()
 
 
+def test_sweep_keeps_the_earlier_csv_when_its_write_fails(workdir, capsys, monkeypatch):
+    out, scenario = workdir
+    (out / "sweep_k.csv").write_bytes(b"earlier sweep\n")
+    write_metrics_csv = sc.write_metrics_csv
+
+    def fails_after_writing(rows, path):
+        write_metrics_csv(rows, path)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sc, "write_metrics_csv", fails_after_writing)
+    assert main(["sweep", scenario, "--axis", "k", "--values", "0.5"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["scenario.ini", "sweep_k.csv"]
+    assert (out / "sweep_k.csv").read_bytes() == b"earlier sweep\n"
+
+
 def test_sweep_writes_never_only_for_an_unreached_radius(tmp_path, monkeypatch):
     monkeypatch.setenv("SURGESEEK_OUTPUT_DIR", str(tmp_path))
     scenario = tmp_path / "scenario.ini"
@@ -198,7 +214,13 @@ def test_demo_di_keeps_the_earlier_csv_when_its_write_fails(workdir, capsys, mon
 @pytest.mark.parametrize("flags, name", [(["--omega", "-5"], "omega_freq"),
                                          (["--omega", "0"], "omega_freq"),
                                          (["--horizon", "0"], "horizon"),
-                                         (["--horizon", "-1"], "horizon")])
+                                         (["--horizon", "-1"], "horizon"),
+                                         (["--omega", "inf"], "omega_freq"),
+                                         (["--omega", "nan"], "omega_freq"),
+                                         (["--horizon", "inf"], "horizon"),
+                                         (["--horizon", "nan"], "horizon"),
+                                         (["--alpha", "inf"], "alpha"),
+                                         (["--alpha", "nan"], "alpha")])
 def test_demo_di_rejects_non_positive_values(workdir, capsys, flags, name):
     out, _ = workdir
     assert main(["demo-di", *flags]) == 1

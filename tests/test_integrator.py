@@ -122,6 +122,46 @@ def test_an_overflowing_rhs_is_a_blow_up_naming_its_time():
     assert isinstance(info.value.__cause__, OverflowError)
 
 
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_a_stage_state_that_math_cos_rejects_is_a_blow_up(stage):
+    # math.cos raises a ValueError on an infinite angle y[0]: stage 1 of the
+    # first step gets one from the initial state, a later stage of step j
+    # from the RHS call before it, which returns an infinite rate
+    settings = IntegratorSettings(step=0.1, tf=1.0)
+    j = 0 if stage == 1 else 2
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        rate = math.inf if len(calls) == 4 * j + stage - 1 else 1.0
+        return (rate, math.cos(y[0]))
+
+    initial = np.array([math.inf if stage == 1 else 0.0, 0.0])
+    with pytest.raises(BlowUpError) as info:
+        integrate(rhs, initial, settings)
+    assert len(calls) == 4 * j + stage
+    assert info.value.time == 0.1 * (j + 1)
+    assert isinstance(info.value.__cause__, ValueError)
+    clean = integrate(lambda t, y: (1.0, math.cos(y[0])), initial, settings) if j else None
+    want = initial if stage == 1 else clean.states[j]
+    assert info.value.state.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_a_value_error_on_a_finite_stage_state_stays_a_value_error(stage):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) == 4 + stage:
+            raise ValueError("math domain error")
+        return (1.0,)
+
+    with pytest.raises(ValueError, match="^math domain error$") as info:
+        integrate(rhs, np.array([0.0]), IntegratorSettings(step=0.1, tf=1.0))
+    assert info.value.__cause__ is None
+
+
 @pytest.mark.parametrize("wrap", [tuple, list, np.array])
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 6, 7])
 def test_generated_loop_matches_comprehension_loop(m, wrap):

@@ -442,6 +442,36 @@ def test_run_forked_on_one_cpu_imports_no_multiprocessing():
     assert run.stdout == "False\n"
 
 
+def test_run_forked_shares_the_tasks_out_in_strides(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    starts = _counted_starts(monkeypatch)
+    parent = os.getpid()
+    results = sc.run_forked([partial(lambda i: (i, os.getpid()), i) for i in range(5)],
+                            None)
+    assert len(starts) == 1
+    assert multiprocessing.active_children() == []
+    assert [i for i, _pid in results] == list(range(5))
+    # tasks 0, 2 and 4 ran in this process, 1 and 3 in the one child
+    assert [pid == parent for _i, pid in results] == [True, False, True, False, True]
+    assert results[1][1] == results[3][1]
+
+
+def test_run_forked_gives_exited_for_each_task_of_a_child_that_dies(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    parent = os.getpid()
+
+    def task(i):
+        if os.getpid() != parent:
+            os._exit(3)
+        return i
+
+    with _within(10.0):
+        results = sc.run_forked([partial(task, i) for i in range(5)],
+                                lambda i, code: ("exited", i, code))
+    assert multiprocessing.active_children() == []
+    assert results == [0, ("exited", 1, 3), 2, ("exited", 3, 3), 4]
+
+
 @contextlib.contextmanager
 def _within(seconds):
     """Fail, rather than hang, a block still running after `seconds`."""
@@ -463,14 +493,14 @@ def _within(seconds):
 def test_sweep_survives_a_worker_that_dies(monkeypatch):
     _three_cpus(monkeypatch)
     parent = os.getpid()
-    share = sc._sweep_share
+    sweep_row = sc._sweep_row
 
-    def dies_in_children(base, axis, values):
+    def dies_in_children(base, axis, value, averaged_cache):
         if os.getpid() != parent:
             os._exit(3)
-        return share(base, axis, values)
+        return sweep_row(base, axis, value, averaged_cache)
 
-    monkeypatch.setattr(sc, "_sweep_share", dies_in_children)
+    monkeypatch.setattr(sc, "_sweep_row", dies_in_children)
     with _within(10.0):
         rows = sc.sweep(_scenario(horizon=2.0), "k", [0.5, 1.0, 1.5, 2.0])
     assert multiprocessing.active_children() == []
@@ -486,12 +516,12 @@ def test_sweep_reaps_its_workers_when_the_parent_is_interrupted(monkeypatch):
     _three_cpus(monkeypatch)
     parent = os.getpid()
 
-    def interrupted(_base, _axis, _values):
+    def interrupted(_base, _axis, _value, _averaged_cache):
         if os.getpid() != parent:
             time.sleep(60.0)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(sc, "_sweep_share", interrupted)
+    monkeypatch.setattr(sc, "_sweep_row", interrupted)
     # the children sleep for 60 s; only terminating them returns sooner
     with _within(10.0), pytest.raises(KeyboardInterrupt):
         sc.sweep(_scenario(), "k", [0.5, 1.0, 1.5])
@@ -651,8 +681,8 @@ def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
         path = tmp_path / f"{len(cpus)}.csv"
         sc.write_columns(str(path), sc.TRAJECTORY_HEADER, columns)
         written[len(cpus)] = path.read_bytes()
-    # only more than two blocks of rows on two CPUs fork the tail share
-    assert len(starts) == (rows > 2 * sc._CSV_BLOCK_ROWS)
+    # on two CPUs the tail share is forked whatever the number of rows
+    assert len(starts) == 1
     assert multiprocessing.active_children() == []
     assert written[2] == written[1]
     assert written[1].count(b"\n") == rows + 1
@@ -774,6 +804,20 @@ def test_a_full_run_that_overflows_names_the_time_of_its_blow_up():
         sc.run_full(s)
     assert isinstance(info.value.__cause__, BlowUpError)
     assert isinstance(info.value.__cause__.__cause__, OverflowError)
+
+
+@pytest.mark.parametrize("run, name, step", [
+    (sc.run_full, "full", 20.0 / math.ceil(20.0 / (0.1 * 2.0 * math.pi / 100))),
+    (sc.run_averaged, "averaged", 20.0 / sc.AVERAGED_STEPS)], ids=["full", "averaged"])
+def test_a_run_whose_angle_math_cos_rejects_names_the_time_of_its_blow_up(run, name, step):
+    # a yaw rate of 1e308 overflows the heading of a later stage to inf,
+    # on which math.cos raises a ValueError
+    s = _scenario(initial=[0.0, 0.0, 0.0, 0.0, 0.0, 1e308])
+    with pytest.raises(RuntimeError, match=rf"^{name} run failed \(non-finite state "
+                       rf"encountered at t={step:.6g}\); gains k=1.0") as info:
+        run(s)
+    assert isinstance(info.value.__cause__, BlowUpError)
+    assert isinstance(info.value.__cause__.__cause__, ValueError)
 
 
 def test_sweep_rows_do_not_depend_on_value_order_or_epsilon():
