@@ -6,6 +6,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,7 @@ def _write_meta(out, name, s, extra=None):
     }
     if extra:
         meta.update(extra)
-    with open(os.path.join(out, name), "w") as f:
+    with _renamed(os.path.join(out, name)) as (temp,), open(temp, "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
@@ -57,12 +58,35 @@ def _renamed(*paths):
                 os.remove(temp)
 
 
-def cmd_simulate(args):
+def _run_to_csv(run, s, path):
+    """`run(s)` written to `path`; a forked child sends back only the
+    times and states, all that `compare` reads."""
+    traj = run(s)
+    sc.write_trajectory_csv(traj, path)
+    return Trajectory(traj.t, traj.states)
+
+
+def _runs(args, *names):
+    """The scenario, its output directory and the runs `names` ("full",
+    "averaged"), each written to `<name>.csv` by one task of
+    `sc.run_forked`. The CSVs are renamed into place only once every run
+    and every write has succeeded."""
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s.output_dir)
-    traj = sc.run_full(s)
-    with _renamed(os.path.join(out, "full.csv")) as (temp,):
-        sc.write_trajectory_csv(traj, temp)
+    runners = {"full": sc.run_full, "averaged": sc.run_averaged}
+
+    def exited(i, code):
+        raise RuntimeError(f"{names[i]} run worker exited with code {code} "
+                           f"before sending its run")
+
+    with _renamed(*(os.path.join(out, f"{name}.csv") for name in names)) as temps:
+        runs = sc.run_forked([partial(_run_to_csv, runners[name], s, temp)
+                              for name, temp in zip(names, temps)], exited)
+    return s, out, runs
+
+
+def cmd_simulate(args):
+    s, out, _ = _runs(args, "full")
     _write_meta(out, "full_meta.json", s)
     _print_warnings(s)
     print(os.path.join(out, "full.csv"))
@@ -70,11 +94,7 @@ def cmd_simulate(args):
 
 
 def cmd_average(args):
-    s = sc.load_scenario(args.scenario)
-    out = _output_dir(s.output_dir)
-    traj = sc.run_averaged(s)
-    with _renamed(os.path.join(out, "averaged.csv")) as (temp,):
-        sc.write_trajectory_csv(traj, temp)
+    s, out, _ = _runs(args, "averaged")
     _write_meta(out, "averaged_meta.json", s)
     _print_warnings(s)
     print(os.path.join(out, "averaged.csv"))
@@ -82,32 +102,10 @@ def cmd_average(args):
 
 
 def cmd_compare(args):
-    """The full run against its averaged run, the two tasks of
-    `sc.run_forked`. Both CSVs are renamed into place only once both runs
-    and both writes have succeeded."""
     if args.radius is not None and not 0 < args.radius < math.inf:
         raise ValueError(f"--radius: {args.radius!r} is not a finite positive number")
-    s = sc.load_scenario(args.scenario)
-    out = _output_dir(s.output_dir)
-    with _renamed(os.path.join(out, "full.csv"),
-                  os.path.join(out, "averaged.csv")) as (full_temp, avg_temp):
-        def full_to_csv():
-            full = sc.run_full(s)
-            sc.write_trajectory_csv(full, full_temp)
-            return full
-
-        def averaged_to_csv():
-            # a forked child sends back only what `compare` reads
-            avg = sc.run_averaged(s)
-            sc.write_trajectory_csv(avg, avg_temp)
-            return avg.t, avg.states
-
-        def exited(_i, code):
-            raise RuntimeError(f"averaged run worker exited with code {code} "
-                               f"before sending its run")
-
-        full, (t, states) = sc.run_forked([full_to_csv, averaged_to_csv], exited)
-    metrics = sc.compare(full, Trajectory(t, states), s, radius=args.radius)
+    s, out, (full, averaged) = _runs(args, "full", "averaged")
+    metrics = sc.compare(full, averaged, s, radius=args.radius)
     _write_meta(out, "compare_meta.json", s, extra={"metrics": asdict(metrics)})
     _print_warnings(s)
     for key, val in asdict(metrics).items():

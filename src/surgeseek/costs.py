@@ -17,7 +17,7 @@ class CostField:
     name: str
     value: callable          # (x, y) -> float >= 0
     gradient: callable       # (x, y) -> (gx, gy) float pair
-    minimizer: tuple = None  # known (x_star, y_star), if any
+    minimizer: tuple         # (x_star, y_star)
 
 
 def _check_coefficients(a, b, floor):

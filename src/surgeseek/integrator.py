@@ -48,7 +48,7 @@ class IntegratorSettings:
     """Fixed step over [0, tf]; the step must divide tf."""
 
     step: float
-    tf: float = 1.0
+    tf: float
 
     def __post_init__(self):
         if not (0.0 < self.step <= self.tf):

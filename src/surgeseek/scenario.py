@@ -346,10 +346,7 @@ SWEEP_AXES = ("epsilon", "k", "c")
 
 
 def _with_value(scenario, axis, value):
-    gains = scenario.gains
-    kwargs = {"k": gains.k, "c": gains.c, "epsilon": gains.epsilon}
-    kwargs[axis] = value
-    return replace(scenario, gains=EsGains(**kwargs))
+    return replace(scenario, gains=replace(scenario.gains, **{axis: value}))
 
 
 def _failed_row(value, reason):
@@ -517,30 +514,31 @@ def _write_rows(path, header, columns, lo, hi):
 def write_columns(path, header, columns):
     """CSV of column-stacked arrays under `header`, 15 significant digits.
 
-    More than `_SPLIT_NUMBERS` numbers are formatted in two shares, the two
-    tasks of `run_forked`: the header and rows [0, mid) go to `path`, and
-    rows [mid, n) to `<path>.<pid>.part`, which is then appended to `path`
-    and removed. A forked share inherits the columns, so no formatted text
-    crosses the pipe. The bytes are those of a one-share write. If a share
-    fails, neither file is left. `path` is written in place: the CLI
-    renames it into place once complete.
+    The rows are written by the tasks of `run_forked`: one share of every
+    row, or above `_SPLIT_NUMBERS` numbers two, the header and rows
+    [0, mid) to `path` and rows [mid, n) to `<path>.<pid>.part`, which is
+    then appended to `path` and removed. A forked share inherits the
+    columns, so no formatted text crosses the pipe, and the bytes are those
+    of one share. If a share fails, neither file is left. `path` is
+    written in place: the CLI renames it into place once complete.
     """
     n = len(columns[0])
-    if sum(map(np.size, columns)) <= _SPLIT_NUMBERS:
-        _write_rows(path, header, columns, 0, n)
-        return
     mid = n // 2 // _CSV_BLOCK_ROWS * _CSV_BLOCK_ROWS
     # the pid keeps two runs that write one path from sharing a part file
     part = f"{path}.{os.getpid()}.part"
+    split = sum(map(np.size, columns)) > _SPLIT_NUMBERS
+    shares = [partial(_write_rows, path, header, columns, 0, mid if split else n)]
+    if split:
+        shares.append(partial(_write_rows, part, None, columns, mid, n))
 
     def exited(_i, code):
         raise RuntimeError(f"CSV writer of rows {mid}-{n} exited with code {code}")
 
     try:
-        run_forked([partial(_write_rows, path, header, columns, 0, mid),
-                    partial(_write_rows, part, None, columns, mid, n)], exited)
-        with open(path, "ab") as f, open(part, "rb") as tail:
-            shutil.copyfileobj(tail, f)
+        run_forked(shares, exited)
+        if split:
+            with open(path, "ab") as f, open(part, "rb") as tail:
+                shutil.copyfileobj(tail, f)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)

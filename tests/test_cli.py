@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import surgeseek.cli as cli
 import surgeseek.scenario as sc
 from surgeseek.cli import main
 
@@ -82,6 +83,25 @@ def test_runs_print_the_torque_warning_once(workdir, capfd, monkeypatch, command
     assert capfd.readouterr().err == (
         "warning: torque c=25 is at or above the shifted-passivity bound 20.2535; "
         "continuing anyway\n")
+
+
+@pytest.mark.parametrize("command, name", [("simulate", "full_meta.json"),
+                                           ("average", "averaged_meta.json"),
+                                           ("compare", "compare_meta.json")])
+def test_a_failed_meta_write_keeps_the_earlier_meta(workdir, capsys, monkeypatch,
+                                                    command, name):
+    out, scenario = workdir
+    (out / name).write_bytes(b"earlier meta\n")
+
+    def fails_part_way(_meta, f, **_kwargs):
+        f.write('{\n  "declared')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", fails_part_way)
+    assert main([command, scenario]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert (out / name).read_bytes() == b"earlier meta\n"
+    assert [p.name for p in out.iterdir() if p.suffix == ".tmp"] == []
 
 
 def test_sweep_writes_metrics(workdir):

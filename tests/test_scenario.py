@@ -690,10 +690,14 @@ def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
 
 
 @pytest.mark.parametrize("share, failure", [("tail", "raises"), ("tail", "exits"),
-                                            ("head", "raises")])
+                                            ("head", "raises"), ("only", "raises")])
 def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share, failure):
-    monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
+    # 10 rows are written in one share; 5003 rows, with a bound of 0, in two
+    rows = 10 if share == "only" else 5003
+    if share != "only":
+        monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    starts = _counted_starts(monkeypatch)
     write_rows = sc._write_rows
 
     def fails_after_writing(path, *args):
@@ -710,7 +714,8 @@ def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share,
     monkeypatch.setattr(sc, "_write_rows", fails_after_writing)
     want = "exited with code 3" if failure == "exits" else f"{share} share failed"
     with _within(10.0), pytest.raises((OSError, RuntimeError), match=want):
-        sc.write_columns(str(tmp_path / "run.csv"), sc.TRAJECTORY_HEADER, _columns(5003))
+        sc.write_columns(str(tmp_path / "run.csv"), sc.TRAJECTORY_HEADER, _columns(rows))
+    assert len(starts) == (share != "only")
     assert multiprocessing.active_children() == []
     assert list(tmp_path.iterdir()) == []
 
