@@ -22,7 +22,7 @@ def _output_dir(default):
     return out
 
 
-def _write_meta(out, name, s, extra=None):
+def _write_meta(path, s, extra):
     meta = {
         "gains": {"k": s.gains.k, "c": s.gains.c, "epsilon": s.gains.epsilon},
         "cost": s.cost.name,
@@ -31,9 +31,8 @@ def _write_meta(out, name, s, extra=None):
         "warnings": s.warnings,
         "declared_constants": sc.DECLARED_CONSTANTS,
     }
-    if extra:
-        meta.update(extra)
-    with _renamed(os.path.join(out, name)) as (temp,), open(temp, "w") as f:
+    meta.update(extra)
+    with open(path, "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
@@ -66,49 +65,54 @@ def _run_to_csv(run, s, path):
     return Trajectory(traj.t, traj.states)
 
 
-def _runs(args, *names):
-    """The scenario, its output directory and the runs `names` ("full",
-    "averaged"), each written to `<name>.csv` by one task of
-    `sc.run_forked`. The CSVs are renamed into place only once every run
-    and every write has succeeded."""
+def _runs(args, names, meta, extra=lambda s, *runs: {}):
+    """The scenario and the runs `names` ("full", "averaged"), each written
+    to `<name>.csv` by one task of `sc.run_forked`, and the meta file
+    `meta`, with the keys `extra(s, *runs)` adds. The CSVs and the meta are
+    renamed into place together, only once every run, every write and the
+    meta have succeeded. Returns the scenario, the path of each CSV and
+    the added keys."""
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s.output_dir)
     runners = {"full": sc.run_full, "averaged": sc.run_averaged}
+    paths = [os.path.join(out, f"{name}.csv") for name in names]
 
     def exited(i, code):
         raise RuntimeError(f"{names[i]} run worker exited with code {code} "
                            f"before sending its run")
 
-    with _renamed(*(os.path.join(out, f"{name}.csv") for name in names)) as temps:
+    with _renamed(*paths, os.path.join(out, meta)) as temps:
         runs = sc.run_forked([partial(_run_to_csv, runners[name], s, temp)
                               for name, temp in zip(names, temps)], exited)
-    return s, out, runs
+        added = extra(s, *runs)
+        _write_meta(temps[-1], s, added)
+    return s, paths, added
 
 
 def cmd_simulate(args):
-    s, out, _ = _runs(args, "full")
-    _write_meta(out, "full_meta.json", s)
+    s, (path,), _ = _runs(args, ["full"], "full_meta.json")
     _print_warnings(s)
-    print(os.path.join(out, "full.csv"))
+    print(path)
     return 0
 
 
 def cmd_average(args):
-    s, out, _ = _runs(args, "averaged")
-    _write_meta(out, "averaged_meta.json", s)
+    s, (path,), _ = _runs(args, ["averaged"], "averaged_meta.json")
     _print_warnings(s)
-    print(os.path.join(out, "averaged.csv"))
+    print(path)
     return 0
 
 
 def cmd_compare(args):
     if args.radius is not None and not 0 < args.radius < math.inf:
         raise ValueError(f"--radius: {args.radius!r} is not a finite positive number")
-    s, out, (full, averaged) = _runs(args, "full", "averaged")
-    metrics = sc.compare(full, averaged, s, radius=args.radius)
-    _write_meta(out, "compare_meta.json", s, extra={"metrics": asdict(metrics)})
+
+    def metrics(s, full, averaged):
+        return {"metrics": asdict(sc.compare(full, averaged, s, radius=args.radius))}
+
+    s, _, added = _runs(args, ["full", "averaged"], "compare_meta.json", metrics)
     _print_warnings(s)
-    for key, val in asdict(metrics).items():
+    for key, val in added["metrics"].items():
         print(f"{key}={val:.6g}")
     return 0
 

@@ -14,9 +14,10 @@ the linear motion is claimed to converge, while the vehicle keeps spinning.
 Each runner integrates its loop and then records the cost and the inputs
 along the states. The metrics read states and times only, so `sweep`
 integrates the same two loops and records states only. Independent work
-(a sweep's values, CLI `compare`'s two runs, the two shares of a long
-CSV) goes through `run_forked`, which shares the tasks out over the
-usable CPUs. Every output keeps its bits whatever the number of CPUs.
+(a sweep's full and averaged runs, CLI `compare`'s two runs, the two
+shares of a long CSV) goes through `run_forked`, which shares the tasks
+out over the usable CPUs by their costs; a sweep's runs cost their RK4
+step counts. Every output keeps its bits whatever the number of CPUs.
 """
 import configparser
 import contextlib
@@ -32,7 +33,7 @@ import numpy as np
 from . import costs
 from .averaging import AVERAGED_STEPS, LAMBDA_11, es_product_gain, es_surge_self_product
 from .dither import EsGains, surge_law
-from .integrator import IntegratorSettings, dividing_step, hermite, integrate
+from .integrator import IntegratorSettings, Trajectory, dividing_step, hermite, integrate
 from .passivity import c_hat_bound
 from .vehicle import VehicleParams, dynamics_rhs
 
@@ -178,6 +179,13 @@ def _record(scenario, traj, surge=None):
     return traj
 
 
+def _full_step(scenario):
+    """`run_full`'s step: the largest that divides the horizon and resolves
+    the dither period in `samples_per_period` steps."""
+    return dividing_step(scenario.horizon, scenario.gains.epsilon * 2.0 * math.pi
+                         / scenario.samples_per_period)
+
+
 def _integrate_full(scenario):
     """The oscillatory closed loop's states, on `run_full`'s grid."""
     p = scenario.vehicle
@@ -189,9 +197,8 @@ def _integrate_full(scenario):
     def rhs(t, y):
         return dynamics_rhs(p, y, (u1(t, value(y[0], y[1])), c_torque))
 
-    step = dividing_step(scenario.horizon, gains.epsilon * 2.0 * math.pi
-                         / scenario.samples_per_period)
-    return _integrate(scenario, rhs, step, "full", f" eps={gains.epsilon}")
+    return _integrate(scenario, rhs, _full_step(scenario), "full",
+                      f" eps={gains.epsilon}")
 
 
 def _integrate_averaged(scenario):
@@ -211,8 +218,7 @@ def _integrate_averaged(scenario):
 def run_full(scenario):
     """Integrate the oscillatory closed loop, recording input and cost.
 
-    The step is the largest that divides the horizon and resolves the
-    dither period in `samples_per_period` steps.
+    The step is `_full_step`'s.
     """
     return _record(scenario, _integrate_full(scenario), surge_law(scenario.gains, np.cos))
 
@@ -302,9 +308,12 @@ def sup_position_deviation(full, averaged, t_max=None):
     Heading and yaw rate are excluded on purpose. The averaged run is
     evaluated at the full run's times by cubic Hermite interpolation with
     exact position rates, so its coarser grid costs no accuracy that the
-    metric could see.
+    metric could see. `full` may carry the leading state columns only (a
+    sweep's carries x and y); the start of each column it carries must
+    equal the averaged run's.
     """
-    if not np.allclose(full.states[0], averaged.states[0], atol=1e-12):
+    start = full.states[0]
+    if not np.allclose(start, averaged.states[0, :len(start)], atol=1e-12):
         raise ValueError("runs must start from identical initial states")
     t = full.t
     if t_max is not None:
@@ -358,15 +367,32 @@ def _failed_row(value, reason):
     }
 
 
-def _sweep_row(base, axis, value, averaged_cache):
-    """The metrics row of one value; a failing run gives a row naming why."""
+def _sweep_run(run, scenario):
+    """`run(scenario)`, or the text of the exception it raises, which the
+    rows that read the run name."""
     try:
-        sc = _with_value(base, axis, value)
-        full = _integrate_full(sc)
-        key = (sc.gains.k, sc.gains.c)
-        if key not in averaged_cache:
-            averaged_cache[key] = _integrate_averaged(sc)
-        metrics = compare(full, averaged_cache[key], sc)
+        return run(scenario)
+    except Exception as exc:
+        return str(exc)
+
+
+def _full_positions(scenario):
+    """A sweep's full run: its times and its x and y columns, all that the
+    metrics read of it. The other columns are dropped in the process that
+    integrates it, so a forked worker sends back a third of the run."""
+    traj = _integrate_full(scenario)
+    return Trajectory(traj.t, traj.states[:, :2].copy())
+
+
+def _sweep_row(value, scenario, full, averaged):
+    """The metrics row of one value from its two runs. A run that failed,
+    given as the text of its error, or failing metrics give a row naming
+    why."""
+    for run in (full, averaged):
+        if isinstance(run, str):
+            return _failed_row(value, run)
+    try:
+        metrics = compare(full, averaged, scenario)
     except Exception as exc:
         return _failed_row(value, str(exc))
     return {
@@ -390,22 +416,40 @@ def _send_outcome(sender, tasks):
     sender.close()
 
 
-def run_forked(tasks, exited):
+def _shares(costs, n):
+    """The task indices of each of `n` shares, each in task order.
+
+    The tasks are placed longest first, each onto the least-loaded share,
+    ties going to the lowest share index; tasks of equal cost are placed in
+    task order. With equal costs this gives the strides range(i, len, n).
+    """
+    shares = [[] for _ in range(n)]
+    loads = [0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        share = loads.index(min(loads))
+        shares[share].append(i)
+        loads[share] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def run_forked(tasks, exited, costs=None):
     """The results of `tasks`, in order.
 
-    The tasks run in n = min(len(tasks), CPUs) strided shares tasks[i::n],
-    CPUs being this process's affinity mask as `taskset` sets it (1 where
-    the OS has none, as on macOS and Windows). With n <= 1 every task runs
-    in this process, in order, and nothing is forked. Otherwise this process
-    runs share 0 while one forked child per other share runs its tasks in
-    order and sends back their results as one list through a one-way pipe.
-    Fork, not spawn: the scenario's cost closures cannot be pickled, and a
-    forked child inherits them. Fork copies the calling thread only;
-    surgeseek starts no other thread. An exception that a child's task
-    raises is re-raised here. A child that exits without sending gives
-    `exited(i, exitcode)` in place of the result of each of its tasks[i].
-    Every child is terminated if still running and joined, whatever way
-    this returns.
+    The tasks run in n = min(len(tasks), CPUs) shares, CPUs being this
+    process's affinity mask as `taskset` sets it (1 where the OS has none,
+    as on macOS and Windows). With n <= 1 every task runs in this process,
+    in order, and nothing is forked. Otherwise `_shares` places the tasks
+    by their positive `costs`, longest first, each onto the least-loaded
+    share; with `costs=None` every task costs 1, which gives the strided
+    shares tasks[i::n]. This process runs share 0 while one forked child
+    per other share runs its tasks in task order and sends back their
+    results as one list through a one-way pipe. Fork, not spawn: the
+    scenario's cost closures cannot be pickled, and a forked child inherits
+    them. Fork copies the calling thread only; surgeseek starts no other
+    thread. An exception that a child's task raises is re-raised here. A
+    child that exits without sending gives `exited(i, exitcode)` in place of
+    the result of each of its tasks[i]. Every child is terminated if still
+    running and joined, whatever way this returns.
     """
     try:
         n = min(len(tasks), len(os.sched_getaffinity(0)))
@@ -413,28 +457,32 @@ def run_forked(tasks, exited):
         n = 1
     if n <= 1:
         return [task() for task in tasks]
+    shares = _shares([1] * len(tasks) if costs is None else costs, n)
     import multiprocessing  # only a run that forks pays for the import
     context = multiprocessing.get_context("fork")
     children = []
     results = [None] * len(tasks)
     try:
-        for i in range(1, n):
+        for share in shares[1:]:
             receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_send_outcome, args=(sender, tasks[i::n]))
+            child = context.Process(target=_send_outcome,
+                                    args=(sender, [tasks[i] for i in share]))
             child.start()
             children.append((child, receiver))
             # the parent's copy of the write end would keep EOF from showing
             sender.close()
-        results[0::n] = [task() for task in tasks[0::n]]
-        for i, (child, receiver) in enumerate(children, start=1):
+        for i in shares[0]:
+            results[i] = tasks[i]()
+        for share, (child, receiver) in zip(shares[1:], children):
             try:
-                ok, share = receiver.recv()
+                ok, outcome = receiver.recv()
             except EOFError:
                 child.join()
-                ok, share = True, [exited(j, child.exitcode) for j in range(i, len(tasks), n)]
+                ok, outcome = True, [exited(i, child.exitcode) for i in share]
             if not ok:
-                raise share
-            results[i::n] = share
+                raise outcome
+            for i, result in zip(share, outcome):
+                results[i] = result
     finally:
         for child, receiver in children:
             receiver.close()
@@ -453,24 +501,46 @@ def sweep(base, axis, values):
     states and times, so the cost and input columns of `run_full` and
     `run_averaged` are never built.
 
-    Each value is one task of `run_forked`; a worker that dies fails each
-    of its values with a row naming its exit code. The averaged runs are
-    cached per (k, c), which fixes them: the averaged run reads neither
-    epsilon nor samples_per_period. Each process holds its own copy of the
-    cache. Every run is deterministic, so a row depends neither on the
-    order of the values nor on the number of processes.
+    Each run is one task of `run_forked`, costed at its RK4 step count: one
+    full run per value, and one averaged run per distinct (k, c), since the
+    averaged run reads neither epsilon nor samples_per_period. A full run
+    task returns its times and x, y columns only. The rows are computed in
+    this process from the returned runs. A worker that dies fails each row
+    that reads one of its runs with a reason naming its exit code. Every
+    run is deterministic, so a row depends neither on the order of the
+    values nor on the number of processes.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
     values = list(values)
-    averaged_cache = {}
+    tasks, costs = [], []
 
-    def exited(i, code):
-        return _failed_row(values[i], f"sweep worker exited with code {code} "
-                                      f"before sending its rows")
+    def add(run, scenario, cost):
+        tasks.append(partial(_sweep_run, run, scenario))
+        costs.append(cost)
+        return len(tasks) - 1
 
-    return run_forked([partial(_sweep_row, base, axis, value, averaged_cache)
-                       for value in values], exited)
+    averaged = {}   # (k, c): the index of its averaged run's task
+    pairs = []      # per value: its scenario and its two runs' task indices
+    for value in values:
+        try:
+            scenario = _with_value(base, axis, value)
+        except Exception as exc:
+            pairs.append(str(exc))
+            continue
+        key = (scenario.gains.k, scenario.gains.c)
+        if key not in averaged:
+            averaged[key] = add(_integrate_averaged, scenario, AVERAGED_STEPS)
+        full = add(_full_positions, scenario, round(scenario.horizon / _full_step(scenario)))
+        pairs.append((scenario, full, averaged[key]))
+
+    def exited(_i, code):
+        return f"sweep worker exited with code {code} before sending its runs"
+
+    runs = run_forked(tasks, exited, costs)
+    return [_failed_row(value, pair) if isinstance(pair, str)
+            else _sweep_row(value, pair[0], runs[pair[1]], runs[pair[2]])
+            for value, pair in zip(values, pairs)]
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,14 @@ def test_runs_print_the_torque_warning_once(workdir, capfd, monkeypatch, command
                                            ("compare", "compare_meta.json")])
 def test_a_failed_meta_write_keeps_the_earlier_meta(workdir, capsys, monkeypatch,
                                                     command, name):
+    # the CSVs and the meta are renamed into place together: a failed meta
+    # write leaves the earlier CSVs beside the earlier meta they match
     out, scenario = workdir
+    csvs = {"simulate": ["full.csv"], "average": ["averaged.csv"],
+            "compare": ["full.csv", "averaged.csv"]}[command]
     (out / name).write_bytes(b"earlier meta\n")
+    for csv_name in csvs:
+        (out / csv_name).write_bytes(b"earlier " + csv_name.encode() + b"\n")
 
     def fails_part_way(_meta, f, **_kwargs):
         f.write('{\n  "declared')
@@ -101,6 +107,8 @@ def test_a_failed_meta_write_keeps_the_earlier_meta(workdir, capsys, monkeypatch
     assert main([command, scenario]) == 1
     assert "disk full" in capsys.readouterr().err
     assert (out / name).read_bytes() == b"earlier meta\n"
+    for csv_name in csvs:
+        assert (out / csv_name).read_bytes() == b"earlier " + csv_name.encode() + b"\n"
     assert [p.name for p in out.iterdir() if p.suffix == ".tmp"] == []
 
 

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import surgeseek.scenario as sc
-from surgeseek.averaging import (LAMBDA_11, averaged_rhs, closed_loop_fields,
-                                 es_input_field, lambda_matrix)
+from surgeseek.averaging import (AVERAGED_STEPS, LAMBDA_11, averaged_rhs,
+                                 closed_loop_fields, es_input_field, lambda_matrix)
 from surgeseek.cli import main
 from surgeseek.costs import quadratic_cost
 from surgeseek.dither import EsGains, es_dither_set
@@ -291,6 +291,17 @@ def test_compare_rejects_mismatched_initial_states():
         sc.compare(a, b, _scenario())
 
 
+def test_compare_checks_the_start_of_each_column_the_full_run_carries():
+    # a sweep's full run carries x and y only
+    full = sc._full_positions(_scenario(horizon=2.0))
+    moved_y = sc.run_averaged(_scenario(horizon=2.0, initial=[0.0, 1.0, 0, 0, 0, 0]))
+    with pytest.raises(ValueError, match="initial"):
+        sc.compare(full, moved_y, _scenario())
+    # a start that differs in a column the full run dropped is not read
+    moved_vy = sc.run_averaged(_scenario(horizon=2.0, initial=[0.0, 0, 0, 0, 1.0, 0]))
+    assert sc.compare(full, moved_vy, _scenario()).sup_deviation > 0.0
+
+
 def test_convergence_time_never_sentinel():
     s = _scenario(gains=EsGains(0.0, 1.0, 0.1), horizon=5.0)
     traj = sc.run_full(s)
@@ -368,7 +379,9 @@ def _counted_starts(monkeypatch):
 
 
 def test_forked_sweep_matches_single_runs(monkeypatch):
-    # share 0 (k = 0.5) runs in-process, k = 1 and k = 1.5 in two children
+    # the three averaged runs outweigh the three full runs of a 10 s
+    # horizon: share 0 (both runs of k = 0.5) runs in-process, those of
+    # k = 1 and k = 1.5 in two children
     _three_cpus(monkeypatch)
     starts = _counted_starts(monkeypatch)
     base = _scenario(horizon=10.0)
@@ -384,19 +397,21 @@ def test_forked_sweep_equals_one_value_sweeps(monkeypatch):
     starts = _counted_starts(monkeypatch)
     s = _scenario(horizon=5.0)
     rows = sc.sweep(s, "epsilon", [0.1, 0.05])
-    # two values start one child, never more than min(values, CPUs) - 1
-    assert len(starts) == 1
+    # two full runs and the averaged run they share are three tasks: two
+    # children, never more than min(tasks, CPUs) - 1
+    assert len(starts) == 2
     assert rows == sc.sweep(s, "epsilon", [0.1]) + sc.sweep(s, "epsilon", [0.05])
-    # a one-value sweep runs in-process
-    assert len(starts) == 1
+    # a one-value sweep's two runs start one child each
+    assert len(starts) == 4
 
 
 def test_sweep_without_an_affinity_mask_runs_in_process(monkeypatch):
     _three_cpus(monkeypatch)
     starts = _counted_starts(monkeypatch)
     s = _scenario(horizon=2.0)
+    # four runs on three CPUs: two children
     forked = sc.sweep(s, "k", [0.5, 1.5])
-    assert len(starts) == 1
+    assert len(starts) == 2
     monkeypatch.delattr(os, "sched_getaffinity")
     del starts[:]
     assert sc.sweep(s, "k", [0.5, 1.5]) == forked
@@ -472,6 +487,72 @@ def test_run_forked_gives_exited_for_each_task_of_a_child_that_dies(monkeypatch)
     assert results == [0, ("exited", 1, 3), 2, ("exited", 3, 3), 4]
 
 
+# task costs whose longest-first, least-loaded shares differ from strides:
+# on two CPUs tasks 1, 3 and 4 are placed onto shares 0, 1 and 1, task 2 onto
+# share 0 (loads 7 and 7) and task 0 onto share 0 (the lower index of a tie)
+UNEQUAL_COSTS = [1, 5, 2, 4, 3]
+UNEQUAL_SHARES = {2: [[0, 1, 2], [3, 4]], 3: [[1], [0, 3], [2, 4]]}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_run_forked_places_the_longest_task_first_onto_the_least_loaded_share(
+        monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)),
+                        raising=False)
+    starts = _counted_starts(monkeypatch)
+    results = sc.run_forked([partial(lambda i: (i, os.getpid()), i) for i in range(5)],
+                            None, UNEQUAL_COSTS)
+    assert len(starts) == cpus - 1
+    assert multiprocessing.active_children() == []
+    assert [i for i, _pid in results] == list(range(5))
+    pids = [[results[i][1] for i in share] for share in UNEQUAL_SHARES[cpus]]
+    assert set(pids[0]) == {os.getpid()}
+    assert all(len(set(share)) == 1 for share in pids)
+    assert len({share[0] for share in pids}) == cpus
+
+
+def test_run_forked_gives_exited_for_exactly_the_tasks_of_the_child_that_dies(
+        monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False)
+
+    def task(i):
+        if i == 3:
+            os._exit(3)
+        return i
+
+    # task 3 is in share 1 with task 0, which ran before it in that child
+    with _within(10.0):
+        results = sc.run_forked([partial(task, i) for i in range(5)],
+                                lambda i, code: ("exited", i, code), UNEQUAL_COSTS)
+    assert multiprocessing.active_children() == []
+    assert results == [("exited", 0, 3), 1, 2, ("exited", 3, 3), 4]
+
+
+def test_sweep_passes_one_averaged_task_per_k_and_c_costed_in_steps(monkeypatch):
+    passed = []
+    run_forked = sc.run_forked
+
+    def spy(tasks, exited, costs=None):
+        passed.append((tasks, costs))
+        return run_forked(tasks, exited, costs)
+
+    monkeypatch.setattr(sc, "run_forked", spy)
+    base = _scenario(horizon=2.0)
+    values = [0.1, 0.05, 0.2]
+    rows = sc.sweep(base, "epsilon", values)
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    [(tasks, costs)] = passed
+    runs = [task.args[0] for task in tasks]
+    assert runs.count(sc._integrate_averaged) == 1
+    assert costs[runs.index(sc._integrate_averaged)] == AVERAGED_STEPS
+    # each full run costs the RK4 steps it takes
+    fulls = [(task.args[1], cost) for task, cost in zip(tasks, costs)
+             if task.args[0] is sc._full_positions]
+    assert [s.gains.epsilon for s, _cost in fulls] == values
+    assert [cost for _s, cost in fulls] == [len(sc._integrate_full(s).t) - 1
+                                            for s, _cost in fulls]
+
+
 @contextlib.contextmanager
 def _within(seconds):
     """Fail, rather than hang, a block still running after `seconds`."""
@@ -493,35 +574,40 @@ def _within(seconds):
 def test_sweep_survives_a_worker_that_dies(monkeypatch):
     _three_cpus(monkeypatch)
     parent = os.getpid()
-    sweep_row = sc._sweep_row
+    sweep_run = sc._sweep_run
 
-    def dies_in_children(base, axis, value, averaged_cache):
+    def dies_in_children(run, scenario):
         if os.getpid() != parent:
             os._exit(3)
-        return sweep_row(base, axis, value, averaged_cache)
+        return sweep_run(run, scenario)
 
-    monkeypatch.setattr(sc, "_sweep_row", dies_in_children)
+    monkeypatch.setattr(sc, "_sweep_run", dies_in_children)
+    values = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     with _within(10.0):
-        rows = sc.sweep(_scenario(horizon=2.0), "k", [0.5, 1.0, 1.5, 2.0])
+        rows = sc.sweep(_scenario(horizon=2.0), "k", values)
     assert multiprocessing.active_children() == []
-    # the parent computes values[0::3]; one child each had [1.0] and [1.5]
-    assert [row["param_value"] for row in rows] == [0.5, 1.0, 1.5, 2.0]
-    assert [row["status"] for row in rows[0::3]] == ["ok", "ok"]
-    for row in rows[1:3]:
-        assert row["status"] != "ok" and "code 3" in row["status"]
-        assert math.isnan(row["final_error"])
+    # the six averaged runs (10,000 steps each) are placed first, in
+    # strides, then the six full runs (319 steps each): the parent runs
+    # both runs of values[0::3], each child both runs of two other values
+    assert [row["param_value"] for row in rows] == values
+    for i, row in enumerate(rows):
+        if i % 3 == 0:
+            assert row["status"] == "ok"
+        else:
+            assert row["status"] != "ok" and "code 3" in row["status"]
+            assert math.isnan(row["final_error"])
 
 
 def test_sweep_reaps_its_workers_when_the_parent_is_interrupted(monkeypatch):
     _three_cpus(monkeypatch)
     parent = os.getpid()
 
-    def interrupted(_base, _axis, _value, _averaged_cache):
+    def interrupted(_run, _scenario):
         if os.getpid() != parent:
             time.sleep(60.0)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(sc, "_sweep_row", interrupted)
+    monkeypatch.setattr(sc, "_sweep_run", interrupted)
     # the children sleep for 60 s; only terminating them returns sooner
     with _within(10.0), pytest.raises(KeyboardInterrupt):
         sc.sweep(_scenario(), "k", [0.5, 1.0, 1.5])
