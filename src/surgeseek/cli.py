@@ -32,8 +32,10 @@ def _write_meta(path, s, extra):
         "declared_constants": sc.DECLARED_CONSTANTS,
     }
     meta.update(extra)
+    # strict JSON: a non-finite number fails the write, where json would
+    # write Infinity or NaN, which a strict parser rejects
     with open(path, "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
+        json.dump(meta, f, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _print_warnings(s):
@@ -108,12 +110,15 @@ def cmd_compare(args):
         raise ValueError(f"--radius: {args.radius!r} is not a finite positive number")
 
     def metrics(s, full, averaged):
-        return {"metrics": asdict(sc.compare(full, averaged, s, radius=args.radius))}
+        found = asdict(sc.compare(full, averaged, s, radius=args.radius))
+        if math.isinf(found["convergence_time"]):
+            found["convergence_time"] = None  # the radius is never reached
+        return {"metrics": found}
 
     s, _, added = _runs(args, ["full", "averaged"], "compare_meta.json", metrics)
     _print_warnings(s)
     for key, val in added["metrics"].items():
-        print(f"{key}={val:.6g}")
+        print(f"{key}={math.inf if val is None else val:.6g}")
     return 0
 
 

@@ -8,6 +8,10 @@ torque is a constant that keeps the vehicle turning,
     u1 = (k / eps) * cos(t / eps) * rho(x, y),
     u2 = c.
 
+`surge_law` states u1 once, on Python floats: the full run steps it and
+records it, so a change to the law (a dither phase, a bound on the force,
+measurement noise) is written there alone.
+
 The general input family is u = b0 + (1/eps) * sum_i b_i(q) w_i(t/eps)
 with T-periodic dithers w_i. Admissible dithers must have zero mean and
 zero iterated mean over one period; `validate_dither` checks both by
@@ -94,14 +98,17 @@ def validate_dither(w, period, tol=1e-8):
                        mean_residual=r1, iterated_residual=r2, tol=tol)
 
 
-def surge_law(gains, cos=math.cos):
+def surge_law(gains):
     """The seeking surge force u1(t, rho) = (k / eps) cos(t / eps) rho.
 
-    Returns a float function of time and measurement; with `cos=np.cos`
-    it takes arrays of samples.
+    Returns a function of a float time and a float measurement. This is the
+    one statement of the law: the full run's RHS steps it, and its record
+    stage maps it over the recorded samples, so the recorded surge force is
+    the one the loop applied.
     """
     k_over_eps = gains.k / gains.epsilon
     inv_eps = 1.0 / gains.epsilon
+    cos = math.cos  # a closure cell: cheaper per call than math.cos
 
     def u1(t, rho):
         return k_over_eps * cos(t * inv_eps) * rho

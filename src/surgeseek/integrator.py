@@ -34,7 +34,8 @@ class BlowUpError(RuntimeError):
     """Raised when the integrated state stops being finite.
 
     `time` is the time of the first non-finite state and `state` the last
-    finite one (a numpy array), one step earlier.
+    finite one (a numpy array), one step earlier. `integrate` rejects a
+    non-finite start, so there always is one.
     """
 
     def __init__(self, time, state):
@@ -133,12 +134,11 @@ def rk4_loop(rhs, y, n, h, states):
     # math.cos and math.sin raise a ValueError on an infinite argument, where
     # numpy would return NaN; that is a blow-up in step i too when the stage
     # state of the RHS call that raised is not finite. The traceback's line
-    # in this loop tells which call it was
+    # in this loop tells which call it was. Stage 1 steps on y, which is
+    # finite: the start is checked before the loop and every step after it
     except ValueError as exc:
         call = exc.__traceback__.tb_lineno
-        if call == rhs_lines[0]:
-            stage = y
-        elif call == rhs_lines[1]:
+        if call == rhs_lines[1]:
             stage = {stage2}
         elif call == rhs_lines[2]:
             stage = {stage3}
@@ -184,15 +184,19 @@ def integrate(rhs, initial, settings):
     """Integrate y' = rhs(t, y) with fixed-step RK4, recording every step.
 
     The state is carried as a tuple of floats (see the module docstring
-    for the RHS contract). Raises a ValueError when an RHS output and the
-    state differ in length, and a BlowUpError when a step leaves the state
-    non-finite, the RHS raises an OverflowError, or it raises a ValueError
-    on a stage state that is not finite (the error chained as its cause).
+    for the RHS contract). Raises a ValueError for a non-finite initial
+    state or when an RHS output and the state differ in length, and a
+    BlowUpError when a step leaves the state non-finite, the RHS raises an
+    OverflowError, or it raises a ValueError on a stage state that is not
+    finite (the error chained as its cause).
     """
     n = settings.n_steps
     h = settings.step
     initial = np.asarray(initial, dtype=float)
     y = tuple(initial.tolist())
+    for j, value in enumerate(y):
+        if not math.isfinite(value):
+            raise ValueError(f"initial state component {j} must be finite, got {value}")
 
     times = h * np.arange(n + 1)
     states = np.empty((n + 1, len(y)))

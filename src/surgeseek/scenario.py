@@ -67,6 +67,9 @@ class Scenario:
         self.initial = np.asarray(self.initial, dtype=float)
         if self.initial.shape != (6,):
             raise ValueError("initial state must have 6 components")
+        for key, value in zip(_STATE_KEYS, self.initial.tolist()):
+            if not math.isfinite(value):
+                raise ValueError(f"initial state {key} must be finite, got {value}")
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         spp = self.samples_per_period
@@ -162,20 +165,39 @@ def _integrate(scenario, rhs, step, name, eps=""):
             f"horizon={scenario.horizon}") from exc
 
 
+# rows per block that `_mapped` reads: whole columns as lists of floats
+# would hold about 1 MB of float objects each for the reference full run
+_MAP_BLOCK_ROWS = 1024
+
+
+def _mapped(law, *columns):
+    """`law` of each row of `columns`, taken as Python floats, as an array.
+
+    The columns are read a block of rows at a time. On floats each value
+    has the bits the loop's own evaluation of `law` gives; on whole columns
+    numpy would square by x * x where a float's ** 2 calls libm pow, and
+    its cosine need not be libm's.
+    """
+    n = len(columns[0])
+    values = np.empty(n)
+    for lo in range(0, n, _MAP_BLOCK_ROWS):
+        hi = lo + _MAP_BLOCK_ROWS
+        values[lo:hi] = list(map(law, *[column[lo:hi].tolist() for column in columns]))
+    return values
+
+
 def _record(scenario, traj, surge=None):
     """Record the cost and the inputs along the integrated `traj`.
 
-    `surge` is the surge law on arrays of samples; the averaged run has
-    none (zero surge input).
+    The loop's own float laws are mapped over the samples: `cost.value`
+    gives rho and `surge`, the surge law the full run stepped, gives u1.
+    So each recorded value is the one the RHS computed from that sample,
+    bit for bit. The averaged run has no surge law (zero surge input).
     """
-    # sample by sample: on whole columns numpy squares by x * x, where a
-    # scalar's ** 2 calls libm pow, and 4 of the reference run's 31,832
-    # quadratic values would move by 1 ULP
     states = traj.states
-    rho = np.fromiter(map(scenario.cost.value, states[:, 0], states[:, 1]), float, len(traj.t))
-    u1 = np.zeros_like(rho) if surge is None else surge(traj.t, rho)
-    traj.inputs = np.column_stack([u1, np.full_like(rho, scenario.gains.c)])
-    traj.rho = rho
+    traj.rho = _mapped(scenario.cost.value, states[:, 0], states[:, 1])
+    u1 = np.zeros(len(traj.t)) if surge is None else _mapped(surge, traj.t, traj.rho)
+    traj.inputs = np.column_stack([u1, np.full_like(u1, scenario.gains.c)])
     return traj
 
 
@@ -220,7 +242,7 @@ def run_full(scenario):
 
     The step is `_full_step`'s.
     """
-    return _record(scenario, _integrate_full(scenario), surge_law(scenario.gains, np.cos))
+    return _record(scenario, _integrate_full(scenario), surge_law(scenario.gains))
 
 
 def run_averaged(scenario):
@@ -294,10 +316,12 @@ def _hermite_position(traj, t):
     """Planar position of `traj` at times `t` by cubic Hermite dense output.
 
     The rates are the exact position rates of each sample,
-    x' = cos(theta) vx - sin(theta) vy and y' = sin(theta) vx + cos(theta) vy.
+    x' = cos(theta) vx - sin(theta) vy and y' = sin(theta) vx + cos(theta) vy,
+    with the `math.cos` and `math.sin` that the loop stepped, so the metric
+    does not depend on where numpy's cosine differs from libm's.
     """
     s = traj.states
-    cos, sin = np.cos(s[:, 2]), np.sin(s[:, 2])
+    cos, sin = _mapped(math.cos, s[:, 2]), _mapped(math.sin, s[:, 2])
     rates = (cos * s[:, 3] - sin * s[:, 4], sin * s[:, 3] + cos * s[:, 4])
     return [hermite(traj.t, s[:, j], rates[j], t) for j in (0, 1)]
 

@@ -161,10 +161,13 @@ def test_08_double_integrator_demo():
     def h(z):
         return (z - 1.0) ** 2 + 1.0
 
+    def h_prime(z):
+        return 2.0 * (z - 1.0)
+
     slow = double_integrator_demo(h, alpha=1.0, omega_freq=10.0, horizon=50.0,
-                                  minimizer=1.0)
+                                  minimizer=1.0, h_prime=h_prime)
     fast = double_integrator_demo(h, alpha=1.0, omega_freq=20.0, horizon=50.0,
-                                  minimizer=1.0)
+                                  minimizer=1.0, h_prime=h_prime)
     ok = (fast.final_error_full < slow.final_error_full
           and slow.final_error_full < 0.2 and fast.final_error_full < 0.2)
     _report(8, ok, f"final errors omega=10: {slow.final_error_full:.4f}, "

@@ -376,7 +376,8 @@ def test_body_input_field_maps_through_inertia():
 def test_double_integrator_zero_dither():
     report = double_integrator_demo(lambda z: (z - 1.0) ** 2 + 1.0, alpha=0.0,
                                     omega_freq=20.0, horizon=10.0,
-                                    initial=(0.5, 1.0), minimizer=1.0)
+                                    initial=(0.5, 1.0), minimizer=1.0,
+                                    h_prime=lambda z: 2.0 * (z - 1.0))
     xi1 = report.full.states[:, 0]
     # xi2 decays, xi1 drifts to xi1(0) + xi2(0) and then freezes
     assert abs(report.full.states[-1, 1]) < 1e-3
@@ -388,7 +389,8 @@ def test_double_integrator_zero_dither_loops_coincide():
     # the exact rate z1' = z2 leaves only the RK4 error between them
     report = double_integrator_demo(lambda z: (z - 1.0) ** 2 + 1.0, alpha=0.0,
                                     omega_freq=20.0, horizon=10.0,
-                                    initial=(0.5, 1.0))
+                                    initial=(0.5, 1.0), minimizer=1.0,
+                                    h_prime=lambda z: 2.0 * (z - 1.0))
     assert report.sup_gap <= 1e-10
 
 

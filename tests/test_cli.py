@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -69,6 +71,33 @@ def test_average_and_compare(workdir, capsys):
     assert "final_error=" in stdout and "sup_deviation=" in stdout
     meta = json.loads((out / "compare_meta.json").read_text())
     assert meta["metrics"]["convergence_radius"] == 0.5
+
+
+def _strict_json(path):
+    def rejects(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=rejects)
+
+
+def test_compare_writes_null_for_a_radius_never_reached(workdir, capsys):
+    # in 5 s the vessel does not come within 0.5 m of the source, 3.6 m away
+    out, scenario = workdir
+    assert main(["compare", scenario]) == 0
+    assert "convergence_time=inf\n" in capsys.readouterr().out
+    meta = _strict_json(out / "compare_meta.json")
+    assert meta["metrics"]["convergence_time"] is None
+    assert meta["metrics"]["convergence_radius"] == 0.5
+
+
+def test_compare_fails_rather_than_write_a_non_finite_metric(workdir, capsys, monkeypatch):
+    out, scenario = workdir
+    compare = sc.compare
+    monkeypatch.setattr(sc, "compare", lambda *args, **kwargs: dataclasses.replace(
+        compare(*args, **kwargs), sup_deviation=math.nan))
+    assert main(["compare", scenario]) == 1
+    assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["scenario.ini"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "average", "compare"])

@@ -18,8 +18,8 @@ import surgeseek.scenario as sc
 from surgeseek.averaging import (AVERAGED_STEPS, LAMBDA_11, averaged_rhs,
                                  closed_loop_fields, es_input_field, lambda_matrix)
 from surgeseek.cli import main
-from surgeseek.costs import quadratic_cost
-from surgeseek.dither import EsGains, es_dither_set
+from surgeseek.costs import get_field, quadratic_cost
+from surgeseek.dither import EsGains, es_dither_set, surge_law
 from surgeseek.integrator import BlowUpError, IntegratorSettings, Trajectory, integrate
 from surgeseek.vehicle import VehicleParams, reference_boat
 
@@ -147,6 +147,16 @@ def test_scenario_names_a_non_finite_horizon(horizon):
         _scenario(horizon=horizon)
 
 
+@pytest.mark.parametrize("key, value", [("x", math.inf), ("theta", -math.inf),
+                                        ("omega", math.nan)])
+def test_scenario_names_a_non_finite_initial_component(key, value):
+    initial = np.zeros(6)
+    initial[sc._STATE_KEYS.index(key)] = value
+    with pytest.raises(ValueError, match=rf"^initial state {key} must be finite, "
+                                         rf"got {value}$"):
+        _scenario(initial=initial)
+
+
 @pytest.mark.parametrize("name", ["rotated_quadratic", "log_bowl"])
 def test_benchmark_seeks_the_other_fields(tmp_path, name):
     # the benchmark scenario with only the field swapped: the full loop must
@@ -184,6 +194,40 @@ def test_run_full_records_inputs_and_cost(tmp_path):
     i = 123
     expected = (1.0 / 0.1) * math.cos(traj.t[i] / 0.1) * traj.rho[i]
     assert traj.inputs[i, 0] == pytest.approx(expected, rel=1e-12)
+
+
+def _bits(values):
+    return np.array(list(values), dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])
+def test_recorded_columns_are_the_laws_the_loop_stepped(monkeypatch, name):
+    applied = []   # (t, rho, u1) of each surge force evaluated, in call order
+
+    def logged_surge_law(gains):
+        law = surge_law(gains)
+
+        def u1(t, rho):
+            applied.append((t, rho, law(t, rho)))
+            return applied[-1][2]
+
+        return u1
+
+    monkeypatch.setattr(sc, "surge_law", logged_surge_law)
+    s = _scenario(horizon=5.0, cost=get_field(name))
+    full, averaged = sc.run_full(s), sc.run_averaged(s)
+    # the RHS applied these first, four per step; stage 1 of step i reads sample i
+    n = len(full.t) - 1
+    stage1 = applied[:4 * n:4]
+    for j, column in enumerate([full.t, full.rho, full.inputs[:, 0]]):
+        assert _bits([call[j] for call in stage1]) == column[:-1].tobytes()
+    law = surge_law(s.gains)
+    assert _bits(map(law, full.t.tolist(), full.rho.tolist())) == full.inputs[:, 0].tobytes()
+    for traj in (full, averaged):
+        x, y = traj.states[:, :2].T.tolist()
+        assert _bits(map(s.cost.value, x, y)) == traj.rho.tobytes()
+        assert _bits([s.gains.c] * len(traj.t)) == traj.inputs[:, 1].tobytes()
+    assert _bits([0.0] * len(averaged.t)) == averaged.inputs[:, 0].tobytes()
 
 
 def test_run_full_zero_gain_spins_in_place():
