@@ -9,6 +9,6 @@ from .passivity import (c_hat_bound, monotonicity_check, passivity_residual,
                         steady_state_for_torque)
 from .scenario import (RunMetrics, Scenario, compare, load_scenario,
                        run_averaged, run_full, sweep)
-from .vehicle import VehicleParams, coriolis, dynamics_rhs, reference_boat
+from .vehicle import VehicleParams, dynamics_rhs, reference_boat
 
 __version__ = "0.1.0"

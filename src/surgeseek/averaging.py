@@ -116,7 +116,8 @@ def _apply(jac, w):
 def coriolis_bilinear(params, xv, yv):
     """Symmetrized Coriolis form C(X)Y + C(Y)X (the exact second v-derivative).
 
-    C(v) is `vehicle.coriolis`, written out on floats; a 3-tuple.
+    C(v) is the surface vessel's Coriolis matrix, the one `dynamics_rhs`
+    writes out as C(v)v, here written out on floats; a 3-tuple.
     """
     m11, m22 = params.m11, params.m22
     x0, x1, x2 = xv

@@ -18,6 +18,8 @@ from .vehicle import dynamics_rhs
 
 def _output_dir(default):
     out = os.environ.get(sc.OUTPUT_DIR_ENV, default)
+    if not out:
+        raise ValueError(f"{sc.OUTPUT_DIR_ENV}: empty; give a directory or unset it")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -38,8 +40,8 @@ def _write_meta(path, s, extra):
         json.dump(meta, f, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _print_warnings(s):
-    for w in s.warnings:
+def _print_warnings(warnings):
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
 
 
@@ -93,14 +95,14 @@ def _runs(args, names, meta, extra=lambda s, *runs: {}):
 
 def cmd_simulate(args):
     s, (path,), _ = _runs(args, ["full"], "full_meta.json")
-    _print_warnings(s)
+    _print_warnings(s.warnings)
     print(path)
     return 0
 
 
 def cmd_average(args):
     s, (path,), _ = _runs(args, ["averaged"], "averaged_meta.json")
-    _print_warnings(s)
+    _print_warnings(s.warnings)
     print(path)
     return 0
 
@@ -116,7 +118,7 @@ def cmd_compare(args):
         return {"metrics": found}
 
     s, _, added = _runs(args, ["full", "averaged"], "compare_meta.json", metrics)
-    _print_warnings(s)
+    _print_warnings(s.warnings)
     for key, val in added["metrics"].items():
         print(f"{key}={math.inf if val is None else val:.6g}")
     return 0
@@ -143,6 +145,12 @@ def cmd_sweep(args):
     path = os.path.join(out, f"sweep_{args.axis}.csv")
     with _renamed(path) as (temp,):
         sc.write_metrics_csv(rows, temp)
+    warnings = {}  # each distinct warning once, in the order of the values
+    for value in values:
+        # a value that fails its scenario fails its row instead
+        with contextlib.suppress(Exception):
+            warnings.update(dict.fromkeys(sc._with_value(s, args.axis, value).warnings))
+    _print_warnings(warnings)
     print(path)
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 
@@ -188,10 +196,10 @@ def cmd_demo_di(args):
     def h(z):
         return (z - 1.0) ** 2 + 1.0
 
+    path = os.path.join(_output_dir("."), "demo_di.csv")
     report = averaging.double_integrator_demo(
         h, alpha=args.alpha, omega_freq=args.omega, horizon=args.horizon,
         minimizer=1.0, h_prime=lambda z: 2.0 * (z - 1.0))
-    path = os.path.join(_output_dir("."), "demo_di.csv")
     with _renamed(path) as (temp,):
         sc.write_columns(temp, "t,xi1,xi2", [report.full.t, report.full.states])
     print(f"sup_gap={report.sup_gap:.6g} "

@@ -1,23 +1,29 @@
 """
 Shifted passivity of the vehicle around its constant-torque steady state.
 
-Under the constant input u* = (0, c) the vehicle settles to a pure spin
-v* = (0, 0, c/d33) (diagonal damping). With the storage function
-H(v) = 1/2 (v - v*)^T M (v - v*), the map (u - u*) -> (eta - eta*) with
-eta = G^T v is passive whenever the symmetrized velocity Jacobian of the
-shifted drag-plus-Coriolis map stays dominated by the damping; for the
-boat structure with diagonal damping that condition has the closed-form
-torque threshold
+Under the constant input u* = (0, c) the vehicle settles to a steady
+state v*: a pure spin v* = (0, 0, c/d33) for diagonal damping. With the
+storage function H(v) = 1/2 (v - v*)^T M (v - v*) and v~ = v - v*, the
+skew-symmetry of C(v) leaves the storage residual
+
+    H-dot - (u - u*)^T (eta - eta*) = -v~^T (A + D) v~,
+
+with eta = G^T v and A = d[C(v) v*]/dv, constant because C(v) is linear
+in v. So the map (u - u*) -> (eta - eta*) is passive exactly when
+2D + A + A^T is positive semidefinite. That matrix is J + J^T, where J is
+the Jacobian at v* of F(v) = C(v)v + Dv, and `monotonicity_check` tests
+it with F read from `dynamics_rhs`. For the boat structure with diagonal
+damping the condition has the closed-form torque threshold
 
     c_hat = 2 sqrt(d11 d22) d33 / |m22 - m11|    (m22 != m11).
 
-The storage residual along any state is w (m22 - m11) vx vy minus the
-damping form (v - v*)^T D (v - v*), with w = c / d33, so the bound holds
-for either sign of m22 - m11; only m22 = m11 leaves c unconstrained.
+The storage residual along any state is then w (m22 - m11) vx vy minus
+the damping form (v - v*)^T D (v - v*), with w = c / d33, so the bound
+holds for either sign of m22 - m11; only m22 = m11 leaves c unconstrained.
 
 `passivity_residual` verifies the storage inequality at every sample of
 a recorded trajectory, computing H-dot through the dynamics (one
-`dynamics_rhs` call on the trajectory's columns) rather than by
+`dynamics_rhs` call on the trajectory's velocity columns) rather than by
 differencing H.
 """
 import math
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vehicle import coriolis, dynamics_rhs
+from .vehicle import dynamics_rhs
 
 _RESIDUAL_TOL = 1e-10
 _SLACK = 1e-9
@@ -41,11 +47,12 @@ class SteadyState:
 def _steady_residual(params, v, u):
     """C(v)v + Dv - Gu, i.e. -M v_dot from the dynamics (M is diagonal).
 
-    Evaluated on numpy scalars (`np.cos`, `np.sin`), so that an overflow
-    in the kernel raises under the fixed-point iteration's `np.errstate`;
-    on Python floats it would pass on as an inf.
+    The velocity derivatives do not read the pose, so floats stand in for
+    it. The velocities stay numpy scalars, so that an overflow in the
+    kernel raises under the fixed-point iteration's `np.errstate`; on
+    Python floats it would pass on as an inf.
     """
-    vdot = dynamics_rhs(params, np.concatenate([np.zeros(3), v]), u, np.cos, np.sin)[3:]
+    vdot = dynamics_rhs(params, (0.0, 0.0, 0.0, *v), u)[3:]
     return -(np.array([params.m11, params.m22, params.m33]) * vdot)
 
 
@@ -95,27 +102,29 @@ def c_hat_bound(params):
 
 
 def monotonicity_check(params, c):
-    """Symmetrized-Jacobian condition d[C(v)v*]/dv + transpose <= 2D at torque c.
+    """Whether 2D + A + A^T >= 0 at torque c: an eigenvalue test of J + J^T.
 
-    Evaluated as an eigenvalue test; C(v)v* is linear in v for this
-    Coriolis structure, so the Jacobian is constant and one test suffices.
+    J is the Jacobian at v* of F(v) = C(v)v + Dv, read from the kernel
+    through `_steady_residual` (Gu* drops out of the difference). F is
+    quadratic in v, so central differences with unit steps give J exactly
+    up to rounding; C(v*) is skew, so J + J^T = 2D + A + A^T.
     """
-    v_star = steady_state_for_torque(params, c).v_star
-    # A = d[C(v) v*]/dv, constant because C is linear in v
-    basis = np.eye(3)
-    a = np.column_stack([coriolis(params, e) @ v_star for e in basis])
-    s = 2.0 * params.d - (a + a.T)
-    return bool(np.min(np.linalg.eigvalsh(s)) >= -_SLACK)
+    ss = steady_state_for_torque(params, c)
+    j = np.column_stack([(_steady_residual(params, ss.v_star + e, ss.u_star)
+                          - _steady_residual(params, ss.v_star - e, ss.u_star)) / 2.0
+                         for e in np.eye(3)])
+    return bool(np.min(np.linalg.eigvalsh(j + j.T)) >= -_SLACK)
 
 
 def passivity_residual(trajectory, params, c):
     """Max over samples of H-dot - (u - u*)^T (eta - eta*); <= 0 when passive.
 
     H-dot = (v - v*)^T M v_dot is computed from the recorded input through
-    `dynamics_rhs`, evaluated once on the trajectory's columns, so
-    integrator error never masquerades as a passivity violation. A sample
-    whose state or residual is not finite raises a ValueError naming its
-    index, since a NaN would otherwise drop out of the max.
+    `dynamics_rhs`, evaluated once on the trajectory's velocity and input
+    columns, so integrator error never masquerades as a passivity
+    violation. A sample whose state or residual is not finite raises a
+    ValueError naming its index, since a NaN would otherwise drop out of
+    the max.
     """
     if trajectory.inputs is None:
         raise ValueError("trajectory has no recorded inputs")
@@ -130,7 +139,8 @@ def passivity_residual(trajectory, params, c):
     state, u = trajectory.states.T, trajectory.inputs.T
     # a non-finite sample is reported by index below, not warned about here
     with np.errstate(invalid="ignore", over="ignore"):
-        _, _, _, ax, ay, az = dynamics_rhs(params, state, u, np.cos, np.sin)
+        # the velocity derivatives do not read the pose: floats stand in
+        _, _, _, ax, ay, az = dynamics_rhs(params, (0.0, 0.0, 0.0, *state[3:]), tuple(u))
         dvx, dvy, dwz = state[3] - vx_star, state[4] - vy_star, state[5] - wz_star
         # M is diagonal, and eta - eta* = (dvx, dwz)
         h_dot = dvx * (params.m11 * ax) + dvy * (params.m22 * ay) + dwz * (params.m33 * az)

@@ -132,7 +132,11 @@ def load_scenario(path):
     veh = _section(cp, "vehicle", _VEHICLE_KEYS, required=_VEHICLE_KEYS)
     vehicle = VehicleParams.diagonal(**_floats("vehicle", veh))
     name = cp.get("cost", "name", fallback="quadratic")
-    cost_params = _section(cp, "cost", ("name",) + costs.field_parameters(name))
+    try:
+        parameters = costs.field_parameters(name)
+    except KeyError as exc:
+        raise ValueError(f"[cost] name: {exc.args[0]}") from None
+    cost_params = _section(cp, "cost", ("name",) + parameters)
     cost_params.pop("name", None)
     cost = costs.get_field(name, **_floats("cost", cost_params))
     gains = EsGains(**_floats("gains", _section(cp, "gains", _GAINS_KEYS,
@@ -140,6 +144,8 @@ def load_scenario(path):
     init = _floats("initial", _section(cp, "initial", _STATE_KEYS))
     initial = np.array([init.get(k, 0.0) for k in _STATE_KEYS])
     run = _section(cp, "run", _RUN_KEYS)
+    if run.get("output_dir") == "":
+        raise ValueError("[run] output_dir: empty; give a directory or leave the key out")
     return Scenario(
         vehicle=vehicle, cost=cost, gains=gains, initial=initial,
         horizon=_number("run", "horizon", run.get("horizon", 100.0)),

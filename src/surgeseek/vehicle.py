@@ -30,6 +30,7 @@ the drift fields and the passivity audit all evaluate it.
 import math
 import numbers
 from dataclasses import dataclass, field
+from math import cos, sin
 
 import numpy as np
 
@@ -89,31 +90,23 @@ def reference_boat():
                                   d11=3.436, d22=12.99, d33=0.864)
 
 
-def coriolis(params, v):
-    """Coriolis matrix C(v) of the surface vessel; skew-symmetric for all v."""
-    vx, vy = v[0], v[1]
-    a = params.m22 * vy
-    b = params.m11 * vx
-    return np.array([[0.0, 0.0, -a],
-                     [0.0, 0.0, b],
-                     [a, -b, 0.0]])
-
-
-def dynamics_rhs(params, state, u, cos=math.cos, sin=math.sin):
+def dynamics_rhs(params, state, u):
     """Time derivative of the 6-state under input u = (u1, u2), as a 6-tuple.
 
-    Works on floats: C(v)v and D v are written out (C(v) is `coriolis`,
-    the rows of D come from `params.d_rows`) and M^{-1} is applied by
-    dividing by the diagonal inertia entries; D may be any valid damping
-    matrix. A numpy row given for `state` or `u` is taken as Python floats,
-    so the result is a 6-tuple of floats whatever the caller indexed: on
-    numpy scalars every operation would cost about three times as much
-    and carry that type into an RK4 loop's later stages. Given a tuple of
-    six equal-length columns for `state`, two columns for `u` and
-    `np.cos, np.sin`, the same arithmetic evaluates every sample in one
-    call and returns six columns.
+    Works on floats: C(v)v and D v are written out (the rows of D come
+    from `params.d_rows`) and M^{-1} is applied by dividing by the
+    diagonal inertia entries; D may be any valid damping matrix. A numpy
+    row given for `state` or `u` is taken as Python floats, so the result
+    is a 6-tuple of floats whatever the caller indexed: on numpy scalars
+    every operation would cost about three times as much and carry that
+    type into an RK4 loop's later stages. Given a tuple of state slots
+    whose velocities are equal-length columns and whose heading is a
+    float (`math.cos` takes no column), and a tuple of two input columns,
+    the same arithmetic evaluates every sample in one call and returns
+    six columns, bit-equal to the per-sample floats at that heading. The
+    velocity derivatives do not read the heading.
     """
-    if (u.__class__ is not tuple or state.__class__ is not tuple) and cos is math.cos:
+    if u.__class__ is not tuple or state.__class__ is not tuple:
         if isinstance(state, np.ndarray):
             state = state.tolist()
         if isinstance(u, np.ndarray):

@@ -20,6 +20,16 @@ def kinematic_matrix(theta):
                      [0.0, 0.0, 1.0]])
 
 
+def coriolis(params, v):
+    """Coriolis matrix C(v) of the surface vessel; skew-symmetric for all v."""
+    vx, vy = v[0], v[1]
+    a = params.m22 * vy
+    b = params.m11 * vx
+    return np.array([[0.0, 0.0, -a],
+                     [0.0, 0.0, b],
+                     [a, -b, 0.0]])
+
+
 def inertia(params):
     """The diagonal inertia matrix M."""
     return np.diag([params.m11, params.m22, params.m33])

@@ -12,9 +12,9 @@ from surgeseek.averaging import (ConfigVectorField, averaged_rhs,
                                  symmetric_product, xi_field)
 from surgeseek.costs import get_field, quadratic_cost
 from surgeseek.dither import DitherComponent, DitherSet, EsGains, es_dither_set
-from surgeseek.vehicle import coriolis, dynamics_rhs, reference_boat
+from surgeseek.vehicle import dynamics_rhs, reference_boat
 
-from oracles import inertia_inv, kinematic_matrix, second_derivative_term_fd
+from oracles import coriolis, inertia_inv, kinematic_matrix, second_derivative_term_fd
 
 TWO_PI = 2.0 * math.pi
 BOAT = reference_boat()

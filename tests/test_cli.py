@@ -100,18 +100,35 @@ def test_compare_fails_rather_than_write_a_non_finite_metric(workdir, capsys, mo
     assert sorted(p.name for p in out.iterdir()) == ["scenario.ini"]
 
 
-@pytest.mark.parametrize("command", ["simulate", "average", "compare"])
+@pytest.mark.parametrize("command", ["simulate", "average", "compare", "sweep"])
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
 def test_runs_print_the_torque_warning_once(workdir, capfd, monkeypatch, command, cpus):
     # c = 25 is above the reference boat's c_hat = 20.2535; on two CPUs
-    # compare forks a child, which must not print the warning again
+    # compare and sweep fork a child, which must not print the warning
+    # again, and a sweep prints a warning its values share once
     _, scenario = workdir
     Path(scenario).write_text(SCENARIO_INI.replace("c = 1.0", "c = 25.0"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: cpus, raising=False)
-    assert main([command, scenario]) == 0
+    sweep = ["--axis", "c", "--values", "1,25,25"] if command == "sweep" else []
+    assert main([command, scenario, *sweep]) == 0
     assert capfd.readouterr().err == (
         "warning: torque c=25 is at or above the shifted-passivity bound 20.2535; "
         "continuing anyway\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "average", "compare", "sweep", "demo-di"])
+def test_an_empty_output_dir_variable_is_named_before_any_run(workdir, capsys, monkeypatch,
+                                                              command):
+    out, scenario = workdir
+    monkeypatch.chdir(out)
+    monkeypatch.setenv("SURGESEEK_OUTPUT_DIR", "")
+    monkeypatch.setattr(sc, "run_forked", lambda *_args: pytest.fail("a run started"))
+    monkeypatch.setattr(cli.averaging, "double_integrator_demo",
+                        lambda *_args, **_kwargs: pytest.fail("a run started"))
+    args = {"sweep": [scenario, "--axis", "k", "--values", "1"], "demo-di": []}
+    assert main([command, *args.get(command, [scenario])]) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: SURGESEEK_OUTPUT_DIR: empty")
+    assert sorted(p.name for p in out.iterdir()) == ["scenario.ini"]
 
 
 @pytest.mark.parametrize("command, name", [("simulate", "full_meta.json"),

@@ -6,9 +6,9 @@ import pytest
 from surgeseek.integrator import IntegratorSettings, Trajectory, integrate
 from surgeseek.passivity import (c_hat_bound, monotonicity_check,
                                  passivity_residual, steady_state_for_torque)
-from surgeseek.vehicle import VehicleParams, coriolis, dynamics_rhs, reference_boat
+from surgeseek.vehicle import VehicleParams, dynamics_rhs, reference_boat
 
-from oracles import inertia
+from oracles import coriolis, inertia
 
 BOAT = reference_boat()
 
@@ -104,6 +104,31 @@ def test_bound_is_exact_threshold():
     chat = c_hat_bound(BOAT)
     assert monotonicity_check(BOAT, 0.999 * chat)
     assert not monotonicity_check(BOAT, 1.001 * chat)
+
+
+def test_monotonicity_agrees_with_the_storage_residual_on_coupled_vessels():
+    # passive exactly when 2D + A + A^T >= 0, A = d[C(v) v*]/dv: along that
+    # matrix's least eigenvector the storage residual is -lambda_min / 2, so
+    # it is positive exactly when the check must fail
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for _ in range(200):
+        m = rng.uniform(0.5, 3.0, 3)
+        low = rng.normal(0.0, 0.6, (3, 3))
+        p = VehicleParams(*m.tolist(), low @ low.T + np.diag(rng.uniform(0.2, 3.0, 3)))
+        c = rng.uniform(0.2, 8.0)
+        try:
+            ss = steady_state_for_torque(p, c)
+        except RuntimeError:
+            continue  # no steady state found at this torque
+        a = np.column_stack([coriolis(p, e) @ ss.v_star for e in np.eye(3)])
+        _, vectors = np.linalg.eigh(2.0 * p.d + a + a.T)
+        state = np.concatenate([np.zeros(3), ss.v_star + vectors[:, 0]])
+        traj = Trajectory(t=np.zeros(1), states=state[None, :], inputs=ss.u_star[None, :])
+        passive = passivity_residual(traj, p, c) <= 1e-9
+        assert monotonicity_check(p, c) == passive, (p, c)
+        checked += 1
+    assert checked >= 100
 
 
 def _random_input_trajectory(params, c, seed, y0=None):

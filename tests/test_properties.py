@@ -16,7 +16,9 @@ from surgeseek.averaging import (ConfigVectorField, es_input_field, es_self_prod
 from surgeseek.costs import get_field
 from surgeseek.integrator import IntegratorSettings, Trajectory, integrate
 from surgeseek.passivity import c_hat_bound, monotonicity_check, passivity_residual
-from surgeseek.vehicle import VehicleParams, coriolis
+from surgeseek.vehicle import VehicleParams
+
+from oracles import coriolis
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 

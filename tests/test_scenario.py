@@ -110,6 +110,9 @@ def test_load_scenario_missing_file(tmp_path):
     ("horizon = 100.0", "horizon = nan", r"\[run\] horizon: 'nan' is not a finite number"),
     ("floor = 1.0", "floor = nan", r"\[cost\] floor: 'nan' is not a finite number"),
     ("x = 0.0", "x = nan", r"\[initial\] x: 'nan' is not a finite number"),
+    ("name = quadratic", "name = quadratc",
+     r"^\[cost\] name: unknown cost field 'quadratc'; known: \["),
+    ("output_dir = out", "output_dir =", r"^\[run\] output_dir: empty"),
     (None, None, None),
 ])
 def test_load_scenario_names_the_bad_key(tmp_path, old, new, error):

@@ -5,9 +5,9 @@ import pytest
 
 from surgeseek.integrator import IntegratorSettings, integrate
 from surgeseek.passivity import c_hat_bound
-from surgeseek.vehicle import VehicleParams, coriolis, dynamics_rhs, reference_boat
+from surgeseek.vehicle import VehicleParams, dynamics_rhs, reference_boat
 
-from oracles import inertia, inertia_inv, kinematic_matrix
+from oracles import coriolis, inertia, inertia_inv, kinematic_matrix
 
 BOAT = reference_boat()
 
@@ -126,13 +126,16 @@ COUPLED = VehicleParams(1.0, 2.0, 0.5, np.array([[2.0, 0.3, 0.1], [0.3, 3.0, 0.2
 
 @pytest.mark.parametrize("vessel", ["boat", "coupled"])
 def test_dynamics_rhs_on_columns_equals_the_float_kernel(vessel):
-    # one call on six state columns and two input columns, with np.cos and
-    # np.sin, must give the per-sample float kernel's values bit for bit
+    # one call on state columns with a float heading and two input columns
+    # must give the per-sample float kernel's values bit for bit
     p = BOAT if vessel == "boat" else COUPLED
     rng = np.random.default_rng(12)
     states = rng.uniform(-4.0, 4.0, (2500, 6))
     inputs = rng.uniform(-3.0, 3.0, (2500, 2))
-    columns = dynamics_rhs(p, tuple(states.T), tuple(inputs.T), np.cos, np.sin)
+    heading = rng.uniform(-8.0, 8.0)
+    states[:, 2] = heading
+    x, y, _, vx, vy, omega = states.T
+    columns = dynamics_rhs(p, (x, y, heading, vx, vy, omega), tuple(inputs.T))
     assert len(columns) == 6 and all(c.shape == (2500,) for c in columns)
     per_sample = [dynamics_rhs(p, s, u) for s, u in zip(states.tolist(), inputs.tolist())]
     assert np.array_equal(np.column_stack(columns), np.array(per_sample))
