@@ -2,9 +2,10 @@
 Shifted passivity of the vehicle around its constant-torque steady state.
 
 Under the constant input u* = (0, c) the vehicle settles to a steady
-state v*: a pure spin v* = (0, 0, c/d33) for diagonal damping. With the
-storage function H(v) = 1/2 (v - v*)^T M (v - v*) and v~ = v - v*, the
-skew-symmetry of C(v) leaves the storage residual
+state v*, found for any valid vessel by Newton's method on the kernel's
+residual; for diagonal damping its start, the spin (0, 0, c/d33), is the
+root. With the storage function H(v) = 1/2 (v - v*)^T M (v - v*) and
+v~ = v - v*, the skew-symmetry of C(v) leaves the storage residual
 
     H-dot - (u - u*)^T (eta - eta*) = -v~^T (A + D) v~,
 
@@ -22,9 +23,8 @@ the damping form (v - v*)^T D (v - v*), with w = c / d33, so the bound
 holds for either sign of m22 - m11; only m22 = m11 leaves c unconstrained.
 
 `passivity_residual` verifies the storage inequality at every sample of
-a recorded trajectory, computing H-dot through the dynamics (one
-`dynamics_rhs` call on the trajectory's velocity columns) rather than by
-differencing H.
+a recorded trajectory, with H-dot from one `dynamics_rhs` call on its
+velocity columns rather than from differences of H.
 """
 import math
 from dataclasses import dataclass
@@ -35,6 +35,8 @@ from .vehicle import dynamics_rhs
 
 _RESIDUAL_TOL = 1e-10
 _SLACK = 1e-9
+# Newton steps before a solve gives up; coupled vessels need at most 7
+_NEWTON_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -47,43 +49,44 @@ class SteadyState:
 def _steady_residual(params, v, u):
     """C(v)v + Dv - Gu, i.e. -M v_dot from the dynamics (M is diagonal).
 
-    The velocity derivatives do not read the pose, so floats stand in for
-    it. The velocities stay numpy scalars, so that an overflow in the
-    kernel raises under the fixed-point iteration's `np.errstate`; on
-    Python floats it would pass on as an inf.
+    Floats stand in for the pose, which the velocity derivatives do not
+    read. The velocities stay numpy scalars, so an overflow raises under
+    the Newton solve's `np.errstate`; a Python float would pass on an inf.
     """
     vdot = dynamics_rhs(params, (0.0, 0.0, 0.0, *v), u)[3:]
     return -(np.array([params.m11, params.m22, params.m33]) * vdot)
 
 
-def steady_state_for_torque(params, c):
-    """Steady state under u* = (0, c); closed form for diagonal damping.
+def _jacobian(params, v, u):
+    """Jacobian at v of C(v)v + Dv: exact up to rounding by unit-step
+    central differences of the residual, which is quadratic in v."""
+    return np.column_stack([(_steady_residual(params, v + e, u)
+                             - _steady_residual(params, v - e, u)) / 2.0
+                            for e in np.eye(3)])
 
-    The torque must be finite and positive.
+
+def steady_state_for_torque(params, c):
+    """Steady state under u* = (0, c): Newton on the residual from D^-1 Gu*.
+
+    For diagonal damping that start, (0, 0, c/d33), is the root and no
+    step is taken. The torque must be finite and positive. A solve that
+    overflows, meets a singular Jacobian or ends above tolerance raises a
+    RuntimeError.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"torque c must be finite and positive, got {c!r}")
     u_star = np.array([0.0, c])
-    if params.is_diagonal_damping():
-        v_star = np.array([0.0, 0.0, c / params.d[2, 2]])
-    else:
-        # damped fixed-point iteration on the steady-state residual; an
-        # iterate that overflows stops it at once
-        d_inv = np.linalg.inv(params.d)
-        gu = np.array([0.0, 0.0, c])
-        v_star = d_inv @ gu
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                for _ in range(10000):
-                    res = _steady_residual(params, v_star, u_star)
-                    if np.linalg.norm(res) < 1e-14:
-                        break
-                    v_star = v_star - 0.5 * (d_inv @ res)
-                else:
-                    raise RuntimeError("steady-state solve did not converge")
-        except FloatingPointError as exc:
-            raise RuntimeError(f"steady-state iteration diverged at c={c:g} "
-                               f"({exc})") from exc
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            v_star = np.linalg.solve(params.d, [0.0, 0.0, c])
+            for _ in range(_NEWTON_STEPS):
+                res = _steady_residual(params, v_star, u_star)
+                # the forces balance c at v*, so rounding leaves ~1e-16 c
+                if np.linalg.norm(res) < 1e-14 * max(1.0, c):
+                    break
+                v_star = v_star - np.linalg.solve(_jacobian(params, v_star, u_star), res)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise RuntimeError(f"steady-state solve failed at c={c:g} ({exc})") from exc
     res = np.linalg.norm(_steady_residual(params, v_star, u_star))
     if res > _RESIDUAL_TOL:
         raise RuntimeError(f"steady-state residual {res:.3e} above tolerance")
@@ -104,15 +107,11 @@ def c_hat_bound(params):
 def monotonicity_check(params, c):
     """Whether 2D + A + A^T >= 0 at torque c: an eigenvalue test of J + J^T.
 
-    J is the Jacobian at v* of F(v) = C(v)v + Dv, read from the kernel
-    through `_steady_residual` (Gu* drops out of the difference). F is
-    quadratic in v, so central differences with unit steps give J exactly
-    up to rounding; C(v*) is skew, so J + J^T = 2D + A + A^T.
+    J is `_jacobian` at v*, read from the kernel (Gu* drops out of the
+    difference); C(v*) is skew, so J + J^T = 2D + A + A^T.
     """
     ss = steady_state_for_torque(params, c)
-    j = np.column_stack([(_steady_residual(params, ss.v_star + e, ss.u_star)
-                          - _steady_residual(params, ss.v_star - e, ss.u_star)) / 2.0
-                         for e in np.eye(3)])
+    j = _jacobian(params, ss.v_star, ss.u_star)
     return bool(np.min(np.linalg.eigvalsh(j + j.T)) >= -_SLACK)
 
 

@@ -83,7 +83,8 @@ class Scenario:
                 f"bound {bound:g}; continuing anyway")
 
 
-# keys each scenario section accepts
+# the sections a scenario file may have, and the keys each accepts
+_SECTIONS = ("vehicle", "cost", "gains", "initial", "run")
 _VEHICLE_KEYS = ("m11", "m22", "m33", "d11", "d22", "d33")
 _GAINS_KEYS = ("k", "c", "epsilon")
 _STATE_KEYS = ("x", "y", "theta", "vx", "vy", "omega")
@@ -124,11 +125,19 @@ def _floats(name, section):
 
 
 def load_scenario(path):
-    """Parse an INI scenario file (sections vehicle/cost/gains/initial/run)."""
+    """Parse an INI scenario file (sections vehicle/cost/gains/initial/run).
+
+    Any other section raises a ValueError naming it, as `_section` names
+    an unknown key: a misspelt section would otherwise load its defaults.
+    """
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
         raise FileNotFoundError(f"scenario file not found: {path}")
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ValueError(f"[{name}]: unknown section; expected one of "
+                             f"{', '.join(_SECTIONS)}")
     veh = _section(cp, "vehicle", _VEHICLE_KEYS, required=_VEHICLE_KEYS)
     vehicle = VehicleParams.diagonal(**_floats("vehicle", veh))
     name = cp.get("cost", "name", fallback="quadratic")

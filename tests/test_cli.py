@@ -100,6 +100,15 @@ def test_compare_fails_rather_than_write_a_non_finite_metric(workdir, capsys, mo
     assert sorted(p.name for p in out.iterdir()) == ["scenario.ini"]
 
 
+def test_an_unknown_section_fails_before_any_run(workdir, capsys, monkeypatch):
+    out, scenario = workdir
+    Path(scenario).write_text(SCENARIO_INI + "\n[intial]\nx = 5.0\n")
+    monkeypatch.setattr(sc, "run_forked", lambda *_args: pytest.fail("a run started"))
+    assert main(["simulate", scenario]) == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: [intial]: unknown section")
+    assert sorted(p.name for p in out.iterdir()) == ["scenario.ini"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "average", "compare", "sweep"])
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
 def test_runs_print_the_torque_warning_once(workdir, capfd, monkeypatch, command, cpus):

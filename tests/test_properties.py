@@ -1,8 +1,10 @@
 """Property tests over random inputs for the invariants the analysis relies on.
 
 Skew-symmetric Coriolis forces, symmetric products (and the seeking law's
-closed form agreeing with the generic one), a non-positive storage residual
-below the torque bound, and RK4's fourth order. Examples are derandomized so
+closed form agreeing with the generic one), the steady-state solve (the
+pure spin c/d33 for diagonal damping, a root or a RuntimeError for coupled
+damping), a non-positive storage residual below the torque bound, and
+RK4's fourth order. Examples are derandomized so
 that a run of the suite is reproducible.
 """
 import math
@@ -15,7 +17,8 @@ from surgeseek.averaging import (ConfigVectorField, es_input_field, es_self_prod
                                  symmetric_product)
 from surgeseek.costs import get_field
 from surgeseek.integrator import IntegratorSettings, Trajectory, integrate
-from surgeseek.passivity import c_hat_bound, monotonicity_check, passivity_residual
+from surgeseek.passivity import (c_hat_bound, monotonicity_check, passivity_residual,
+                                 steady_state_for_torque)
 from surgeseek.vehicle import VehicleParams
 
 from oracles import coriolis
@@ -64,6 +67,31 @@ def test_closed_form_self_product_matches_generic(p, k, name, star, floor, q):
     gx, gy = cost.gradient(q[0], q[1])
     scale = 2.0 * (k / p.m11) ** 2 * cost.value(q[0], q[1]) * (abs(gx) + abs(gy))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(vessels, st.floats(1e-6, 1e4))
+def test_diagonal_steady_state_is_the_pure_spin(p, c):
+    # Newton's start D^-1 Gu* is already the root: no step moves it
+    v_star = steady_state_for_torque(p, c).v_star
+    assert v_star.tobytes() == np.array([0.0, 0.0, c / p.d[2, 2]]).tobytes()
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_coupled_steady_state_is_a_root_or_a_runtime_error(seed):
+    # a vessel drawn as in the coupled monotonicity test of test_passivity
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.5, 3.0, 3)
+    low = rng.normal(0.0, 0.6, (3, 3))
+    p = VehicleParams(*m.tolist(), low @ low.T + np.diag(rng.uniform(0.2, 3.0, 3)))
+    c = rng.uniform(0.2, 8.0)
+    try:
+        v_star = steady_state_for_torque(p, c).v_star
+    except RuntimeError:
+        return
+    res = coriolis(p, v_star) @ v_star + p.d @ v_star - np.array([0.0, 0.0, c])
+    assert np.linalg.norm(res) <= 1e-10
 
 
 @PROPERTY

@@ -113,6 +113,9 @@ def test_load_scenario_missing_file(tmp_path):
     ("name = quadratic", "name = quadratc",
      r"^\[cost\] name: unknown cost field 'quadratc'; known: \["),
     ("output_dir = out", "output_dir =", r"^\[run\] output_dir: empty"),
+    # a misspelt section would load the default start at the origin
+    ("[initial]\nx = 0.0", "[intial]\nx = 5.0",
+     r"^\[intial\]: unknown section; expected one of vehicle, cost, gains, initial, run$"),
     (None, None, None),
 ])
 def test_load_scenario_names_the_bad_key(tmp_path, old, new, error):
