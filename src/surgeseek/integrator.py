@@ -21,6 +21,11 @@ state and each RHS output into m locals and writes every stage and the
 update out in full, in the operation order of the plain comprehension
 loop, so it gives the same bits. It is built on the first `integrate` of
 a state of that length and cached.
+
+Blow-up rule: a step that leaves the state non-finite is a blow-up, and so
+is an error of the RHS on the state `s` it was handed: an OverflowError
+always, and a ValueError (what `math.cos` raises on inf) when `s` is not
+finite. A ValueError on a finite `s` is the RHS's own and propagates.
 """
 import functools
 import math
@@ -31,7 +36,8 @@ import numpy as np
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the integrated state stops being finite.
+    """Raised when the integrated state stops being finite (see the module's
+    blow-up rule).
 
     `time` is the time of the first non-finite state and `state` the last
     finite one (a numpy array), one step earlier. `integrate` rejects a
@@ -106,15 +112,20 @@ def rk4_loop(rhs, y, n, h, states):
     t = 0.0
     try:
         for i in range(n):
-            k = rhs(t, y)
+            # s: the state handed to the RHS call in progress (the blow-up rule)
+            s = y
+            k = rhs(t, s)
             try:
                 {k1} = k
             except ValueError:
                 raise ValueError(f"rhs returned {{len(k)}} values for a state "
                                  f"of length {m}") from None
-            {k2} = rhs(t + half, {stage2})
-            {k3} = rhs(t + half, {stage3})
-            {k4} = rhs(t + h, {stage4})
+            s = {stage2}
+            {k2} = rhs(t + half, s)
+            s = {stage3}
+            {k3} = rhs(t + half, s)
+            s = {stage4}
+            {k4} = rhs(t + h, s)
             y = {y} = {update}
             # the product that gives times[i + 1], bit for bit; a list of all
             # the times would keep about 1 MB of float objects alive through
@@ -127,26 +138,14 @@ def rk4_loop(rhs, y, n, h, states):
             # the row's bytes in place: cheaper than `states[i + 1] = y`, which
             # converts the tuple through numpy
             pack_row(states, row_bytes * (i + 1), {ylist})
-    # an RHS on floats overflows by raising (a float ** 2 calls libm pow),
-    # where numpy would return inf; that too is a blow-up in step i
-    except OverflowError as exc:
-        raise BlowUpError(h * (i + 1), states[i].copy()) from exc
+    # an RHS on floats overflows by raising (a float ** 2 calls libm pow), and
     # math.cos and math.sin raise a ValueError on an infinite argument, where
-    # numpy would return NaN; that is a blow-up in step i too when the stage
-    # state of the RHS call that raised is not finite. The traceback's line
-    # in this loop tells which call it was. Stage 1 steps on y, which is
+    # numpy would return inf or NaN. Either is a blow-up in step i, but a
+    # ValueError only when the state s it was handed is not finite; on a
+    # finite s it is the RHS's own error. Stage 1 hands over y, which is
     # finite: the start is checked before the loop and every step after it
-    except ValueError as exc:
-        call = exc.__traceback__.tb_lineno
-        if call == rhs_lines[1]:
-            stage = {stage2}
-        elif call == rhs_lines[2]:
-            stage = {stage3}
-        elif call == rhs_lines[3]:
-            stage = {stage4}
-        else:
-            raise
-        if all(map(isfinite, stage)):
+    except (OverflowError, ValueError) as exc:
+        if isinstance(exc, ValueError) and all(map(isfinite, s)):
             raise
         raise BlowUpError(h * (i + 1), states[i].copy()) from exc
 """
@@ -171,11 +170,8 @@ def _rk4_loop(m):
         total=" + ".join(y) or "0.0", ylist="".join(f"{a}, " for a in y))
     # native doubles, the layout of a C-contiguous float64 row
     row = struct.Struct(f"{m}d")
-    # the lines of the four RHS calls, stages 1 to 4
-    rhs_lines = [n for n, line in enumerate(source.splitlines(), 1) if "= rhs(" in line]
     namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError,
-                 "pack_row": row.pack_into, "row_bytes": row.size,
-                 "rhs_lines": rhs_lines}
+                 "pack_row": row.pack_into, "row_bytes": row.size}
     exec(compile(source, f"<rk4 loop, m={m}>", "exec"), namespace)
     return namespace["rk4_loop"]
 
@@ -187,8 +183,8 @@ def integrate(rhs, initial, settings):
     for the RHS contract). Raises a ValueError for a non-finite initial
     state or when an RHS output and the state differ in length, and a
     BlowUpError when a step leaves the state non-finite, the RHS raises an
-    OverflowError, or it raises a ValueError on a stage state that is not
-    finite (the error chained as its cause).
+    OverflowError, or it raises a ValueError on a state handed to it that is
+    not finite (the RHS's error chained as its cause).
     """
     n = settings.n_steps
     h = settings.step

@@ -352,7 +352,7 @@ def sup_position_deviation(full, averaged, t_max=None):
     equal the averaged run's.
     """
     start = full.states[0]
-    if not np.allclose(start, averaged.states[0, :len(start)], atol=1e-12):
+    if not np.allclose(start, averaged.states[0, :len(start)], rtol=0.0, atol=1e-12):
         raise ValueError("runs must start from identical initial states")
     t = full.t
     if t_max is not None:

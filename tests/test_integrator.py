@@ -123,6 +123,32 @@ def test_an_overflowing_rhs_is_a_blow_up_naming_its_time():
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_an_overflow_at_any_stage_is_a_blow_up(stage):
+    # every stage state is finite; the RHS overflows on its own at the given
+    # stage of step 2
+    settings = IntegratorSettings(step=0.1, tf=1.0)
+    calls, raised = [], []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) == 4 * 2 + stage:
+            try:
+                1e200 ** 2
+            except OverflowError as exc:
+                raised.append(exc)
+                raise
+        return (1.0, math.cos(y[0]))
+
+    initial = np.zeros(2)
+    with pytest.raises(BlowUpError) as info:
+        integrate(rhs, initial, settings)
+    assert info.value.time == 0.1 * 3
+    clean = integrate(lambda t, y: (1.0, math.cos(y[0])), initial, settings)
+    assert info.value.state.tobytes() == clean.states[2].tobytes()
+    assert info.value.__cause__ is raised[0]
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
 def test_a_stage_state_that_math_cos_rejects_is_a_blow_up(stage):
     # math.cos raises a ValueError on an infinite angle y[0]. A non-finite
     # start is rejected before the loop, so stage 1 never sees one; a later

@@ -987,6 +987,16 @@ def test_dense_output_is_exact_on_cubic_paths(theta):
     assert sc.sup_position_deviation(fine, coarse, t_max=0.55) <= 1e-12
 
 
+def test_deviation_rejects_starts_apart_by_more_than_its_absolute_tolerance():
+    # 0.5 mm at x = 100 m is within numpy's default relative tolerance
+    t = np.array([0.0, 1.0])
+    full = Trajectory(t=t, states=np.array([[100.0, 0.0], [100.0, 0.0]]))
+    averaged = Trajectory(t=t, states=np.array([[100.0005, 0.0, 0.0, 0.0, 0.0, 0.0],
+                                                [100.0005, 0.0, 0.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="^runs must start from identical initial states$"):
+        sc.sup_position_deviation(full, averaged)
+
+
 def test_sweep_continues_past_failures():
     s = _scenario(horizon=5.0)
     rows = sc.sweep(s, "epsilon", [0.1, -1.0])
