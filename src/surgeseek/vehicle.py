@@ -23,12 +23,15 @@ with diagonal inertia M, a skew-symmetric Coriolis matrix C(v) with the
 standard surface-vessel structure, and a constant positive-definite
 damping matrix D (linear hydrodynamic damping).
 
-`dynamics_rhs` is the package's single right-hand side of this model:
-the full and averaged runners, the averaged (symmetric product) system,
-the drift fields and the passivity audit all evaluate it.
+`MODEL` is the package's single statement of this model, as source text.
+`dynamics_rhs` is compiled from it: the averaged (symmetric product)
+system, the drift fields and the passivity audit evaluate it. The full and
+averaged runners write `MODEL` out at each stage of their RK4 loops (see
+`integrator.Kernel`), so a step enters no model function.
 """
 import math
 import numbers
+import textwrap
 from dataclasses import dataclass, field
 from math import cos, sin
 
@@ -90,36 +93,74 @@ def reference_boat():
                                   d11=3.436, d22=12.99, d33=0.864)
 
 
-def dynamics_rhs(params, state, u):
-    """Time derivative of the 6-state under input u = (u1, u2), as a 6-tuple.
+# The vessel model, stated once: the rates `RATES` of the slots `SLOTS`
+# under the surge force u1 and the yaw torque u2. C(v)v and D v are written
+# out and M^{-1} is applied by dividing by the diagonal inertia entries; the
+# other names it reads are those of `constants`. `dynamics_rhs` is compiled
+# from this text, and the runners' kernels write it out at each RK4 stage.
+SLOTS = ("x", "y", "th", "vx", "vy", "om")
+RATES = ("dx", "dy", "dth", "dvx", "dvy", "dom")
+MODEL = """\
+cth = cos(th)
+sth = sin(th)
+dx = cth * vx - sth * vy
+dy = sth * vx + cth * vy
+dth = om
+dvx = (u1 + m22 * vy * om - (d11 * vx + d12 * vy + d13 * om)) / m11
+dvy = (-m11 * vx * om - (d21 * vx + d22 * vy + d23 * om)) / m22
+dom = (u2 - (m22 - m11) * vx * vy - (d31 * vx + d32 * vy + d33 * om)) / m33
+"""
 
-    Works on floats: C(v)v and D v are written out (the rows of D come
-    from `params.d_rows`) and M^{-1} is applied by dividing by the
-    diagonal inertia entries; D may be any valid damping matrix. A numpy
-    row given for `state` or `u` is taken as Python floats, so the result
-    is a 6-tuple of floats whatever the caller indexed: on numpy scalars
-    every operation would cost about three times as much and carry that
-    type into an RK4 loop's later stages. Given a tuple of state slots
-    whose velocities are equal-length columns and whose heading is a
-    float (`math.cos` takes no column), and a tuple of two input columns,
-    the same arithmetic evaluates every sample in one call and returns
-    six columns, bit-equal to the per-sample floats at that heading. The
-    velocity derivatives do not read the heading.
-    """
+
+def constants(params):
+    """Every name `MODEL` reads besides the slots and the inputs, by name:
+    `math.cos` and `math.sin`, the inertia entries m11, m22, m33 and the
+    damping entries d11 ... d33 (the rows of `params.d_rows`)."""
+    names = {"cos": cos, "sin": sin,
+             "m11": params.m11, "m22": params.m22, "m33": params.m33}
+    for i, row in enumerate(params.d_rows, 1):
+        names.update((f"d{i}{j}", value) for j, value in enumerate(row, 1))
+    return names
+
+
+# `dynamics_rhs` as source: the constants are read from `params`, and cos
+# and sin are globals, `math`'s
+_RHS_TEMPLATE = """\
+def dynamics_rhs(params, state, u):
     if u.__class__ is not tuple or state.__class__ is not tuple:
         if isinstance(state, np.ndarray):
             state = state.tolist()
         if isinstance(u, np.ndarray):
             u = u.tolist()
-    vx, vy, om = state[3], state[4], state[5]
-    cth, sth = cos(state[2]), sin(state[2])
+    {slots} = state
+    u1, u2 = u
     m11, m22, m33 = params.m11, params.m22, params.m33
     (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = params.d_rows
-    return (
-        cth * vx - sth * vy,
-        sth * vx + cth * vy,
-        om,
-        (u[0] + m22 * vy * om - (d11 * vx + d12 * vy + d13 * om)) / m11,
-        (-m11 * vx * om - (d21 * vx + d22 * vy + d23 * om)) / m22,
-        (u[1] - (m22 - m11) * vx * vy - (d31 * vx + d32 * vy + d33 * om)) / m33,
-    )
+{model}    return ({rates})
+"""
+
+
+def _compile_rhs():
+    source = _RHS_TEMPLATE.format(slots=", ".join(SLOTS), rates=", ".join(RATES),
+                                  model=textwrap.indent(MODEL, "    "))
+    namespace = {"__name__": __name__, "np": np, "cos": cos, "sin": sin}
+    exec(compile(source, "<vehicle.MODEL>", "exec"), namespace)
+    return namespace["dynamics_rhs"]
+
+
+dynamics_rhs = _compile_rhs()
+dynamics_rhs.__doc__ = """Time derivative of the 6-state under input u = (u1, u2), as a 6-tuple.
+
+    It is compiled from `MODEL` and works on floats: C(v)v and D v are
+    written out (the rows of D come from `params.d_rows`) and M^{-1} is applied by
+    dividing by the diagonal inertia entries; D may be any valid damping
+    matrix. A numpy row given for `state` or `u` is taken as Python floats,
+    so the result is a 6-tuple of floats whatever the caller indexed: on
+    numpy scalars every operation would cost about three times as much and
+    carry that type into an RK4 loop's later stages. Given a tuple of state
+    slots whose velocities are equal-length columns and whose heading is a
+    float (`math.cos` takes no column), and a tuple of two input columns,
+    the same arithmetic evaluates every sample in one call and returns
+    six columns, bit-equal to the per-sample floats at that heading. The
+    velocity derivatives do not read the heading.
+    """

@@ -1,14 +1,17 @@
 """
 Test oracles: second statements of the vessel model and the cost gradient.
 
-The package states the model once, in `vehicle.dynamics_rhs`, and each
-closed form once. The matrices and finite-difference routes below restate
-them independently, so the tests can check one against the other; no run
+The package states the model once, in `vehicle.MODEL`, and each closed form
+once. The matrices and finite-difference routes below restate them
+independently, so the tests can check one against the other, and the
+runners' right-hand sides are kept here as closures that call
+`dynamics_rhs`, the reference of the kernels the runners step; no run
 executes them.
 """
 import numpy as np
 
-from surgeseek.averaging import fd_jacobian
+from surgeseek.averaging import LAMBDA_11, es_surge_self_product, fd_jacobian
+from surgeseek.dither import surge_law
 from surgeseek.vehicle import dynamics_rhs
 
 
@@ -74,3 +77,33 @@ def gradient_check(field, points):
         scale = max(np.linalg.norm(g), 1.0)
         worst = max(worst, np.linalg.norm(fd - g) / scale)
     return worst
+
+
+def full_closure(scenario):
+    """The full run's right-hand side as a closure that calls `dynamics_rhs`
+    under the surge law's force and the constant torque."""
+    p = scenario.vehicle
+    value = scenario.cost.value
+    c_torque = scenario.gains.c
+    u1 = surge_law(scenario.gains)
+
+    def rhs(t, y):
+        return dynamics_rhs(p, y, (u1(t, value(y[0], y[1])), c_torque))
+
+    return rhs
+
+
+def averaged_closure(scenario):
+    """The averaged run's right-hand side as a closure: the drift under zero
+    surge force and the constant torque, its surge rate forced by
+    -Lambda_11 <B1:B1>."""
+    p = scenario.vehicle
+    c_torque = scenario.gains.c
+    self_product = es_surge_self_product(p, scenario.gains.k, scenario.cost)
+
+    def rhs(_t, y):
+        dx, dy, dth, dvx, dvy, dom = dynamics_rhs(p, y, (0.0, c_torque))
+        return (dx, dy, dth, dvx - LAMBDA_11 * self_product(y[0], y[1], y[2]),
+                dvy, dom)
+
+    return rhs
