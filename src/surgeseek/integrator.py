@@ -20,10 +20,7 @@ the way `collections.namedtuple` generates its methods: it unpacks the
 state and each RHS output into m locals and writes every stage and the
 update out in full, in the operation order of the plain comprehension
 loop, so it gives the same bits. It is built on the first `integrate` of
-a state of that length and cached. A `Kernel` is an RHS given as source:
-its loop is generated once per kernel text and writes the body out at
-each stage in place of the call, so a step enters only the functions that
-the body calls.
+a state of that length and cached.
 
 Blow-up rule: a step that leaves the state non-finite is a blow-up, and so
 is an error of the RHS on the state `s` it was handed: an OverflowError
@@ -33,7 +30,6 @@ finite. A ValueError on a finite `s` is the RHS's own and propagates.
 import functools
 import math
 import struct
-import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,132 +99,79 @@ class Trajectory:
         return self.t[1] - self.t[0]
 
 
-class Kernel:
-    """A right-hand side given as source, for `integrate` to write out at
-    each of its four RK4 stages.
-
-    From the stage time `tau`, the stage state unpacked into the slot names
-    `state` and the names of `values`, the statements of `body`, each line
-    ending in a newline, compute the rates `out`, one per slot. The values
-    are the loop's arguments, so the body reads them as local variables.
-    Names that begin with an underscore, and `tau`, are the loop's. A kernel
-    is also the function `kernel(t, y)` of the same body, compiled once per
-    kernel, so a caller that wraps it gets the same floats through the
-    calling loop.
-    """
-
-    def __init__(self, body, state, out, values):
-        self.body, self.state, self.out = body, tuple(state), tuple(out)
-        self.values = dict(values)
-        bind = _kernel_function(body, self.state, self.out, tuple(self.values))
-        self._rhs = bind(**self.values)
-
-    def __call__(self, t, y):
-        return self._rhs(t, y)
-
-
-def _tuple(items):
-    """Source of the tuple of `items`; the trailing comma makes (y0,) and ()
-    tuples too."""
-    return "(" + "".join(f"{item}, " for item in items) + ")"
-
-
-@functools.cache
-def _kernel_function(body, state, out, names):
-    """The kernel as a function of (tau, _s), given its values `names`."""
-    source = (f"def bind({', '.join(names)}):\n    def rhs(tau, _s):\n"
-              + textwrap.indent(f"{_tuple(state)} = _s\n{body}return {_tuple(out)}\n",
-                                " " * 8)
-              + "    return rhs\n")
-    namespace = {}
-    exec(compile(source, "<kernel>", "exec"), namespace)
-    return namespace["bind"]
-
-
 # The RK4 loop for a state of length m. Each stage and the update are
 # written out per component, in the operation order of the plain loop
 # `tuple([a + half * b for a, b in zip(y, k)])` and so on: on Python floats
 # that is about 2.5x cheaper per stage than a comprehension, which runs as
-# its own frame over a zip. Each stage evaluation is a call of `_rhs`, or a
-# kernel's body written out in full. The loop's own names begin with an
-# underscore, which a kernel's may not.
+# its own frame over a zip.
 _LOOP_TEMPLATE = """\
-def rk4_loop(_rhs, _y, _n, _h, _states{values}):
-    _half = 0.5 * _h
-    _sixth = _h / 6.0
-    {y} = _y
-    _t = 0.0
+def rk4_loop(rhs, y, n, h, states):
+    half = 0.5 * h
+    sixth = h / 6.0
+    {y} = y
+    t = 0.0
     try:
-        for _i in range(_n):
-            # _s: the state handed to the stage in progress (the blow-up rule)
-            _s = _y
-{stage1}
+        for i in range(n):
+            # s: the state handed to the RHS call in progress (the blow-up rule)
+            s = y
+            k = rhs(t, s)
             try:
-                {k1} = _k
+                {k1} = k
             except ValueError:
-                raise ValueError(f"rhs returned {{len(_k)}} values for a state "
+                raise ValueError(f"rhs returned {{len(k)}} values for a state "
                                  f"of length {m}") from None
-            _s = {state2}
-{stage2}
-            _s = {state3}
-{stage3}
-            _s = {state4}
-{stage4}
-            _y = {y} = {update}
+            s = {stage2}
+            {k2} = rhs(t + half, s)
+            s = {stage3}
+            {k3} = rhs(t + half, s)
+            s = {stage4}
+            {k4} = rhs(t + h, s)
+            y = {y} = {update}
             # the product that gives times[i + 1], bit for bit; a list of all
             # the times would keep about 1 MB of float objects alive through
             # the loop and raise the peak RSS
-            _t = _h * (_i + 1)
+            t = h * (i + 1)
             # a finite sum implies finite components; only a non-finite sum
             # (a NaN or inf, or an overflow of finite ones) needs the exact test
-            if not _isfinite({total}) and not all(map(_isfinite, _y)):
-                raise _BlowUpError(_t, _states[_i].copy())
+            if not isfinite({total}) and not all(map(isfinite, y)):
+                raise BlowUpError(t, states[i].copy())
             # the row's bytes in place: cheaper than `states[i + 1] = y`, which
             # converts the tuple through numpy
-            _pack_row(_states, _row_bytes * (_i + 1), {ylist})
+            pack_row(states, row_bytes * (i + 1), {ylist})
     # an RHS on floats overflows by raising (a float ** 2 calls libm pow), and
     # math.cos and math.sin raise a ValueError on an infinite argument, where
     # numpy would return inf or NaN. Either is a blow-up in step i, but a
-    # ValueError only when the state _s it was handed is not finite; on a
-    # finite _s it is the RHS's own error. Stage 1 hands over _y, which is
+    # ValueError only when the state s it was handed is not finite; on a
+    # finite s it is the RHS's own error. Stage 1 hands over y, which is
     # finite: the start is checked before the loop and every step after it
-    except (OverflowError, ValueError) as _exc:
-        if isinstance(_exc, ValueError) and all(map(_isfinite, _s)):
+    except (OverflowError, ValueError) as exc:
+        if isinstance(exc, ValueError) and all(map(isfinite, s)):
             raise
-        raise _BlowUpError(_h * (_i + 1), _states[_i].copy()) from _exc
+        raise BlowUpError(h * (i + 1), states[i].copy()) from exc
 """
 
 
 @functools.cache
-def _rk4_loop(m, body=None, state=(), out=(), names=()):
-    """The RK4 loop for states of length m, generated from `_LOOP_TEMPLATE`.
-    Each stage calls `_rhs`, or with a `body` writes out the kernel of that
-    body, slots `state`, rates `out` and values `names`."""
-    def stage(time, rates):
-        if body is None:
-            return f"            {rates} = _rhs({time}, _s)"
-        text = f"tau = {time}\n{_tuple(state)} = _s\n{body}{rates} = {_tuple(out)}"
-        return textwrap.indent(text, " " * 12)
+def _rk4_loop(m):
+    """The RK4 loop for states of length m, generated from `_LOOP_TEMPLATE`."""
+    def tup(items):
+        # a trailing comma makes every length a tuple, (y0,) and () included
+        return "(" + "".join(f"{item}, " for item in items) + ")"
 
-    # locals: the state _y0, _y1, ... and the stage rates _a*, _b*, _c* and _d*
-    y, k1, k2, k3, k4 = ([f"_{p}{j}" for j in range(m)] for p in "yabcd")
+    # locals: the state y0, y1, ... and the RHS outputs a*, b*, c* and d*
+    y, k1, k2, k3, k4 = ([f"{p}{j}" for j in range(m)] for p in "yabcd")
     source = _LOOP_TEMPLATE.format(
-        m=m, y=_tuple(y), k1=_tuple(k1),
-        values="".join(f", {name}" for name in names),
-        stage1=stage("_t", "_k"),
-        state2=_tuple(f"{a} + _half * {b}" for a, b in zip(y, k1)),
-        stage2=stage("_t + _half", _tuple(k2)),
-        state3=_tuple(f"{a} + _half * {b}" for a, b in zip(y, k2)),
-        stage3=stage("_t + _half", _tuple(k3)),
-        state4=_tuple(f"{a} + _h * {b}" for a, b in zip(y, k3)),
-        stage4=stage("_t + _h", _tuple(k4)),
-        update=_tuple(f"{a} + _sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})"
-                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)),
+        m=m, y=tup(y), k1=tup(k1), k2=tup(k2), k3=tup(k3), k4=tup(k4),
+        stage2=tup(f"{a} + half * {b}" for a, b in zip(y, k1)),
+        stage3=tup(f"{a} + half * {b}" for a, b in zip(y, k2)),
+        stage4=tup(f"{a} + h * {b}" for a, b in zip(y, k3)),
+        update=tup(f"{a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})"
+                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)),
         total=" + ".join(y) or "0.0", ylist="".join(f"{a}, " for a in y))
     # native doubles, the layout of a C-contiguous float64 row
     row = struct.Struct(f"{m}d")
-    namespace = {"_isfinite": math.isfinite, "_BlowUpError": BlowUpError,
-                 "_pack_row": row.pack_into, "_row_bytes": row.size}
+    namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError,
+                 "pack_row": row.pack_into, "row_bytes": row.size}
     exec(compile(source, f"<rk4 loop, m={m}>", "exec"), namespace)
     return namespace["rk4_loop"]
 
@@ -236,13 +179,12 @@ def _rk4_loop(m, body=None, state=(), out=(), names=()):
 def integrate(rhs, initial, settings):
     """Integrate y' = rhs(t, y) with fixed-step RK4, recording every step.
 
-    `rhs` is a function or a `Kernel`, whose body the loop writes out. The
-    state is carried as a tuple of floats (see the module docstring for the
-    RHS contract). Raises a ValueError for a non-finite initial state or
-    when an RHS output, or a kernel's slots or rates, and the state differ
-    in length, and a BlowUpError when a step leaves the state non-finite, the
-    RHS raises an OverflowError, or it raises a ValueError on a state handed
-    to it that is not finite (the RHS's error chained as its cause).
+    The state is carried as a tuple of floats (see the module docstring
+    for the RHS contract). Raises a ValueError for a non-finite initial
+    state or when an RHS output and the state differ in length, and a
+    BlowUpError when a step leaves the state non-finite, the RHS raises an
+    OverflowError, or it raises a ValueError on a state handed to it that is
+    not finite (the RHS's error chained as its cause).
     """
     n = settings.n_steps
     h = settings.step
@@ -255,11 +197,7 @@ def integrate(rhs, initial, settings):
     times = h * np.arange(n + 1)
     states = np.empty((n + 1, len(y)))
     states[0] = initial
-    if isinstance(rhs, Kernel):
-        loop = _rk4_loop(len(y), rhs.body, rhs.state, rhs.out, tuple(rhs.values))
-        loop(None, y, n, h, states, **rhs.values)
-    else:
-        _rk4_loop(len(y))(rhs, y, n, h, states)
+    _rk4_loop(len(y))(rhs, y, n, h, states)
     return Trajectory(t=times, states=states)
 
 

@@ -33,10 +33,9 @@ import numpy as np
 from . import costs
 from .averaging import AVERAGED_STEPS, LAMBDA_11, es_product_gain, es_surge_self_product
 from .dither import EsGains, surge_law
-from .integrator import (IntegratorSettings, Kernel, Trajectory, dividing_step,
-                         hermite, integrate)
+from .integrator import IntegratorSettings, Trajectory, dividing_step, hermite, integrate
 from .passivity import c_hat_bound
-from .vehicle import MODEL, RATES, SLOTS, VehicleParams, constants
+from .vehicle import VehicleParams, model_rhs
 
 # chosen operationalizations of the asymptotic convergence claims;
 # echoed into run metadata so outputs are self-describing
@@ -165,8 +164,7 @@ def load_scenario(path):
 
 
 def _integrate(scenario, rhs, step, name, eps=""):
-    """Integrate `rhs`, a function or a `Kernel`, over the horizon, recording
-    the states only.
+    """Integrate `rhs` over the horizon, recording the states only.
 
     A failure is re-raised as a RuntimeError naming the run and its gains;
     `eps` is the epsilon clause of that message, empty for the averaged
@@ -225,36 +223,26 @@ def _full_step(scenario):
                          / scenario.samples_per_period)
 
 
-def _full_kernel(scenario):
-    """The oscillatory closed loop as a kernel: the model under the surge
-    law's force on the measured cost and the constant torque c."""
-    gains = scenario.gains
-    return Kernel("u1 = surge(tau, value(x, y))\nu2 = c\n" + MODEL, SLOTS, RATES,
-                  {**constants(scenario.vehicle), "surge": surge_law(gains),
-                   "value": scenario.cost.value, "c": gains.c})
-
-
-def _averaged_kernel(scenario):
-    """The symmetric product system as a kernel: the model under zero surge
-    force and the torque c, its surge rate forced by -Lambda_11 <B1:B1>."""
-    p = scenario.vehicle
-    return Kernel("u1 = 0.0\nu2 = c\n" + MODEL
-                  + "dvx = dvx - LAMBDA_11 * self_product(x, y, th)\n", SLOTS, RATES,
-                  {**constants(p), "LAMBDA_11": LAMBDA_11, "c": scenario.gains.c,
-                   "self_product": es_surge_self_product(p, scenario.gains.k,
-                                                         scenario.cost)})
-
-
 def _integrate_full(scenario):
-    """The oscillatory closed loop's states, on `run_full`'s grid."""
-    return _integrate(scenario, _full_kernel(scenario), _full_step(scenario), "full",
-                      f" eps={scenario.gains.epsilon}")
+    """The oscillatory closed loop's states, on `run_full`'s grid: the model
+    under the surge law's force on the measured cost and the torque c."""
+    gains = scenario.gains
+    rhs = model_rhs(scenario.vehicle, "u1 = surge(tau, value(x, y))\nu2 = c\n",
+                    {"surge": surge_law(gains), "value": scenario.cost.value, "c": gains.c})
+    return _integrate(scenario, rhs, _full_step(scenario), "full", f" eps={gains.epsilon}")
 
 
 def _integrate_averaged(scenario):
-    """The symmetric product system's states, on `run_averaged`'s grid."""
-    return _integrate(scenario, _averaged_kernel(scenario),
-                      scenario.horizon / AVERAGED_STEPS, "averaged")
+    """The symmetric product system's states, on `run_averaged`'s grid: the
+    model under zero surge force and the torque c, its surge rate forced by
+    -Lambda_11 <B1:B1>."""
+    p = scenario.vehicle
+    self_product = es_surge_self_product(p, scenario.gains.k, scenario.cost)
+    rhs = model_rhs(p, "u1 = 0.0\nu2 = c\n",
+                    {"c": scenario.gains.c, "LAMBDA_11": LAMBDA_11,
+                     "self_product": self_product},
+                    after="dvx = dvx - LAMBDA_11 * self_product(x, y, th)\n")
+    return _integrate(scenario, rhs, scenario.horizon / AVERAGED_STEPS, "averaged")
 
 
 def run_full(scenario):

@@ -26,9 +26,10 @@ damping matrix D (linear hydrodynamic damping).
 `MODEL` is the package's single statement of this model, as source text.
 `dynamics_rhs` is compiled from it: the averaged (symmetric product)
 system, the drift fields and the passivity audit evaluate it. The full and
-averaged runners write `MODEL` out at each stage of their RK4 loops (see
-`integrator.Kernel`), so a step enters no model function.
+averaged runners step `model_rhs` functions, also compiled from it, which
+compute their inputs and the rates in one frame.
 """
+import functools
 import math
 import numbers
 import textwrap
@@ -97,7 +98,7 @@ def reference_boat():
 # under the surge force u1 and the yaw torque u2. C(v)v and D v are written
 # out and M^{-1} is applied by dividing by the diagonal inertia entries; the
 # other names it reads are those of `constants`. `dynamics_rhs` is compiled
-# from this text, and the runners' kernels write it out at each RK4 stage.
+# from this text, and so are the runners' `model_rhs` functions.
 SLOTS = ("x", "y", "th", "vx", "vy", "om")
 RATES = ("dx", "dy", "dth", "dvx", "dvy", "dom")
 MODEL = """\
@@ -140,15 +141,15 @@ def dynamics_rhs(params, state, u):
 """
 
 
-def _compile_rhs():
-    source = _RHS_TEMPLATE.format(slots=", ".join(SLOTS), rates=", ".join(RATES),
-                                  model=textwrap.indent(MODEL, "    "))
+def _define(name, source):
+    """The function `name` that `source` defines, compiled from `MODEL`."""
     namespace = {"__name__": __name__, "np": np, "cos": cos, "sin": sin}
     exec(compile(source, "<vehicle.MODEL>", "exec"), namespace)
-    return namespace["dynamics_rhs"]
+    return namespace[name]
 
 
-dynamics_rhs = _compile_rhs()
+dynamics_rhs = _define("dynamics_rhs", _RHS_TEMPLATE.format(
+    slots=", ".join(SLOTS), rates=", ".join(RATES), model=textwrap.indent(MODEL, "    ")))
 dynamics_rhs.__doc__ = """Time derivative of the 6-state under input u = (u1, u2), as a 6-tuple.
 
     It is compiled from `MODEL` and works on floats: C(v)v and D v are
@@ -164,3 +165,36 @@ dynamics_rhs.__doc__ = """Time derivative of the 6-state under input u = (u1, u2
     six columns, bit-equal to the per-sample floats at that heading. The
     velocity derivatives do not read the heading.
     """
+
+
+# A `model_rhs` function as source: `bind` takes the values and returns the
+# right-hand side, which reads them as closure cells
+_MODEL_RHS_TEMPLATE = """\
+def bind({names}):
+    def rhs(tau, state):
+        {slots} = state
+{body}        return ({rates})
+    return rhs
+"""
+
+
+@functools.cache
+def _model_rhs_binder(body, names):
+    return _define("bind", _MODEL_RHS_TEMPLATE.format(
+        names=", ".join(names), slots=", ".join(SLOTS), body=textwrap.indent(body, " " * 8),
+        rates=", ".join(RATES)))
+
+
+def model_rhs(params, inputs, values, after=""):
+    """The right-hand side rhs(tau, state) of the model of `params`, one
+    generated function for an RK4 loop to call.
+
+    The statements `inputs` compute u1 and u2 from the stage time `tau`, the
+    slots `SLOTS` of `state` and the names of `values`; `MODEL` then computes
+    the rates `RATES`, each the float `dynamics_rhs` gives at those inputs,
+    and the statements `after` may amend them. It returns the rates as a
+    6-tuple. The source is compiled once per text and value names, so every
+    run of a sweep shares one compile.
+    """
+    values = {**constants(params), **values}
+    return _model_rhs_binder(inputs + MODEL + after, tuple(values))(**values)

@@ -5,8 +5,8 @@ The package states the model once, in `vehicle.MODEL`, and each closed form
 once. The matrices and finite-difference routes below restate them
 independently, so the tests can check one against the other, and the
 runners' right-hand sides are kept here as closures that call
-`dynamics_rhs`, the reference of the kernels the runners step; no run
-executes them.
+`dynamics_rhs`, the reference of the `model_rhs` functions the runners
+step; no run executes them.
 """
 import numpy as np
 

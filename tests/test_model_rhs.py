@@ -1,0 +1,126 @@
+"""The runners' right-hand sides, compiled from `vehicle.MODEL` by
+`model_rhs`. They step the same floats as the closures that call
+`dynamics_rhs`, and they keep the loop's blow-up rule."""
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import surgeseek.scenario as sc
+from surgeseek.averaging import AVERAGED_STEPS
+from surgeseek.costs import get_field
+from surgeseek.dither import EsGains
+from surgeseek.integrator import BlowUpError, IntegratorSettings, integrate
+from surgeseek.vehicle import (MODEL, RATES, VehicleParams, constants, dynamics_rhs,
+                               model_rhs, reference_boat)
+
+from oracles import averaged_closure, full_closure
+
+# per runner: its integration, the closure it replaced, and its step
+RUNNERS = {
+    "full": (sc._integrate_full, full_closure, sc._full_step),
+    "averaged": (sc._integrate_averaged, averaged_closure,
+                 lambda scenario: scenario.horizon / AVERAGED_STEPS),
+}
+
+
+def _scenario(field="quadratic"):
+    return sc.Scenario(vehicle=reference_boat(), cost=get_field(field),
+                       gains=EsGains(k=1.0, c=1.0, epsilon=0.1),
+                       initial=np.array([0.5, -0.3, 0.2, 0.1, 0.0, 0.3]), horizon=2.0)
+
+
+def _settings(runner, scenario):
+    return IntegratorSettings(step=RUNNERS[runner][2](scenario), tf=scenario.horizon)
+
+
+@pytest.mark.parametrize("field", ["quadratic", "rotated_quadratic", "log_bowl"])
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_the_runners_step_the_closures_floats(runner, field):
+    scenario = _scenario(field)
+    run, closure, _ = RUNNERS[runner]
+    got = run(scenario)
+    reference = integrate(closure(scenario), scenario.initial, _settings(runner, scenario))
+    assert got.states.tobytes() == reference.states.tobytes()
+    assert got.t.tobytes() == reference.t.tobytes()
+
+
+def _with_value(scenario, value):
+    return replace(scenario, cost=replace(scenario.cost, value=value))
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_an_overflow_in_a_runner_at_any_stage_is_a_blow_up(runner, stage):
+    # each runner measures the cost once per stage; the measurement
+    # overflows on its own at the given stage of step 2
+    scenario = _scenario()
+    value = scenario.cost.value
+    calls, raised = [], []
+
+    def overflowing(x, y):
+        calls.append((x, y))
+        if len(calls) == 4 * 2 + stage:
+            try:
+                1e200 ** 2
+            except OverflowError as exc:
+                raised.append(exc)
+                raise
+        return value(x, y)
+
+    run = RUNNERS[runner][0]
+    with pytest.raises(RuntimeError) as info:
+        run(_with_value(scenario, overflowing))
+    blow_up = info.value.__cause__
+    assert isinstance(blow_up, BlowUpError)
+    assert blow_up.time == _settings(runner, scenario).step * 3
+    assert blow_up.state.tobytes() == run(scenario).states[2].tobytes()
+    assert blow_up.__cause__ is raised[0]
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_a_value_error_on_a_finite_slot_state_propagates(runner, stage):
+    scenario = _scenario()
+    value = scenario.cost.value
+    calls = []
+    error = ValueError("math domain error")
+
+    def failing(x, y):
+        calls.append((x, y))
+        if len(calls) == 4 + stage:
+            raise error
+        return value(x, y)
+
+    with pytest.raises(RuntimeError) as info:
+        RUNNERS[runner][0](_with_value(scenario, failing))
+    assert info.value.__cause__ is error
+    assert error.__cause__ is None
+
+
+COUPLED = VehicleParams(1.0, 2.0, 0.5, np.array([[2.0, 0.3, 0.1], [0.3, 3.0, 0.2],
+                                                [0.1, 0.2, 1.0]]))
+
+
+@pytest.mark.parametrize("p", [reference_boat(), COUPLED], ids=["boat", "coupled"])
+def test_model_rhs_gives_the_floats_of_dynamics_rhs(p):
+    rhs = model_rhs(p, "u1 = surge(tau)\nu2 = c\n", {"surge": lambda t: 3.0 * t, "c": -0.7})
+    rng = np.random.default_rng(25)
+    for t, state in zip(rng.uniform(-2.0, 2.0, 50).tolist(),
+                        rng.uniform(-3.0, 3.0, (50, 6)).tolist()):
+        assert rhs(t, tuple(state)) == dynamics_rhs(p, tuple(state), (3.0 * t, -0.7))
+
+
+def test_one_compile_serves_every_run_of_a_text():
+    # a sweep's runs differ in their values only
+    a, b = (model_rhs(p, "u1 = 0.0\nu2 = c\n", {"c": c})
+            for p, c in ((reference_boat(), 1.0), (COUPLED, 2.0)))
+    assert a.__code__ is b.__code__
+    assert a(0.0, (0.0,) * 6) != b(0.0, (0.0,) * 6)
+
+
+def test_constants_names_every_name_the_model_reads():
+    # module-level code keeps every name it loads or stores in co_names
+    names = set(compile(MODEL, "<model>", "exec").co_names)
+    read = {"th", "vx", "vy", "om", "u1", "u2", *constants(reference_boat())}
+    assert names == read | {"cth", "sth", *RATES}
