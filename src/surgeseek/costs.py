@@ -21,8 +21,10 @@ class CostField:
 
 
 def _check_coefficients(a, b, floor):
-    if not (a > 0 and b > 0):
-        raise ValueError("quadratic coefficients must be strictly positive")
+    for name, value in (("a", a), ("b", b)):
+        if not value > 0:
+            raise ValueError(f"quadratic coefficient {name} must be strictly positive, "
+                             f"got {value}")
     if not floor >= 0:
         raise ValueError("floor must be non-negative")
 

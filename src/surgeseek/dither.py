@@ -116,15 +116,6 @@ def surge_law(gains):
     return u1
 
 
-def general_input(dither_set, epsilon, t, q):
-    """u = b0 + (1/eps) * sum_i b_i(q) * w_i(t/eps)."""
-    u = dither_set.b0.copy()
-    tau = t / epsilon
-    for comp in dither_set.components:
-        u += (comp.w(tau) / epsilon) * np.asarray(comp.shape(q), dtype=float)
-    return u
-
-
 def es_dither_set(gains, cost_field):
     """Single-component dither set of the seeking law: `surge_law` and torque c."""
     def shape(q):

@@ -416,6 +416,13 @@ def _full_positions(scenario):
     return Trajectory(traj.t, traj.states[:, :2].copy())
 
 
+def _averaged_states(scenario):
+    """A sweep's averaged run without its omega column: its times and the
+    x, y, theta, vx and vy that the metrics' Hermite positions read."""
+    traj = _integrate_averaged(scenario)
+    return Trajectory(traj.t, traj.states[:, :5].copy())
+
+
 def _sweep_row(value, scenario, full, averaged):
     """The metrics row of one value from its two runs. A run that failed,
     given as the text of its error, or failing metrics give a row naming
@@ -536,7 +543,8 @@ def sweep(base, axis, values):
     Each run is one task of `run_forked`, costed at its RK4 step count: one
     full run per value, and one averaged run per distinct (k, c), since the
     averaged run reads neither epsilon nor samples_per_period. A full run
-    task returns its times and x, y columns only. The rows are computed in
+    task returns its times and x, y columns only, an averaged run task all
+    but its omega column. The rows are computed in
     this process from the returned runs. A worker that dies fails each row
     that reads one of its runs with a reason naming its exit code. Every
     run is deterministic, so a row depends neither on the order of the
@@ -562,7 +570,7 @@ def sweep(base, axis, values):
             continue
         key = (scenario.gains.k, scenario.gains.c)
         if key not in averaged:
-            averaged[key] = add(_integrate_averaged, scenario, AVERAGED_STEPS)
+            averaged[key] = add(_averaged_states, scenario, AVERAGED_STEPS)
         full = add(_full_positions, scenario, round(scenario.horizon / _full_step(scenario)))
         pairs.append((scenario, full, averaged[key]))
 

@@ -27,8 +27,10 @@ damping matrix D (linear hydrodynamic damping).
 `dynamics_rhs` is compiled from it: the averaged (symmetric product)
 system, the drift fields and the passivity audit evaluate it. The full and
 averaged runners step `model_rhs` functions, also compiled from it, which
-compute their inputs and the rates in one frame.
+compute their inputs and the rates in one frame and leave out the damping
+products of the vessel's zero entries.
 """
+import ast
 import functools
 import math
 import numbers
@@ -82,7 +84,14 @@ class VehicleParams:
 
     @classmethod
     def diagonal(cls, m11, m22, m33, d11, d22, d33):
-        return cls(m11, m22, m33, np.diag([float(d11), float(d22), float(d33)]))
+        """The vessel with damping diag(d11, d22, d33); for a diagonal matrix,
+        positive definite means each entry strictly positive."""
+        entries = {"d11": float(d11), "d22": float(d22), "d33": float(d33)}
+        for name, value in entries.items():
+            if value <= 0:
+                raise ValueError(f"damping entry {name} must be strictly positive, "
+                                 f"got {value}")
+        return cls(m11, m22, m33, np.diag(list(entries.values())))
 
     def is_diagonal_damping(self):
         return bool(np.all(self.d == np.diag(np.diag(self.d))))
@@ -98,7 +107,8 @@ def reference_boat():
 # under the surge force u1 and the yaw torque u2. C(v)v and D v are written
 # out and M^{-1} is applied by dividing by the diagonal inertia entries; the
 # other names it reads are those of `constants`. `dynamics_rhs` is compiled
-# from this text, and so are the runners' `model_rhs` functions.
+# from this text, and so are the runners' `model_rhs` functions, which leave
+# out the damping products of zero entries.
 SLOTS = ("x", "y", "th", "vx", "vy", "om")
 RATES = ("dx", "dy", "dth", "dvx", "dvy", "dom")
 MODEL = """\
@@ -167,6 +177,44 @@ dynamics_rhs.__doc__ = """Time derivative of the 6-state under input u = (u1, u2
     """
 
 
+# the damping entries `MODEL` multiplies a velocity slot by, each in one
+# product `dij * slot` of a sum
+_DAMPING = tuple(f"d{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))
+
+
+class _DropProducts(ast.NodeTransformer):
+    """Leaves out of each sum the products `name * ...` of the names `zero`,
+    keeping the order of the other terms."""
+
+    def __init__(self, zero):
+        self.zero = zero
+
+    def _dropped(self, node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and isinstance(node.left, ast.Name) and node.left.id in self.zero)
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Add):
+            if self._dropped(node.right):
+                return node.left
+            if self._dropped(node.left):
+                return node.right
+        return node
+
+
+@functools.cache
+def _model_without(zero):
+    """`MODEL` without the damping products of the entries `zero`.
+
+    For a finite velocity, a product 0.0 * v is a signed zero, and adding it
+    changes a sum only if the other terms sum to a zero of the other sign.
+    So each rate equals `MODEL`'s as a float and can differ only in the sign
+    of a zero.
+    """
+    return ast.unparse(_DropProducts(zero).visit(ast.parse(MODEL))) + "\n"
+
+
 # A `model_rhs` function as source: `bind` takes the values and returns the
 # right-hand side, which reads them as closure cells
 _MODEL_RHS_TEMPLATE = """\
@@ -191,10 +239,16 @@ def model_rhs(params, inputs, values, after=""):
 
     The statements `inputs` compute u1 and u2 from the stage time `tau`, the
     slots `SLOTS` of `state` and the names of `values`; `MODEL` then computes
-    the rates `RATES`, each the float `dynamics_rhs` gives at those inputs,
-    and the statements `after` may amend them. It returns the rates as a
-    6-tuple. The source is compiled once per text and value names, so every
-    run of a sweep shares one compile.
+    the rates `RATES` and the statements `after` may amend them. It returns
+    the rates as a 6-tuple. The damping products of the entries of
+    `params.d` that are exactly 0.0 are left out of `MODEL` (six of nine for
+    a diagonal vessel), so each rate equals, as a float, the one
+    `dynamics_rhs` gives at those inputs; it can differ only in the sign of
+    a zero. The source is compiled once per text, that is per input
+    statements, pattern of zero damping entries and value names, so every
+    run of a sweep, which shares one vessel, shares one compile.
     """
-    values = {**constants(params), **values}
-    return _model_rhs_binder(inputs + MODEL + after, tuple(values))(**values)
+    names = constants(params)
+    zero = frozenset(name for name in _DAMPING if names[name] == 0.0)
+    values = {**names, **values}
+    return _model_rhs_binder(inputs + _model_without(zero) + after, tuple(values))(**values)

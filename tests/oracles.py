@@ -1,5 +1,6 @@
 """
-Test oracles: second statements of the vessel model and the cost gradient.
+Test oracles: second statements of the vessel model, the cost gradient and
+the general oscillatory input.
 
 The package states the model once, in `vehicle.MODEL`, and each closed form
 once. The matrices and finite-difference routes below restate them
@@ -62,6 +63,15 @@ def second_derivative_term_fd(params, b0, xv, yv, probe=1e-4, base_point=None):
         return fd_jacobian(f2, v, probe) @ xv
 
     return fd_jacobian(df2_x, np.asarray(base_point, dtype=float), probe) @ yv
+
+
+def general_input(dither_set, epsilon, t, q):
+    """The general oscillatory input u = b0 + (1/eps) * sum_i b_i(q) * w_i(t/eps)."""
+    u = dither_set.b0.copy()
+    tau = t / epsilon
+    for comp in dither_set.components:
+        u += (comp.w(tau) / epsilon) * np.asarray(comp.shape(q), dtype=float)
+    return u
 
 
 def gradient_check(field, points):

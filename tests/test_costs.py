@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ def test_degenerate_coefficients_rejected():
     for factory in (quadratic_cost, rotated_quadratic_cost, log_bowl_cost):
         with pytest.raises(ValueError, match="floor"):
             factory(floor=float("nan"))
+
+
+@pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])
+@pytest.mark.parametrize("key, value", [("a", -1.0), ("b", 0.0), ("a", math.nan)])
+def test_a_bad_coefficient_is_named(name, key, value):
+    with pytest.raises(ValueError, match=rf"^quadratic coefficient {key} must be strictly "
+                                         rf"positive, got {value}$"):
+        get_field(name, **{key: value})
 
 
 @pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])

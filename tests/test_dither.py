@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from surgeseek.costs import quadratic_cost
-from surgeseek.dither import (DitherComponent, DitherSet, EsGains, es_dither_set,
-                              general_input, surge_law, validate_dither)
+from surgeseek.dither import (DitherComponent, DitherSet, EsGains, es_dither_set, surge_law,
+                              validate_dither)
 from surgeseek.quadrature import sample_period, simpson
+
+from oracles import general_input
 
 TWO_PI = 2.0 * math.pi
 

@@ -1,10 +1,13 @@
 """The runners' right-hand sides, compiled from `vehicle.MODEL` by
-`model_rhs`. They step the same floats as the closures that call
-`dynamics_rhs`, and they keep the loop's blow-up rule."""
+`model_rhs` without the vessel's zero damping products. They step the same
+floats as the closures that call `dynamics_rhs`, and they keep the loop's
+blow-up rule."""
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import surgeseek.scenario as sc
 from surgeseek.averaging import AVERAGED_STEPS
@@ -100,6 +103,10 @@ def test_a_value_error_on_a_finite_slot_state_propagates(runner, stage):
 
 COUPLED = VehicleParams(1.0, 2.0, 0.5, np.array([[2.0, 0.3, 0.1], [0.3, 3.0, 0.2],
                                                 [0.1, 0.2, 1.0]]))
+# sway-yaw coupling alone: its text leaves out four of the nine products
+PARTLY_COUPLED = VehicleParams(1.0, 2.0, 0.5, np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.2],
+                                                       [0.0, 0.2, 1.0]]))
+OTHER_DIAGONAL = VehicleParams.diagonal(1.0, 2.0, 0.5, 2.0, 3.0, 1.0)
 
 
 @pytest.mark.parametrize("p", [reference_boat(), COUPLED], ids=["boat", "coupled"])
@@ -112,11 +119,51 @@ def test_model_rhs_gives_the_floats_of_dynamics_rhs(p):
 
 
 def test_one_compile_serves_every_run_of_a_text():
-    # a sweep's runs differ in their values only
-    a, b = (model_rhs(p, "u1 = 0.0\nu2 = c\n", {"c": c})
-            for p, c in ((reference_boat(), 1.0), (COUPLED, 2.0)))
-    assert a.__code__ is b.__code__
-    assert a(0.0, (0.0,) * 6) != b(0.0, (0.0,) * 6)
+    # the text is the input statements and the model without the vessel's
+    # zero damping products: a sweep's runs, which share one vessel, differ
+    # in their values only, and every diagonal vessel has one pattern
+    def rhs(p, c):
+        return model_rhs(p, "u1 = 0.0\nu2 = c\n", {"c": c})
+
+    boat = rhs(reference_boat(), 1.0)
+    for other in (rhs(reference_boat(), 2.0), rhs(OTHER_DIAGONAL, 1.0)):
+        assert other.__code__ is boat.__code__
+        assert other(0.0, (0.0,) * 6) != boat(0.0, (0.0,) * 6)
+    assert rhs(COUPLED, 2.0).__code__ is not boat.__code__
+
+
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_the_boats_runners_read_no_off_diagonal_damping_entry(runner, monkeypatch):
+    # the six zero products of a diagonal vessel are left out of the
+    # function the loop steps, so its closure holds the diagonal entries only
+    stepped = []
+    monkeypatch.setattr(sc, "integrate", lambda rhs, *_: stepped.append(rhs))
+    RUNNERS[runner][0](_scenario())
+    [rhs] = stepped
+    damping = {name for name in rhs.__code__.co_freevars if name[0] == "d"}
+    assert damping == {"d11", "d22", "d33"}
+
+
+nonzero = st.floats(-5.0, 5.0, allow_subnormal=False).filter(bool)
+positive = st.floats(0.2, 5.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.builds(VehicleParams.diagonal, *[positive] * 6)
+       | st.sampled_from([PARTLY_COUPLED, COUPLED]),
+       st.tuples(*[nonzero] * 8), st.tuples(*[st.sampled_from([None, 0.0, -0.0])] * 8))
+def test_model_rhs_equals_dynamics_rhs_on_any_state(p, slots, zeroed):
+    # leaving a product 0.0 * v out of a sum can change only the sign of a
+    # zero sum: the rates are bit for bit those of `dynamics_rhs` when no
+    # slot is zero, and equal as floats when some are exact +-0.0
+    def rates(slots):
+        rhs = model_rhs(p, "u1 = f\nu2 = c\n", {"f": slots[6], "c": slots[7]})
+        return rhs(0.0, slots[:6]), dynamics_rhs(p, slots[:6], slots[6:])
+
+    got, want = rates(slots)
+    assert struct.pack("6d", *got) == struct.pack("6d", *want)
+    got, want = rates(tuple(v if z is None else z for v, z in zip(slots, zeroed)))
+    assert got == want
 
 
 def test_constants_names_every_name_the_model_reads():

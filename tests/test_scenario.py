@@ -109,6 +109,8 @@ def test_load_scenario_missing_file(tmp_path):
     ("epsilon = 0.1", "epsilon = inf", r"\[gains\] epsilon: 'inf' is not a finite number"),
     ("horizon = 100.0", "horizon = nan", r"\[run\] horizon: 'nan' is not a finite number"),
     ("floor = 1.0", "floor = nan", r"\[cost\] floor: 'nan' is not a finite number"),
+    ("d22 = 12.99", "d22 = -1.0", r"^damping entry d22 must be strictly positive, got -1.0$"),
+    ("\na = 1.0", "\na = -1", r"^quadratic coefficient a must be strictly positive, got -1.0$"),
     ("x = 0.0", "x = nan", r"\[initial\] x: 'nan' is not a finite number"),
     ("name = quadratic", "name = quadratc",
      r"^\[cost\] name: unknown cost field 'quadratc'; known: \["),
@@ -352,6 +354,17 @@ def test_compare_checks_the_start_of_each_column_the_full_run_carries():
     assert sc.compare(full, moved_vy, _scenario()).sup_deviation > 0.0
 
 
+def test_a_sweeps_averaged_run_drops_only_omega():
+    # a sweep's averaged run task sends back what the metrics read
+    s = _scenario(horizon=2.0)
+    whole = sc._integrate_averaged(s)
+    sent = sc._averaged_states(s)
+    assert sent.t.tobytes() == whole.t.tobytes()
+    assert sent.states.tobytes() == whole.states[:, :5].tobytes()
+    full = sc._full_positions(s)
+    assert sc.compare(full, sent, s) == sc.compare(full, whole, s)
+
+
 def test_convergence_time_never_sentinel():
     s = _scenario(gains=EsGains(0.0, 1.0, 0.1), horizon=5.0)
     traj = sc.run_full(s)
@@ -593,8 +606,8 @@ def test_sweep_passes_one_averaged_task_per_k_and_c_costed_in_steps(monkeypatch)
     assert [row["status"] for row in rows] == ["ok"] * 3
     [(tasks, costs)] = passed
     runs = [task.args[0] for task in tasks]
-    assert runs.count(sc._integrate_averaged) == 1
-    assert costs[runs.index(sc._integrate_averaged)] == AVERAGED_STEPS
+    assert runs.count(sc._averaged_states) == 1
+    assert costs[runs.index(sc._averaged_states)] == AVERAGED_STEPS
     # each full run costs the RK4 steps it takes
     fulls = [(task.args[1], cost) for task, cost in zip(tasks, costs)
              if task.args[0] is sc._full_positions]

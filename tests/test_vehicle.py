@@ -199,6 +199,15 @@ def test_params_name_a_non_finite_entry(entry, value):
         VehicleParams.diagonal(**entries)
 
 
+@pytest.mark.parametrize("entry, value", [("d11", 0.0), ("d22", -1.0), ("d33", -math.inf)])
+def test_params_name_a_non_positive_damping_entry(entry, value):
+    entries = {"m11": 1.0, "m22": 1.0, "m33": 1.0, "d11": 1.0, "d22": 1.0, "d33": 1.0}
+    entries[entry] = value
+    with pytest.raises(ValueError, match=rf"^damping entry {entry} must be strictly "
+                                         rf"positive, got {value}$"):
+        VehicleParams.diagonal(**entries)
+
+
 def test_nondiagonal_damping_accepted():
     d = np.array([[2.0, 0.3, 0.0], [0.3, 3.0, 0.0], [0.0, 0.0, 1.0]])
     p = VehicleParams(1.0, 2.0, 0.5, d)
