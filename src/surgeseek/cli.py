@@ -12,7 +12,7 @@ import numpy as np
 
 from . import averaging, passivity, scenario as sc
 from .dither import validate_dither
-from .integrator import IntegratorSettings, Trajectory, integrate
+from .integrator import IntegratorSettings, integrate
 from .vehicle import dynamics_rhs
 
 
@@ -61,24 +61,20 @@ def _renamed(*paths):
                 os.remove(temp)
 
 
-def _run_to_csv(run, s, path):
-    """`run(s)` written to `path`; a forked child sends back only the
-    times and states, all that `compare` reads."""
-    traj = run(s)
-    sc.write_trajectory_csv(traj, path)
-    return Trajectory(traj.t, traj.states)
-
-
 def _runs(args, names, meta, extra=lambda s, *runs: {}):
     """The scenario and the runs `names` ("full", "averaged"), each written
     to `<name>.csv` by one task of `sc.run_forked`, and the meta file
-    `meta`, with the keys `extra(s, *runs)` adds. The CSVs and the meta are
-    renamed into place together, only once every run, every write and the
-    meta have succeeded. Returns the scenario, the path of each CSV and
-    the added keys."""
+    `meta`, with the keys `extra(s, *runs)` adds. The full run's task is
+    `sc.write_full_run`, which on two CPUs writes a long CSV in three
+    shares while the run is integrating, the averaged run's
+    `sc.run_to_csv` of `sc.run_averaged`; each returns its run's times and
+    states only. The CSVs and the meta are renamed into place together,
+    only once every run, every write and the meta have succeeded. Returns
+    the scenario, the path of each CSV and the added keys."""
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s.output_dir)
-    runners = {"full": sc.run_full, "averaged": sc.run_averaged}
+    writers = {"full": sc.write_full_run,
+               "averaged": partial(sc.run_to_csv, sc.run_averaged)}
     paths = [os.path.join(out, f"{name}.csv") for name in names]
 
     def exited(i, code):
@@ -86,7 +82,7 @@ def _runs(args, names, meta, extra=lambda s, *runs: {}):
                            f"before sending its run")
 
     with _renamed(*paths, os.path.join(out, meta)) as temps:
-        runs = sc.run_forked([partial(_run_to_csv, runners[name], s, temp)
+        runs = sc.run_forked([partial(writers[name], s, temp)
                               for name, temp in zip(names, temps)], exited)
         added = extra(s, *runs)
         _write_meta(temps[-1], s, added)

@@ -20,7 +20,9 @@ the way `collections.namedtuple` generates its methods: it unpacks the
 state and each RHS output into m locals and writes every stage and the
 update out in full, in the operation order of the plain comprehension
 loop, so it gives the same bits. It is built on the first `integrate` of
-a state of that length and cached.
+a state of that length and cached. It takes a range of steps, so
+`step_rows` can step one run in consecutive ranges of rows with the bits
+of one `integrate`, and the rows already stepped can be read in between.
 
 Blow-up rule: a step that leaves the state non-finite is a blow-up, and so
 is an error of the RHS on the state `s` it was handed: an OverflowError
@@ -105,13 +107,14 @@ class Trajectory:
 # that is about 2.5x cheaper per stage than a comprehension, which runs as
 # its own frame over a zip.
 _LOOP_TEMPLATE = """\
-def rk4_loop(rhs, y, n, h, states):
+def rk4_loop(rhs, y, i0, i1, h, states):
     half = 0.5 * h
     sixth = h / 6.0
     {y} = y
-    t = 0.0
+    # the product the step before i0 left in t, bit for bit
+    t = h * i0
     try:
-        for i in range(n):
+        for i in range(i0, i1):
             # s: the state handed to the RHS call in progress (the blow-up rule)
             s = y
             k = rhs(t, s)
@@ -176,29 +179,48 @@ def _rk4_loop(m):
     return namespace["rk4_loop"]
 
 
+def allocate(initial, settings):
+    """The record of a run of `settings` from `initial`: its times, and its
+    states with `initial` in row 0 and the other rows to be filled by
+    `step_rows`. Raises a ValueError for a non-finite initial state."""
+    initial = np.asarray(initial, dtype=float)
+    for j, value in enumerate(initial.tolist()):
+        if not math.isfinite(value):
+            raise ValueError(f"initial state component {j} must be finite, got {value}")
+    n = settings.n_steps
+    states = np.empty((n + 1, len(initial)))
+    states[0] = initial
+    return Trajectory(t=settings.step * np.arange(n + 1), states=states)
+
+
+def step_rows(rhs, states, h, i0, i1):
+    """Take the RK4 steps i0, ..., i1 - 1 of size h from the state in row i0
+    of `states`, writing each step's state into the next row.
+
+    Row i0 must hold a finite state: the initial one, or one that an
+    earlier call wrote. Steps i0 to i1 - 1 then give the bits that one call
+    from row 0 gives them: the row holds the loop's own floats, packed in
+    place, and the loop starts at the time h * i0 that it would carry into
+    step i0. So a run can be stepped in consecutive ranges of rows, and
+    rows [0, i0] read while later ones are still to be stepped.
+    """
+    _rk4_loop(states.shape[1])(rhs, tuple(states[i0].tolist()), i0, i1, h, states)
+
+
 def integrate(rhs, initial, settings):
     """Integrate y' = rhs(t, y) with fixed-step RK4, recording every step.
 
-    The state is carried as a tuple of floats (see the module docstring
-    for the RHS contract). Raises a ValueError for a non-finite initial
-    state or when an RHS output and the state differ in length, and a
-    BlowUpError when a step leaves the state non-finite, the RHS raises an
-    OverflowError, or it raises a ValueError on a state handed to it that is
-    not finite (the RHS's error chained as its cause).
+    One `step_rows` over every row of `allocate`'s record. The state is
+    carried as a tuple of floats (see the module docstring for the RHS
+    contract). Raises a ValueError for a non-finite initial state or when
+    an RHS output and the state differ in length, and a BlowUpError when a
+    step leaves the state non-finite, the RHS raises an OverflowError, or
+    it raises a ValueError on a state handed to it that is not finite (the
+    RHS's error chained as its cause).
     """
-    n = settings.n_steps
-    h = settings.step
-    initial = np.asarray(initial, dtype=float)
-    y = tuple(initial.tolist())
-    for j, value in enumerate(y):
-        if not math.isfinite(value):
-            raise ValueError(f"initial state component {j} must be finite, got {value}")
-
-    times = h * np.arange(n + 1)
-    states = np.empty((n + 1, len(y)))
-    states[0] = initial
-    _rk4_loop(len(y))(rhs, y, n, h, states)
-    return Trajectory(t=times, states=states)
+    traj = allocate(initial, settings)
+    step_rows(rhs, traj.states, settings.step, 0, settings.n_steps)
+    return traj
 
 
 def hermite(ts, values, rates, t):

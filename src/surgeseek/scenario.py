@@ -14,10 +14,14 @@ the linear motion is claimed to converge, while the vehicle keeps spinning.
 Each runner integrates its loop and then records the cost and the inputs
 along the states. The metrics read states and times only, so `sweep`
 integrates the same two loops and records states only. Independent work
-(a sweep's full and averaged runs, CLI `compare`'s two runs, the two
-shares of a long CSV) goes through `run_forked`, which shares the tasks
-out over the usable CPUs by their costs; a sweep's runs cost their RK4
-step counts. Every output keeps its bits whatever the number of CPUs.
+(a sweep's full and averaged runs, CLI `compare`'s two runs, the shares
+of a long CSV) goes through `run_forked`, which shares the tasks out over
+the usable CPUs by their costs; a sweep's runs cost their RK4 step
+counts. `write_full_run` writes a long full-run CSV on two CPUs while the
+run is still integrating: its first half is written by a child started
+through `_children`, the fork and join code of `run_forked`, while this
+process steps the second half by `step_rows`. Every output keeps its bits
+whatever the number of CPUs.
 """
 import configparser
 import contextlib
@@ -33,7 +37,8 @@ import numpy as np
 from . import costs
 from .averaging import AVERAGED_STEPS, LAMBDA_11, es_product_gain, es_surge_self_product
 from .dither import EsGains, surge_law
-from .integrator import IntegratorSettings, Trajectory, dividing_step, hermite, integrate
+from .integrator import (IntegratorSettings, Trajectory, allocate, dividing_step, hermite,
+                         integrate, step_rows)
 from .passivity import c_hat_bound
 from .vehicle import VehicleParams, model_rhs
 
@@ -163,21 +168,26 @@ def load_scenario(path):
         output_dir=str(run.get("output_dir", ".")))
 
 
-def _integrate(scenario, rhs, step, name, eps=""):
-    """Integrate `rhs` over the horizon, recording the states only.
-
-    A failure is re-raised as a RuntimeError naming the run and its gains;
-    `eps` is the epsilon clause of that message, empty for the averaged
-    run, which does not read epsilon.
-    """
+@contextlib.contextmanager
+def _run_failure(scenario, name, eps=""):
+    """Re-raise an exception of the block as a RuntimeError naming the run
+    `name` and its gains; `eps` is the epsilon clause of that message,
+    empty for the averaged run, which does not read epsilon."""
     gains = scenario.gains
     try:
-        return integrate(rhs, scenario.initial,
-                         IntegratorSettings(step=step, tf=scenario.horizon))
+        yield
     except Exception as exc:
         raise RuntimeError(
             f"{name} run failed ({exc}); gains k={gains.k} c={gains.c}{eps}, "
             f"horizon={scenario.horizon}") from exc
+
+
+def _integrate(scenario, rhs, step, name, eps=""):
+    """Integrate `rhs` over the horizon, recording the states only; a
+    failure is re-raised by `_run_failure(scenario, name, eps)`."""
+    with _run_failure(scenario, name, eps):
+        return integrate(rhs, scenario.initial,
+                         IntegratorSettings(step=step, tf=scenario.horizon))
 
 
 # rows per block that `_mapped` reads: whole columns as lists of floats
@@ -223,13 +233,23 @@ def _full_step(scenario):
                          / scenario.samples_per_period)
 
 
-def _integrate_full(scenario):
-    """The oscillatory closed loop's states, on `run_full`'s grid: the model
-    under the surge law's force on the measured cost and the torque c."""
+def _full_eps(scenario):
+    """The epsilon clause of a full run's failure message."""
+    return f" eps={scenario.gains.epsilon}"
+
+
+def _full_rhs(scenario):
+    """The oscillatory closed loop: the model under the surge law's force on
+    the measured cost and the torque c."""
     gains = scenario.gains
-    rhs = model_rhs(scenario.vehicle, "u1 = surge(tau, value(x, y))\nu2 = c\n",
-                    {"surge": surge_law(gains), "value": scenario.cost.value, "c": gains.c})
-    return _integrate(scenario, rhs, _full_step(scenario), "full", f" eps={gains.epsilon}")
+    return model_rhs(scenario.vehicle, "u1 = surge(tau, value(x, y))\nu2 = c\n",
+                     {"surge": surge_law(gains), "value": scenario.cost.value, "c": gains.c})
+
+
+def _integrate_full(scenario):
+    """The oscillatory closed loop's states, on `run_full`'s grid."""
+    return _integrate(scenario, _full_rhs(scenario), _full_step(scenario), "full",
+                      _full_eps(scenario))
 
 
 def _integrate_averaged(scenario):
@@ -471,63 +491,93 @@ def _shares(costs, n):
     return [sorted(share) for share in shares]
 
 
-def run_forked(tasks, exited, costs=None):
-    """The results of `tasks`, in order.
-
-    The tasks run in n = min(len(tasks), CPUs) shares, CPUs being this
-    process's affinity mask as `taskset` sets it (1 where the OS has none,
-    as on macOS and Windows). With n <= 1 every task runs in this process,
-    in order, and nothing is forked. Otherwise `_shares` places the tasks
-    by their positive `costs`, longest first, each onto the least-loaded
-    share; with `costs=None` every task costs 1, which gives the strided
-    shares tasks[i::n]. This process runs share 0 while one forked child
-    per other share runs its tasks in task order and sends back their
-    results as one list through a one-way pipe. Fork, not spawn: the
-    scenario's cost closures cannot be pickled, and a forked child inherits
-    them. Fork copies the calling thread only; surgeseek starts no other
-    thread. An exception that a child's task raises is re-raised here. A
-    child that exits without sending gives `exited(i, exitcode)` in place of
-    the result of each of its tasks[i]. Every child is terminated if still
-    running and joined, whatever way this returns.
-    """
+def _usable_cpus():
+    """The CPUs in this process's affinity mask, as `taskset` sets it; 1
+    where the OS has none, as on macOS and Windows."""
     try:
-        n = min(len(tasks), len(os.sched_getaffinity(0)))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
-        n = 1
-    if n <= 1:
-        return [task() for task in tasks]
-    shares = _shares([1] * len(tasks) if costs is None else costs, n)
+        return 1
+
+
+@contextlib.contextmanager
+def _children():
+    """`run_forked`'s way of forking, for a block that starts children and
+    collects their results: yields a function `start(tasks, exited)`.
+
+    `start` forks a child that runs `tasks` in order and sends back their
+    results as one list through a one-way pipe, and returns a function that
+    waits for that list. That function re-raises an exception a task
+    raised; a child that exits without sending gives `exited(j, exitcode)`
+    in place of the result of each of its tasks[j]. Fork, not spawn: the
+    scenario's cost closures cannot be pickled, and a forked child inherits
+    them, as it inherits the arrays a task reads. Fork copies the calling
+    thread only; surgeseek starts no other thread. Every child started is
+    terminated if still running and joined, whatever way the block is left.
+    """
     import multiprocessing  # only a run that forks pays for the import
     context = multiprocessing.get_context("fork")
-    children = []
-    results = [None] * len(tasks)
-    try:
-        for share in shares[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_send_outcome,
-                                    args=(sender, [tasks[i] for i in share]))
-            child.start()
-            children.append((child, receiver))
-            # the parent's copy of the write end would keep EOF from showing
-            sender.close()
-        for i in shares[0]:
-            results[i] = tasks[i]()
-        for share, (child, receiver) in zip(shares[1:], children):
+    started = []
+
+    def start(tasks, exited):
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_send_outcome, args=(sender, tasks))
+        child.start()
+        started.append((child, receiver))
+        # the parent's copy of the write end would keep EOF from showing
+        sender.close()
+
+        def results():
             try:
                 ok, outcome = receiver.recv()
             except EOFError:
                 child.join()
-                ok, outcome = True, [exited(i, child.exitcode) for i in share]
+                return [exited(j, child.exitcode) for j in range(len(tasks))]
             if not ok:
                 raise outcome
-            for i, result in zip(share, outcome):
-                results[i] = result
+            return outcome
+        return results
+
+    try:
+        yield start
     finally:
-        for child, receiver in children:
+        for child, receiver in started:
             receiver.close()
             if child.is_alive():
                 child.terminate()
             child.join()
+
+
+def run_forked(tasks, exited, costs=None):
+    """The results of `tasks`, in order.
+
+    The tasks run in n = min(len(tasks), `_usable_cpus()`) shares. With
+    n <= 1 every task runs in this process, in order, and nothing is
+    forked. Otherwise `_shares` places the tasks by their positive `costs`,
+    longest first, each onto the least-loaded share; with `costs=None`
+    every task costs 1, which gives the strided shares tasks[i::n]. This
+    process runs share 0 while one child per other share, started by
+    `_children`, runs its tasks in task order. An exception that a child's
+    task raises is re-raised here. A child that exits without sending gives
+    `exited(i, exitcode)` in place of the result of each of its tasks[i].
+    Every child is terminated if still running and joined, whatever way
+    this returns.
+    """
+    n = min(len(tasks), _usable_cpus())
+    if n <= 1:
+        return [task() for task in tasks]
+    shares = _shares([1] * len(tasks) if costs is None else costs, n)
+    results = [None] * len(tasks)
+    with _children() as start:
+        # a child's task j is tasks[share[j]]
+        waits = [start([tasks[i] for i in share],
+                       lambda j, code, share=share: exited(share[j], code))
+                 for share in shares[1:]]
+        for i in shares[0]:
+            results[i] = tasks[i]()
+        for share, wait in zip(shares[1:], waits):
+            for i, result in zip(share, wait()):
+                results[i] = result
     return results
 
 
@@ -621,46 +671,131 @@ def _write_rows(path, header, columns, lo, hi):
             f.write((row * rows) % tuple(block.ravel().tolist()))
 
 
-def write_columns(path, header, columns):
-    """CSV of column-stacked arrays under `header`, 15 significant digits.
-
-    The rows are written by the tasks of `run_forked`: one share of every
-    row, or above `_SPLIT_NUMBERS` numbers two, the header and rows
-    [0, mid) to `path` and rows [mid, n) to `<path>.<pid>.part`, which is
-    then appended to `path` and removed. A forked share inherits the
-    columns, so no formatted text crosses the pipe, and the bytes are those
-    of one share. If a share fails, neither file is left. `path` is
-    written in place: the CLI renames it into place once complete.
+@contextlib.contextmanager
+def _parts(path, count):
+    """`count` part files of `path`, appended to `path` in order once the
+    block completes. Each is named `<path>.<pid>.<k>.part`: the pid keeps
+    two runs that write one path from sharing a part file. If the block or
+    the append fails, `path` is removed; the parts are removed either way.
     """
-    n = len(columns[0])
-    mid = n // 2 // _CSV_BLOCK_ROWS * _CSV_BLOCK_ROWS
-    # the pid keeps two runs that write one path from sharing a part file
-    part = f"{path}.{os.getpid()}.part"
-    split = sum(map(np.size, columns)) > _SPLIT_NUMBERS
-    shares = [partial(_write_rows, path, header, columns, 0, mid if split else n)]
-    if split:
-        shares.append(partial(_write_rows, part, None, columns, mid, n))
-
-    def exited(_i, code):
-        raise RuntimeError(f"CSV writer of rows {mid}-{n} exited with code {code}")
-
+    parts = [f"{path}.{os.getpid()}.{k}.part" for k in range(count)]
     try:
-        run_forked(shares, exited)
-        if split:
-            with open(path, "ab") as f, open(part, "rb") as tail:
-                shutil.copyfileobj(tail, f)
+        yield parts
+        if parts:
+            with open(path, "ab") as f:
+                for part in parts:
+                    with open(part, "rb") as tail:
+                        shutil.copyfileobj(tail, f)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
         raise
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(part)
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+
+
+def _writer_exited(bounds):
+    """`exited` for `run_forked` or `_children` of CSV shares, the j-th of
+    which writes the rows [lo, hi) = `bounds[j]`."""
+    def exited(j, code):
+        lo, hi = bounds[j]
+        raise RuntimeError(f"CSV writer of rows {lo}-{hi} exited with code {code}")
+    return exited
+
+
+def write_columns(path, header, columns):
+    """CSV of column-stacked arrays under `header`, 15 significant digits.
+
+    The rows are written by the tasks of `run_forked`: one share of every
+    row, or above `_SPLIT_NUMBERS` numbers two, the header and rows
+    [0, mid) to `path` and rows [mid, n) to a `_parts` file, which is then
+    appended to `path` and removed. A forked share inherits the columns, so
+    no formatted text crosses the pipe, and the bytes are those of one
+    share. If a share fails, neither file is left. `path` is written in
+    place: the CLI renames it into place once complete.
+    """
+    n = len(columns[0])
+    mid = n // 2 // _CSV_BLOCK_ROWS * _CSV_BLOCK_ROWS
+    split = sum(map(np.size, columns)) > _SPLIT_NUMBERS
+    bounds = [(0, mid), (mid, n)] if split else [(0, n)]
+    with _parts(path, len(bounds) - 1) as parts:
+        # the header goes to `path`, before the first share's rows
+        heads = [header] + [None] * len(parts)
+        run_forked([partial(_write_rows, name, head, columns, lo, hi)
+                    for name, head, (lo, hi) in zip([path, *parts], heads, bounds)],
+                   _writer_exited(bounds))
+
+
+def _trajectory_columns(traj):
+    """The columns of `TRAJECTORY_HEADER`."""
+    return [traj.t, traj.states, traj.inputs, traj.rho]
 
 
 def write_trajectory_csv(traj, path):
     """Plot-ready CSV, one row per integrator step, full precision."""
-    write_columns(path, TRAJECTORY_HEADER, [traj.t, traj.states, traj.inputs, traj.rho])
+    write_columns(path, TRAJECTORY_HEADER, _trajectory_columns(traj))
+
+
+def run_to_csv(run, scenario, path):
+    """`run(scenario)` written to `path` by `write_trajectory_csv`. Returns
+    the run's times and states only, all that `compare` reads, so a forked
+    child sends back no more."""
+    traj = run(scenario)
+    write_trajectory_csv(traj, path)
+    return Trajectory(traj.t, traj.states)
+
+
+def _write_full_rows(scenario, surge, traj, path, header, lo, hi):
+    """Rows [lo, hi) of the full run `traj`'s CSV, under `header` (none if
+    None), to `path`. The rows are recorded here, by `_record` on them
+    alone, which maps the loop's laws row by row: so each row has the bits
+    that recording the whole run gives it."""
+    rows = _record(scenario, Trajectory(traj.t[lo:hi], traj.states[lo:hi]), surge)
+    _write_rows(path, header, _trajectory_columns(rows), 0, hi - lo)
+
+
+def write_full_run(scenario, path):
+    """`run_to_csv(run_full, scenario, path)`: the same bytes, the same
+    returned times and states, and the same error for a failed step.
+
+    Where `write_columns` would split the CSV (above `_SPLIT_NUMBERS`
+    numbers) and two CPUs are usable, the CSV is written while the run is
+    still integrating, in three shares:
+    - this process steps the run up to row mid = n // 2 of its n rows;
+    - a child started by `_children` records and writes the header and
+      rows [0, mid) to `path`, while this process steps the rest;
+    - `run_forked` writes the rest in two shares split at their midpoint,
+      this process's to the first `_parts` file and a child's to the
+      second;
+    - the parts are appended to `path` once the head share is done.
+    Each share records its own rows, so this process never holds the whole
+    run's rho or inputs. Otherwise the run is stepped in one go and written
+    by `run_to_csv`, and nothing more is forked.
+    """
+    failure = partial(_run_failure, scenario, "full", _full_eps(scenario))
+    with failure():
+        settings = IntegratorSettings(step=_full_step(scenario), tf=scenario.horizon)
+    n = settings.n_steps + 1
+    if n * len(TRAJECTORY_HEADER.split(",")) <= _SPLIT_NUMBERS or _usable_cpus() < 2:
+        return run_to_csv(run_full, scenario, path)
+    rhs = _full_rhs(scenario)
+    mid = n // 2
+    rest = [(mid, (mid + n) // 2), ((mid + n) // 2, n)]
+    with _parts(path, len(rest)) as parts, _children() as start:
+        with failure():
+            traj = allocate(scenario.initial, settings)
+            step_rows(rhs, traj.states, settings.step, 0, mid)
+        share = partial(_write_full_rows, scenario, surge_law(scenario.gains), traj)
+        head = start([partial(share, path, TRAJECTORY_HEADER, 0, mid)],
+                     _writer_exited([(0, mid)]))
+        with failure():
+            step_rows(rhs, traj.states, settings.step, mid, n - 1)
+        run_forked([partial(share, part, None, lo, hi) for part, (lo, hi) in zip(parts, rest)],
+                   _writer_exited(rest))
+        head()
+    return traj
 
 
 def write_metrics_csv(rows, path):

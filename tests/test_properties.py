@@ -3,23 +3,28 @@
 Skew-symmetric Coriolis forces, symmetric products (and the seeking law's
 closed form agreeing with the generic one), the steady-state solve (the
 pure spin c/d33 for diagonal damping, a root or a RuntimeError for coupled
-damping), a non-positive storage residual below the torque bound, and
-RK4's fourth order. Examples are derandomized so
+damping), a non-positive storage residual below the torque bound, RK4's
+fourth order, and a run stepped in two ranges of rows giving the bits of
+one `integrate`. Examples are derandomized so
 that a run of the suite is reproducible.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from surgeseek import scenario as sc
 from surgeseek.averaging import (ConfigVectorField, es_input_field, es_self_product,
                                  symmetric_product)
 from surgeseek.costs import get_field
-from surgeseek.integrator import IntegratorSettings, Trajectory, integrate
+from surgeseek.dither import EsGains
+from surgeseek.integrator import (BlowUpError, IntegratorSettings, Trajectory, allocate,
+                                  integrate, step_rows)
 from surgeseek.passivity import (c_hat_bound, monotonicity_check, passivity_residual,
                                  steady_state_for_torque)
-from surgeseek.vehicle import VehicleParams
+from surgeseek.vehicle import VehicleParams, reference_boat
 
 from oracles import coriolis
 
@@ -128,3 +133,49 @@ def test_rk4_step_halving_ratio_is_sixteen(modulus, angle, y0):
         return np.linalg.norm(traj.states[-1] - exact)
 
     assert 14.0 <= error(0.02) / error(0.01) <= 18.0
+
+
+# the full runner's closed loop over a 1 s horizon: 80 RK4 steps
+FULL = sc.Scenario(vehicle=reference_boat(), cost=get_field("quadratic"),
+                   gains=EsGains(1.0, 1.0, 0.1), initial=[0.5, -0.3, 0.2, 0.1, 0.0, 0.4],
+                   horizon=1.0, samples_per_period=50)
+FULL_SETTINGS = IntegratorSettings(step=sc._full_step(FULL), tf=FULL.horizon)
+STEPS = FULL_SETTINGS.n_steps
+
+
+def _in_two_ranges(rhs, i):
+    """The run of `rhs` on FULL's grid, stepped as steps [0, i), then [i, STEPS)."""
+    traj = allocate(FULL.initial, FULL_SETTINGS)
+    step_rows(rhs, traj.states, FULL_SETTINGS.step, 0, i)
+    step_rows(rhs, traj.states, FULL_SETTINGS.step, i, STEPS)
+    return traj
+
+
+@PROPERTY
+@given(st.integers(1, STEPS - 1))
+def test_stepping_in_two_ranges_gives_the_bits_of_one_integrate(i):
+    rhs = sc._full_rhs(FULL)
+    one = integrate(rhs, FULL.initial, FULL_SETTINGS)
+    two = _in_two_ranges(rhs, i)
+    assert two.t.tobytes() == one.t.tobytes()
+    assert two.states.tobytes() == one.states.tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, STEPS - 1).flatmap(lambda i: st.tuples(st.just(i),
+                                                              st.integers(i, STEPS - 1))))
+def test_a_blow_up_after_the_split_is_the_blow_up_of_one_integrate(split):
+    i, j = split
+    h = FULL_SETTINGS.step
+    full_rhs = sc._full_rhs(FULL)
+
+    def rhs(t, y):
+        # NaN from the second stage of step j on; step j - 1 ends at t ~ h * j
+        return (math.nan,) * 6 if t > h * (j + 0.25) else full_rhs(t, y)
+
+    with pytest.raises(BlowUpError) as one:
+        integrate(rhs, FULL.initial, FULL_SETTINGS)
+    with pytest.raises(BlowUpError) as two:
+        _in_two_ranges(rhs, i)
+    assert two.value.time == one.value.time == h * (j + 1)
+    assert two.value.state.tobytes() == one.value.state.tobytes()

@@ -876,6 +876,12 @@ def _split_small_csvs(monkeypatch):
     monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
 
 
+def _writes_while_integrating(command, cpus):
+    """Whether CLI `command` on `cpus` writes a split full.csv while the full
+    run integrates: its head share in a child, its rest in two shares."""
+    return command in ("simulate", "compare") and len(cpus) >= 2
+
+
 @pytest.mark.parametrize("command, name", [("simulate", "full.csv"),
                                            ("average", "averaged.csv")])
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
@@ -893,20 +899,28 @@ def test_cli_keeps_the_earlier_csv_when_its_write_fails(
     monkeypatch.setattr(sc, "_write_rows", fails_after_writing)
     with _within(10.0):
         code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, cpus)
-    # this process's share goes to a name of its own, never to the CSV's
-    assert paths == [f"{compare_dir / name}.{os.getpid()}.tmp"]
+    # this process's share goes to a name of its own, never to the CSV's: the
+    # head of the CSV's temporary file, or, where a full run is written while
+    # it integrates, the first share of the rest to the first part file (a
+    # child writes the head)
+    temp = f"{compare_dir / name}.{os.getpid()}.tmp"
+    mine = f"{temp}.{os.getpid()}.0.part" if _writes_while_integrating(command, cpus) else temp
+    assert paths == [mine]
     assert multiprocessing.active_children() == []
     assert code == 1 and "disk full" in err
     assert written == {name: b"earlier run\n"}
 
 
-@pytest.mark.parametrize("command, children", [("compare", 2), ("simulate", 1),
-                                               ("average", 1)])
+@pytest.mark.parametrize("command, csvs", [("compare", 2), ("simulate", 1),
+                                           ("average", 1)])
 def test_cli_writes_a_long_csv_in_two_shares_with_the_same_bytes(
-        monkeypatch, capsys, compare_dir, command, children):
-    # both trajectories split: compare forks its averaged run and the tail
-    # share of full.csv; its child forks the tail share of averaged.csv,
-    # which this process does not count
+        monkeypatch, capsys, compare_dir, command, csvs):
+    # both trajectories split. This process makes the first run and forks
+    # one child per other run (compare's averaged run). A full run forks
+    # the head share of full.csv and one share of its rest; an averaged run
+    # the tail share of averaged.csv (in compare its child forks that one,
+    # and this process does not count it)
+    children = csvs - 1 + (2 if _writes_while_integrating(command, {0, 1}) else 1)
     _split_small_csvs(monkeypatch)
     starts = _counted_starts(monkeypatch)
     code, err, split = _cli_run(command, monkeypatch, capsys, compare_dir, {0, 1})
@@ -921,10 +935,13 @@ def test_cli_writes_a_long_csv_in_two_shares_with_the_same_bytes(
 def test_cli_leaves_no_csv_when_a_tail_share_dies(monkeypatch, capsys, compare_dir, command):
     _split_small_csvs(monkeypatch)
     write_rows = sc._write_rows
+    parent = os.getpid()
 
     def tail_dies(path, *args):
         write_rows(path, *args)
-        if path.endswith(".part"):
+        # a full run written while it integrates writes the first share of
+        # its rest to a part file in this process: only a child's dies
+        if path.endswith(".part") and os.getpid() != parent:
             os._exit(3)
 
     monkeypatch.setattr(sc, "_write_rows", tail_dies)
@@ -933,6 +950,88 @@ def test_cli_leaves_no_csv_when_a_tail_share_dies(monkeypatch, capsys, compare_d
     assert multiprocessing.active_children() == []
     assert code == 1 and "exited with code 3" in err
     assert written == {}
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_a_full_run_that_blows_up_after_its_midpoint_writes_nothing(
+        monkeypatch, capsys, compare_dir, command, cpus):
+    # on two CPUs the head share of full.csv is running in a child when the
+    # second half of the run blows up
+    _split_small_csvs(monkeypatch)
+    horizon, law = 5.0, sc.surge_law
+
+    def nan_after_half(gains):
+        surge = law(gains)
+        return lambda tau, rho: math.nan if tau > horizon / 2 else surge(tau, rho)
+
+    monkeypatch.setattr(sc, "surge_law", nan_after_half)
+    starts = _counted_starts(monkeypatch)
+    with _within(10.0):
+        code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, cpus)
+    assert multiprocessing.active_children() == []
+    # `written` holds every file left, a `.tmp` or `.part` file included
+    assert code == 1 and written == {}
+    prefix = "error: RuntimeError: full run failed (non-finite state encountered at t="
+    assert err.startswith(prefix)
+    t = float(err[len(prefix):].split(")")[0])
+    assert horizon / 2 < t < horizon
+    # the same step fails on one CPU, after the head share started on two
+    one_cpu = _cli_run(command, monkeypatch, capsys, compare_dir, {0})
+    assert one_cpu == (code, err, {})
+    heads = 1 if _writes_while_integrating(command, cpus) else 0
+    assert len(starts) == heads + (command == "compare" and len(cpus) > 1)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_a_full_csv_head_share_that_dies_fails_the_command(
+        monkeypatch, capsys, compare_dir, command, cpus):
+    _split_small_csvs(monkeypatch)
+    write_rows = sc._write_rows
+    parent = os.getpid()
+
+    def head_dies(path, header, *args):
+        write_rows(path, header, *args)
+        if "full.csv" in path and header is not None and os.getpid() != parent:
+            os._exit(3)
+
+    monkeypatch.setattr(sc, "_write_rows", head_dies)
+    with _within(10.0):
+        code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, cpus)
+    assert multiprocessing.active_children() == []
+    if _writes_while_integrating(command, cpus):
+        assert code == 1 and "exited with code 3" in err
+        assert written == {}
+    else:
+        # on one CPU this process writes the head: no child dies
+        assert code == 0 and "full.csv" in written
+        assert not [name for name in written if name.endswith((".tmp", ".part"))]
+
+
+def test_a_full_run_interrupted_after_its_midpoint_reaps_its_head_share(
+        monkeypatch, capsys, compare_dir):
+    _split_small_csvs(monkeypatch)
+    write_rows, step_rows = sc._write_rows, sc.step_rows
+    parent = os.getpid()
+
+    def head_sleeps(path, *args):
+        write_rows(path, *args)
+        if os.getpid() != parent:
+            time.sleep(60.0)
+
+    def interrupted_after_the_midpoint(rhs, states, h, i0, i1):
+        if i0 > 0:
+            raise KeyboardInterrupt
+        step_rows(rhs, states, h, i0, i1)
+
+    monkeypatch.setattr(sc, "_write_rows", head_sleeps)
+    monkeypatch.setattr(sc, "step_rows", interrupted_after_the_midpoint)
+    # the head share sleeps for 60 s; only terminating it returns sooner
+    with _within(10.0), pytest.raises(KeyboardInterrupt):
+        _cli_run("simulate", monkeypatch, capsys, compare_dir, {0, 1})
+    assert multiprocessing.active_children() == []
+    assert [path.name for path in compare_dir.iterdir()] == ["scenario.ini"]
 
 
 @pytest.mark.parametrize("rows, width, children", [(31832, 10, 1), (10001, 10, 0),
