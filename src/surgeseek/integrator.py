@@ -15,24 +15,37 @@ times the cost per operation. So an RHS should return a tuple of floats.
 Each step's state is packed into its row of the preallocated record by
 `struct`, so on floats a step calls no numpy function.
 
-The loop is generated once per state length m, from one source template,
-the way `collections.namedtuple` generates its methods: it unpacks the
-state and each RHS output into m locals and writes every stage and the
-update out in full, in the operation order of the plain comprehension
-loop, so it gives the same bits. It is built on the first `integrate` of
-a state of that length and cached. It takes a range of steps, so
-`step_rows` can step one run in consecutive ranges of rows with the bits
-of one `integrate`, and the rows already stepped can be read in between.
+The loop is generated from one source template, the way
+`collections.namedtuple` generates its methods: it keeps the state in m
+locals and writes every stage and the update out in full, in the operation
+order of the plain comprehension loop, so it gives the same bits. Each of
+the four stages has one form: the stage time in `tau`, the stage state in
+the slots, then a body that leaves the stage's rates in m locals. For a
+plain callable the slots are one tuple `s` and the body is the call
+`rhs(tau, s)`. A function whose code `_TEXTS` names (what
+`vehicle.model_rhs` compiles) is written out instead: its slots are its own
+locals, its body is its own statements, and the loop is bound to the
+values of its free variables, so a step calls only what that body calls
+and builds no stage or rate tuple. The same expressions run in the same
+order, so the floats are those of calling it. A body that names one of the
+loop's own names (its time `t`, its step `h`, its `state`, ...) is called
+instead. The loop is generated once per state length and text, and
+cached. It takes a range of steps, so `step_rows` can step one run in
+consecutive ranges of rows with the bits of one `integrate`, and the rows
+already stepped can be read in between.
 
 Blow-up rule: a step that leaves the state non-finite is a blow-up, and so
-is an error of the RHS on the state `s` it was handed: an OverflowError
-always, and a ValueError (what `math.cos` raises on inf) when `s` is not
-finite. A ValueError on a finite `s` is the RHS's own and propagates.
+is an error of a stage's body: an OverflowError always, and a ValueError
+(what `math.cos` raises on inf) when that stage's state, read from its
+slots, is not finite. A ValueError on a finite stage state is the RHS's
+own and propagates.
 """
 import functools
 import math
 import struct
+import textwrap
 from dataclasses import dataclass
+from types import CodeType
 
 import numpy as np
 
@@ -101,82 +114,145 @@ class Trajectory:
         return self.t[1] - self.t[0]
 
 
-# The RK4 loop for a state of length m. Each stage and the update are
-# written out per component, in the operation order of the plain loop
-# `tuple([a + half * b for a, b in zip(y, k)])` and so on: on Python floats
-# that is about 2.5x cheaper per stage than a comprehension, which runs as
-# its own frame over a zip.
+# code object of an RHS function -> (slots, body, rates, namespace): the
+# function is `def f(tau, state)`, which unpacks `state` into the names
+# `slots`, runs the statements `body` and returns the names `rates` as a
+# tuple, with `namespace` as its globals. `step_rows` writes `body` out at
+# each stage in place of a call to the function
+_TEXTS = {}
+
+# The RK4 loop for a state of length m, bound by `bind` to the names its
+# stages read: the RHS, or the free variables of a written-out function.
+# Each stage and the update are written out per component, in the operation
+# order of the plain loop `tuple([a + half * b for a, b in zip(y, k)])` and
+# so on: on Python floats that is about 2.5x cheaper per stage than a
+# comprehension, which runs as its own frame over a zip.
 _LOOP_TEMPLATE = """\
-def rk4_loop(rhs, y, i0, i1, h, states):
-    half = 0.5 * h
-    sixth = h / 6.0
-    {y} = y
-    # the product the step before i0 left in t, bit for bit
-    t = h * i0
-    try:
-        for i in range(i0, i1):
-            # s: the state handed to the RHS call in progress (the blow-up rule)
-            s = y
-            k = rhs(t, s)
-            try:
-                {k1} = k
-            except ValueError:
-                raise ValueError(f"rhs returned {{len(k)}} values for a state "
-                                 f"of length {m}") from None
-            s = {stage2}
-            {k2} = rhs(t + half, s)
-            s = {stage3}
-            {k3} = rhs(t + half, s)
-            s = {stage4}
-            {k4} = rhs(t + h, s)
-            y = {y} = {update}
-            # the product that gives times[i + 1], bit for bit; a list of all
-            # the times would keep about 1 MB of float objects alive through
-            # the loop and raise the peak RSS
-            t = h * (i + 1)
-            # a finite sum implies finite components; only a non-finite sum
-            # (a NaN or inf, or an overflow of finite ones) needs the exact test
-            if not isfinite({total}) and not all(map(isfinite, y)):
-                raise BlowUpError(t, states[i].copy())
-            # the row's bytes in place: cheaper than `states[i + 1] = y`, which
-            # converts the tuple through numpy
-            pack_row(states, row_bytes * (i + 1), {ylist})
-    # an RHS on floats overflows by raising (a float ** 2 calls libm pow), and
-    # math.cos and math.sin raise a ValueError on an infinite argument, where
-    # numpy would return inf or NaN. Either is a blow-up in step i, but a
-    # ValueError only when the state s it was handed is not finite; on a
-    # finite s it is the RHS's own error. Stage 1 hands over y, which is
-    # finite: the start is checked before the loop and every step after it
-    except (OverflowError, ValueError) as exc:
-        if isinstance(exc, ValueError) and all(map(isfinite, s)):
-            raise
-        raise BlowUpError(h * (i + 1), states[i].copy()) from exc
+def bind({names}):
+    def rk4_loop(state, i0, i1, h, states):
+        half = 0.5 * h
+        sixth = h / 6.0
+        {y} = state
+        # the product the step before i0 left in t, bit for bit
+        t = h * i0
+        try:
+            for i in range(i0, i1):
+{steps}\
+                # the product that gives times[i + 1], bit for bit; a list of
+                # all the times would keep about 1 MB of float objects alive
+                # through the loop and raise the peak RSS
+                t = h * (i + 1)
+                # a finite sum implies finite components; only a non-finite
+                # sum (a NaN or inf, or an overflow of finite ones) needs the
+                # exact test
+                if not isfinite({total}) and not all(map(isfinite, {y})):
+                    raise BlowUpError(t, states[i].copy())
+                # the row's bytes in place: cheaper than `states[i + 1] = y`,
+                # which converts a tuple through numpy
+                pack_row(states, row_bytes * (i + 1), {ylist})
+        # an RHS on floats overflows by raising (a float ** 2 calls libm pow),
+        # and math.cos and math.sin raise a ValueError on an infinite argument,
+        # where numpy would return inf or NaN. Either is a blow-up in step i,
+        # but a ValueError only when the stage state is not finite; on a
+        # finite one it is the RHS's own error. Stage 1's state is finite: the
+        # start is checked before the loop and every step after it
+        except (OverflowError, ValueError) as exc:
+            if isinstance(exc, ValueError) and all(map(isfinite, {stage_state})):
+                raise
+            raise BlowUpError(h * (i + 1), states[i].copy()) from exc
+    return rk4_loop
+"""
+
+# One stage: its time in tau and its state in the slots, then the body,
+# which leaves the stage's rates in its outputs
+_STAGE = "tau = {time}\n{slots}{body}"
+
+# the body of a stage that calls the RHS; the first stage's body also
+# checks the length of what the RHS returns
+_CALL = "{out} = rhs(tau, s)\n"
+_FIRST_CALL = """\
+k = rhs(tau, s)
+try:
+    {out} = k
+except ValueError:
+    raise ValueError(f"rhs returned {{len(k)}} values for a state of length {m}") from None
 """
 
 
-@functools.cache
-def _rk4_loop(m):
-    """The RK4 loop for states of length m, generated from `_LOOP_TEMPLATE`."""
-    def tup(items):
-        # a trailing comma makes every length a tuple, (y0,) and () included
-        return "(" + "".join(f"{item}, " for item in items) + ")"
+def _tup(items):
+    # a trailing comma makes every length a tuple, (y0,) and () included
+    return "(" + "".join(f"{item}, " for item in items) + ")"
 
-    # locals: the state y0, y1, ... and the RHS outputs a*, b*, c* and d*
+
+def _names(code):
+    """Every name that `code` and the code nested in it read or write."""
+    return set().union(code.co_names, code.co_varnames, code.co_cellvars, code.co_freevars,
+                       *(_names(c) for c in code.co_consts if isinstance(c, CodeType)))
+
+
+@functools.cache
+def _rk4_loop(m, code=None):
+    """`bind` of the RK4 loop for states of length m, generated from
+    `_LOOP_TEMPLATE`.
+
+    Without `code`, `bind(rhs)` gives the loop that calls `rhs` at each
+    stage, with the stage state in the tuple s. With the code object of a
+    function that `_TEXTS` names, `bind` takes the function's free
+    variables and gives the loop that writes its body out at each stage,
+    with the stage state in its slots. None when that body cannot be
+    written out for states of length m: its slots or rates are not m, or
+    the body, slots or rates name one of the calling loop's own names
+    other than tau (its `state`, `t`, `h`, `half`, `s`, ...).
+    """
     y, k1, k2, k3, k4 = ([f"{p}{j}" for j in range(m)] for p in "yabcd")
+    namespace = {}
+    if code is None:
+        names, stage_state = ("rhs",), "s"
+
+        def stage(time, state, out):
+            body = _FIRST_CALL if out is k1 else _CALL
+            return _STAGE.format(time=time, slots=f"s = {_tup(state)}\n",
+                                 body=body.format(out=_tup(out), m=m))
+    else:
+        slots, body, rates, namespace = _TEXTS[code]
+        own = _names(_rk4_loop(m).__code__) - {"tau"}
+        read = {*slots, *rates, *_names(compile(body, "<body>", "exec"))}
+        if len(slots) != m or len(rates) != m or not own.isdisjoint(read):
+            return None
+        # the last stage's rates are read by the update where the body leaves them
+        names, stage_state, k4 = code.co_freevars, _tup(slots), list(rates)
+
+        def stage(time, state, out):
+            return _STAGE.format(
+                time=time, slots="".join(f"{a} = {b}\n" for a, b in zip(slots, state)),
+                body=body + "".join(f"{a} = {b}\n" for a, b in zip(out, rates) if a != b))
+    stages = "".join(map(stage, ("t", "t + half", "t + half", "t + h"), (
+        y, [f"{a} + half * {b}" for a, b in zip(y, k1)],
+        [f"{a} + half * {b}" for a, b in zip(y, k2)],
+        [f"{a} + h * {b}" for a, b in zip(y, k3)]), (k1, k2, k3, k4)))
+    update = "".join(f"{a} = {a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})\n"
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
     source = _LOOP_TEMPLATE.format(
-        m=m, y=tup(y), k1=tup(k1), k2=tup(k2), k3=tup(k3), k4=tup(k4),
-        stage2=tup(f"{a} + half * {b}" for a, b in zip(y, k1)),
-        stage3=tup(f"{a} + half * {b}" for a, b in zip(y, k2)),
-        stage4=tup(f"{a} + h * {b}" for a, b in zip(y, k3)),
-        update=tup(f"{a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})"
-                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)),
-        total=" + ".join(y) or "0.0", ylist="".join(f"{a}, " for a in y))
+        names=", ".join(names), y=_tup(y), steps=textwrap.indent(stages + update, " " * 16),
+        total=" + ".join(y) or "0.0", ylist="".join(f"{a}, " for a in y),
+        stage_state=stage_state)
     # native doubles, the layout of a C-contiguous float64 row
     row = struct.Struct(f"{m}d")
-    namespace = {"isfinite": math.isfinite, "BlowUpError": BlowUpError,
+    namespace = {**namespace, "isfinite": math.isfinite, "BlowUpError": BlowUpError,
                  "pack_row": row.pack_into, "row_bytes": row.size}
     exec(compile(source, f"<rk4 loop, m={m}>", "exec"), namespace)
-    return namespace["rk4_loop"]
+    return namespace["bind"]
+
+
+def _loop(rhs, m):
+    """The RK4 loop that steps `rhs` on states of length m: a function that
+    `_TEXTS` names written out, bound to the values of its free variables,
+    where it can be; otherwise the calls to `rhs`."""
+    code = getattr(rhs, "__code__", None)
+    bind = code in _TEXTS and _rk4_loop(m, code)
+    if bind:
+        return bind(*[cell.cell_contents for cell in rhs.__closure__ or ()])
+    return _rk4_loop(m)(rhs)
 
 
 def allocate(initial, settings):
@@ -204,7 +280,7 @@ def step_rows(rhs, states, h, i0, i1):
     step i0. So a run can be stepped in consecutive ranges of rows, and
     rows [0, i0] read while later ones are still to be stepped.
     """
-    _rk4_loop(states.shape[1])(rhs, tuple(states[i0].tolist()), i0, i1, h, states)
+    _loop(rhs, states.shape[1])(tuple(states[i0].tolist()), i0, i1, h, states)
 
 
 def integrate(rhs, initial, settings):

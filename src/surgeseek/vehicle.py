@@ -28,7 +28,9 @@ damping matrix D (linear hydrodynamic damping).
 system, the drift fields and the passivity audit evaluate it. The full and
 averaged runners step `model_rhs` functions, also compiled from it, which
 compute their inputs and the rates in one frame and leave out the damping
-products of the vessel's zero entries.
+products of the vessel's zero entries. The RK4 loop does not call such a
+function: it writes the function's statements out at each of its stages
+(see `integrator`).
 """
 import ast
 import functools
@@ -37,8 +39,11 @@ import numbers
 import textwrap
 from dataclasses import dataclass, field
 from math import cos, sin
+from types import CodeType
 
 import numpy as np
+
+from .integrator import _TEXTS
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,13 @@ class VehicleParams:
         for (i, j), value in np.ndenumerate(d):
             if not math.isfinite(value):
                 raise ValueError(f"damping entry d{i + 1}{j + 1} must be finite, got {value}")
-        if not np.allclose(d, d.T, atol=1e-12):
-            raise ValueError("damping matrix must be symmetric")
+        # symmetric up to rounding of the largest entry; a relative tolerance
+        # per entry would let d12 = 1e6 stand beside d21 = 1e6 + 9
+        tol = 8.0 * np.finfo(float).eps * np.abs(d).max()
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            if abs(d[i, j] - d[j, i]) > tol:
+                raise ValueError(f"damping matrix must be symmetric, got d{i + 1}{j + 1} = "
+                                 f"{d[i, j]} and d{j + 1}{i + 1} = {d[j, i]}")
         if np.any(np.linalg.eigvalsh(d) <= 0):
             raise ValueError("damping matrix must be positive definite")
         object.__setattr__(self, "d", d)
@@ -228,9 +238,14 @@ def bind({names}):
 
 @functools.cache
 def _model_rhs_binder(body, names):
-    return _define("bind", _MODEL_RHS_TEMPLATE.format(
+    bind = _define("bind", _MODEL_RHS_TEMPLATE.format(
         names=", ".join(names), slots=", ".join(SLOTS), body=textwrap.indent(body, " " * 8),
         rates=", ".join(RATES)))
+    # the code of the rhs that `bind` returns: an RK4 loop writes `body` out
+    # at each stage in place of a call to it
+    [code] = [const for const in bind.__code__.co_consts if isinstance(const, CodeType)]
+    _TEXTS[code] = (SLOTS, body, RATES, bind.__globals__)
+    return bind
 
 
 def model_rhs(params, inputs, values, after=""):
@@ -247,6 +262,11 @@ def model_rhs(params, inputs, values, after=""):
     a zero. The source is compiled once per text, that is per input
     statements, pattern of zero damping entries and value names, so every
     run of a sweep, which shares one vessel, shares one compile.
+
+    The function's code is registered with `integrator`: an RK4 loop writes
+    its statements out at each stage, bound to the values, in place of a
+    call. Its floats are the returned function's, which stays the
+    reference, and a wrapper of it (a lambda, say) is stepped by calls.
     """
     names = constants(params)
     zero = frozenset(name for name in _DAMPING if names[name] == 0.0)

@@ -2,6 +2,7 @@
 `model_rhs` without the vessel's zero damping products. They step the same
 floats as the closures that call `dynamics_rhs`, and they keep the loop's
 blow-up rule."""
+import re
 import struct
 from dataclasses import replace
 
@@ -13,8 +14,8 @@ import surgeseek.scenario as sc
 from surgeseek.averaging import AVERAGED_STEPS
 from surgeseek.costs import get_field
 from surgeseek.dither import EsGains
-from surgeseek.integrator import BlowUpError, IntegratorSettings, integrate
-from surgeseek.vehicle import (MODEL, RATES, VehicleParams, constants, dynamics_rhs,
+from surgeseek.integrator import BlowUpError, IntegratorSettings, _loop, integrate
+from surgeseek.vehicle import (MODEL, RATES, SLOTS, VehicleParams, constants, dynamics_rhs,
                                model_rhs, reference_boat)
 
 from oracles import averaged_closure, full_closure
@@ -132,16 +133,97 @@ def test_one_compile_serves_every_run_of_a_text():
     assert rhs(COUPLED, 2.0).__code__ is not boat.__code__
 
 
+def test_one_loop_serves_every_run_of_a_text():
+    # the loop that writes a text out is generated once per text and bound
+    # to each run's values; it calls no rhs
+    def loop(p, c):
+        return _loop(model_rhs(p, "u1 = 0.0\nu2 = c\n", {"c": c}), 6)
+
+    boat = loop(reference_boat(), 1.0)
+    assert "rhs" not in boat.__code__.co_freevars
+    for other in (loop(reference_boat(), 2.0), loop(OTHER_DIAGONAL, 1.0)):
+        assert other.__code__ is boat.__code__
+        assert other is not boat
+    assert loop(COUPLED, 2.0).__code__ is not boat.__code__
+
+
+def _stepped_rhs(runner, scenario, monkeypatch):
+    """The function that `runner` hands `integrate` for `scenario`."""
+    stepped = []
+    with monkeypatch.context() as patch:
+        patch.setattr(sc, "integrate", lambda rhs, *_: stepped.append(rhs))
+        RUNNERS[runner][0](scenario)
+    [rhs] = stepped
+    return rhs
+
+
 @pytest.mark.parametrize("runner", ["full", "averaged"])
 def test_the_boats_runners_read_no_off_diagonal_damping_entry(runner, monkeypatch):
     # the six zero products of a diagonal vessel are left out of the
-    # function the loop steps, so its closure holds the diagonal entries only
-    stepped = []
-    monkeypatch.setattr(sc, "integrate", lambda rhs, *_: stepped.append(rhs))
-    RUNNERS[runner][0](_scenario())
-    [rhs] = stepped
+    # function the loop steps, so its closure holds the diagonal entries
+    # only, and so does the loop that writes that function out
+    rhs = _stepped_rhs(runner, _scenario(), monkeypatch)
     damping = {name for name in rhs.__code__.co_freevars if name[0] == "d"}
     assert damping == {"d11", "d22", "d33"}
+    code = _loop(rhs, 6).__code__
+    names = {*code.co_freevars, *code.co_varnames, *code.co_names}
+    assert {name for name in names if re.fullmatch(r"d\d\d", name)} == {"d11", "d22", "d33"}
+
+
+@pytest.mark.parametrize("field", ["quadratic", "rotated_quadratic", "log_bowl"])
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_a_wrapped_runner_rhs_steps_the_bytes_of_the_written_out_one(runner, field,
+                                                                    monkeypatch):
+    # a lambda is stepped by calls, the runner's own function written out
+    scenario = _scenario(field)
+    rhs = _stepped_rhs(runner, scenario, monkeypatch)
+    assert "rhs" not in _loop(rhs, 6).__code__.co_freevars
+    settings = _settings(runner, scenario)
+    bare = integrate(rhs, scenario.initial, settings)
+    wrapped = integrate(lambda tau, state: rhs(tau, state), scenario.initial, settings)
+    assert bare.states.tobytes() == wrapped.states.tobytes()
+
+
+@pytest.mark.parametrize("slot, value", [("om", 1e308), ("x", 1e152)])
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_a_written_out_runner_blows_up_as_a_called_one(runner, slot, value, monkeypatch):
+    # a spin of 1e308 feeds an infinite heading to math.cos, which raises a
+    # ValueError on a slot state that is not finite; far out, the cost
+    # overflows. Either way the written-out loop and the called one report
+    # the same step and cause
+    initial = _scenario().initial.copy()
+    initial[SLOTS.index(slot)] = value
+    scenario = replace(_scenario(), initial=initial)
+    rhs = _stepped_rhs(runner, scenario, monkeypatch)
+    blow_ups = []
+    for stepped in (rhs, lambda tau, state: rhs(tau, state)):
+        with pytest.raises(BlowUpError) as info:
+            integrate(stepped, initial, _settings(runner, scenario))
+        blow_ups.append(info.value)
+    bare, wrapped = blow_ups
+    assert bare.time == wrapped.time == _settings(runner, scenario).step
+    assert bare.state.tobytes() == wrapped.state.tobytes() == initial.tobytes()
+    assert type(bare.__cause__) is type(wrapped.__cause__)
+    assert type(bare.__cause__) is (ValueError if runner == "averaged" else OverflowError)
+
+
+@pytest.mark.parametrize("inputs, after, values", [
+    # reads the loop's step, its stage state and its time
+    ("u1 = half * tau\nu2 = c\n", "", {"half": 0.5, "c": -0.7}),
+    ("u1 = state[3] * t\nu2 = c\n", "", {"t": 2.0, "c": -0.7}),
+    # writes the loop's time and one of its first stage's rates
+    ("u1 = 0.3\nu2 = c\n", "t = dvx\na0 = t\ndvx = dvx - a0 * a0\n", {"c": -0.7}),
+])
+def test_a_text_naming_a_loop_name_is_stepped_by_calls(inputs, after, values):
+    # such a text cannot be written out into the loop: its function is
+    # called, and steps the bytes of any other callable
+    rhs = model_rhs(reference_boat(), inputs, values, after=after)
+    assert _loop(rhs, 6).__code__.co_freevars == ("rhs",)
+    initial = np.array([0.5, -0.3, 0.2, 0.1, 0.0, 0.3])
+    settings = IntegratorSettings(step=0.01, tf=1.0)
+    got = integrate(rhs, initial, settings)
+    want = integrate(lambda tau, state: rhs(tau, state), initial, settings)
+    assert got.states.tobytes() == want.states.tobytes()
 
 
 nonzero = st.floats(-5.0, 5.0, allow_subnormal=False).filter(bool)

@@ -188,6 +188,15 @@ def test_params_validation():
     asym = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError):
         VehicleParams(1.0, 1.0, 1.0, asym)
+    # asymmetric within numpy's default relative tolerance of allclose
+    large = np.array([[4e6, 1e6, 0.0], [1e6 + 9.0, 4e6, 0.0], [0.0, 0.0, 4e6]])
+    with pytest.raises(ValueError, match=r"^damping matrix must be symmetric, got "
+                                         r"d12 = 1000000\.0 and d21 = 1000009\.0$"):
+        VehicleParams(1.0, 1.0, 1.0, large)
+    unit = np.array([[4.0, 0.0, 0.0], [0.0, 4.0, 1.0], [0.0, 1.000009, 4.0]])
+    with pytest.raises(ValueError, match=r"^damping matrix must be symmetric, got "
+                                         r"d23 = 1\.0 and d32 = 1\.000009$"):
+        VehicleParams(1.0, 1.0, 1.0, unit)
 
 
 @pytest.mark.parametrize("entry, value", [("m11", math.inf), ("m33", math.nan),
