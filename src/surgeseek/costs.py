@@ -26,7 +26,7 @@ def _check_coefficients(a, b, floor):
             raise ValueError(f"quadratic coefficient {name} must be strictly positive, "
                              f"got {value}")
     if not floor >= 0:
-        raise ValueError("floor must be non-negative")
+        raise ValueError(f"floor must be non-negative, got {floor}")
 
 
 def quadratic_cost(a=1.0, b=0.5, x_star=2.0, y_star=3.0, floor=1.0):

@@ -15,13 +15,13 @@ Each runner integrates its loop and then records the cost and the inputs
 along the states. The metrics read states and times only, so `sweep`
 integrates the same two loops and records states only. Independent work
 (a sweep's full and averaged runs, CLI `compare`'s two runs, the shares
-of a long CSV) goes through `run_forked`, which shares the tasks out over
-the usable CPUs by their costs; a sweep's runs cost their RK4 step
-counts. `write_full_run` writes a long full-run CSV on two CPUs while the
-run is still integrating: its first half is written by a child started
-through `_children`, the fork and join code of `run_forked`, while this
-process steps the second half by `step_rows`. Every output keeps its bits
-whatever the number of CPUs.
+of a long full-run CSV) goes through `run_forked`, which shares the tasks
+out over the usable CPUs by their costs; a sweep's runs cost their RK4
+step counts. `write_full_run`, the only writer that splits a CSV, writes a
+long full-run CSV on two CPUs while the run is still integrating: its
+first half is written by a child started through `_children`, the fork
+and join code of `run_forked`, while this process steps the second half
+by `step_rows`. Every output keeps its bits whatever the number of CPUs.
 """
 import configparser
 import contextlib
@@ -190,9 +190,12 @@ def _integrate(scenario, rhs, step, name, eps=""):
                          IntegratorSettings(step=step, tf=scenario.horizon))
 
 
-# rows per block that `_mapped` reads: whole columns as lists of floats
-# would hold about 1 MB of float objects each for the reference full run
-_MAP_BLOCK_ROWS = 1024
+# rows per block that `_mapped` reads and `_write_rows` writes: for the
+# reference full run a whole column as floats, or the trajectory stacked
+# whole, is a megabyte-sized temporary, and freeing one that large makes
+# malloc keep later arrays on the heap (+2 MB peak RSS over repeated CLI
+# compare runs)
+_BLOCK_ROWS = 1024
 
 
 def _mapped(law, *columns):
@@ -205,8 +208,8 @@ def _mapped(law, *columns):
     """
     n = len(columns[0])
     values = np.empty(n)
-    for lo in range(0, n, _MAP_BLOCK_ROWS):
-        hi = lo + _MAP_BLOCK_ROWS
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
         values[lo:hi] = list(map(law, *[column[lo:hi].tolist() for column in columns]))
     return values
 
@@ -640,22 +643,17 @@ def _fmt(x):
     return format(x, ".15g")
 
 
-# rows per block written by `write_columns`: a trajectory stacked whole is a
-# multi-megabyte temporary, and freeing one that large makes malloc keep
-# later arrays on the heap (+2 MB peak RSS over repeated CLI compare runs)
-_CSV_BLOCK_ROWS = 1024
-
-# numbers (rows x columns) above which `write_columns` formats in two shares.
-# On two vCPUs (median wall time of 20 alternating fresh CLI runs of
-# scenarios/benchmark.ini) a split paid for the full run's 318,320 numbers,
-# `simulate` taking 0.80 s split and 0.90 s not, but not for the averaged
-# run's 100,010, `average` taking 0.54 s split and 0.52 s not; the bound
-# sits between the two
+# numbers (rows x columns) of a full-run CSV above which `write_full_run`
+# writes it in shares. On two vCPUs (median wall time of 20 alternating
+# fresh CLI runs of scenarios/benchmark.ini) a split paid for the full run's
+# 318,320 numbers, `simulate` taking 0.80 s split and 0.90 s not, but not
+# for the averaged run's 100,010, `average` taking 0.54 s split and 0.52 s
+# not; the bound sits between the two
 _SPLIT_NUMBERS = 200_000
 
 
-def _write_rows(path, header, columns, lo, hi):
-    """Write `header` (none if None), then rows [lo, hi) of `columns`, to `path`.
+def _write_rows(path, header, columns):
+    """Write `header` (none if None), then the rows of `columns`, to `path`.
 
     Each block of rows is formatted by one `%` over a template of that many
     rows.
@@ -663,9 +661,8 @@ def _write_rows(path, header, columns, lo, hi):
     with open(path, "w", newline="") as f:
         if header is not None:
             f.write(header + "\n")
-        for start in range(lo, hi, _CSV_BLOCK_ROWS):
-            end = min(start + _CSV_BLOCK_ROWS, hi)
-            block = np.column_stack([c[start:end] for c in columns])
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
             rows, width = block.shape
             row = ",".join(["%.15g"] * width) + "\n"
             f.write((row * rows) % tuple(block.ravel().tolist()))
@@ -673,19 +670,19 @@ def _write_rows(path, header, columns, lo, hi):
 
 @contextlib.contextmanager
 def _parts(path, count):
-    """`count` part files of `path`, appended to `path` in order once the
-    block completes. Each is named `<path>.<pid>.<k>.part`: the pid keeps
-    two runs that write one path from sharing a part file. If the block or
-    the append fails, `path` is removed; the parts are removed either way.
+    """`count` part files of `path` for `write_full_run`'s shares, appended
+    to `path` in order once the block completes. Each is named
+    `<path>.<pid>.<k>.part`: the pid keeps two runs that write one path from
+    sharing a part file. If the block or the append fails, `path` is
+    removed; the parts are removed either way.
     """
     parts = [f"{path}.{os.getpid()}.{k}.part" for k in range(count)]
     try:
         yield parts
-        if parts:
-            with open(path, "ab") as f:
-                for part in parts:
-                    with open(part, "rb") as tail:
-                        shutil.copyfileobj(tail, f)
+        with open(path, "ab") as f:
+            for part in parts:
+                with open(part, "rb") as tail:
+                    shutil.copyfileobj(tail, f)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
@@ -697,8 +694,8 @@ def _parts(path, count):
 
 
 def _writer_exited(bounds):
-    """`exited` for `run_forked` or `_children` of CSV shares, the j-th of
-    which writes the rows [lo, hi) = `bounds[j]`."""
+    """`exited` for `run_forked` or `_children` of `write_full_run`'s
+    shares, the j-th of which writes the rows [lo, hi) = `bounds[j]`."""
     def exited(j, code):
         lo, hi = bounds[j]
         raise RuntimeError(f"CSV writer of rows {lo}-{hi} exited with code {code}")
@@ -708,24 +705,16 @@ def _writer_exited(bounds):
 def write_columns(path, header, columns):
     """CSV of column-stacked arrays under `header`, 15 significant digits.
 
-    The rows are written by the tasks of `run_forked`: one share of every
-    row, or above `_SPLIT_NUMBERS` numbers two, the header and rows
-    [0, mid) to `path` and rows [mid, n) to a `_parts` file, which is then
-    appended to `path` and removed. A forked share inherits the columns, so
-    no formatted text crosses the pipe, and the bytes are those of one
-    share. If a share fails, neither file is left. `path` is written in
+    Every row is written by this process, in one share; nothing is forked.
+    If the write fails, no file is left at `path`. `path` is written in
     place: the CLI renames it into place once complete.
     """
-    n = len(columns[0])
-    mid = n // 2 // _CSV_BLOCK_ROWS * _CSV_BLOCK_ROWS
-    split = sum(map(np.size, columns)) > _SPLIT_NUMBERS
-    bounds = [(0, mid), (mid, n)] if split else [(0, n)]
-    with _parts(path, len(bounds) - 1) as parts:
-        # the header goes to `path`, before the first share's rows
-        heads = [header] + [None] * len(parts)
-        run_forked([partial(_write_rows, name, head, columns, lo, hi)
-                    for name, head, (lo, hi) in zip([path, *parts], heads, bounds)],
-                   _writer_exited(bounds))
+    try:
+        _write_rows(path, header, columns)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        raise
 
 
 def _trajectory_columns(traj):
@@ -753,16 +742,16 @@ def _write_full_rows(scenario, surge, traj, path, header, lo, hi):
     alone, which maps the loop's laws row by row: so each row has the bits
     that recording the whole run gives it."""
     rows = _record(scenario, Trajectory(traj.t[lo:hi], traj.states[lo:hi]), surge)
-    _write_rows(path, header, _trajectory_columns(rows), 0, hi - lo)
+    _write_rows(path, header, _trajectory_columns(rows))
 
 
 def write_full_run(scenario, path):
     """`run_to_csv(run_full, scenario, path)`: the same bytes, the same
     returned times and states, and the same error for a failed step.
 
-    Where `write_columns` would split the CSV (above `_SPLIT_NUMBERS`
-    numbers) and two CPUs are usable, the CSV is written while the run is
-    still integrating, in three shares:
+    Where the CSV has more than `_SPLIT_NUMBERS` numbers and two CPUs are
+    usable, the CSV is written while the run is still integrating, in three
+    shares:
     - this process steps the run up to row mid = n // 2 of its n rows;
     - a child started by `_children` records and writes the header and
       rows [0, mid) to `path`, while this process steps the rest;

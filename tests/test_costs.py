@@ -59,6 +59,13 @@ def test_a_bad_coefficient_is_named(name, key, value):
 
 
 @pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+def test_a_bad_floor_is_named_with_its_value(name, value):
+    with pytest.raises(ValueError, match=rf"^floor must be non-negative, got {value}$"):
+        get_field(name, floor=value)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])
 def test_grid_positivity_and_unique_minimum(name):
     field = get_field(name)
     xs = np.linspace(-10, 10, 200)

@@ -820,40 +820,48 @@ def _columns(rows):
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 2047, 2048, 2049, 5003])
 def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
+    # write_columns writes a CSV in one share in this process, even on two
+    # CPUs under a bound of 0; write_full_run splits one at its middle row,
+    # whatever the block edges, into shares that `_write_rows` writes alone
     monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     starts = _counted_starts(monkeypatch)
     columns = _columns(rows)
-    written = {}
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: cpus,
-                            raising=False)
-        path = tmp_path / f"{len(cpus)}.csv"
-        sc.write_columns(str(path), sc.TRAJECTORY_HEADER, columns)
-        written[len(cpus)] = path.read_bytes()
-    # on two CPUs the tail share is forked whatever the number of rows
-    assert len(starts) == 1
+    path = tmp_path / "one.csv"
+    sc.write_columns(str(path), sc.TRAJECTORY_HEADER, columns)
+    assert starts == []
     assert multiprocessing.active_children() == []
-    assert written[2] == written[1]
-    assert written[1].count(b"\n") == rows + 1
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["1.csv", "2.csv"]
+    one = path.read_bytes()
+    reference = [sc.TRAJECTORY_HEADER] + [",".join("%.15g" % x for x in row)
+                                          for row in np.column_stack(columns).tolist()]
+    assert one == "".join(line + "\n" for line in reference).encode()
+    mid = rows // 2
+    sc._write_rows(str(tmp_path / "head.csv"), sc.TRAJECTORY_HEADER, [c[:mid] for c in columns])
+    sc._write_rows(str(tmp_path / "tail.csv"), None, [c[mid:] for c in columns])
+    assert (tmp_path / "head.csv").read_bytes() + (tmp_path / "tail.csv").read_bytes() == one
 
 
 @pytest.mark.parametrize("share, failure", [("tail", "raises"), ("tail", "exits"),
-                                            ("head", "raises"), ("only", "raises")])
+                                            ("head", "raises"), ("middle", "raises"),
+                                            ("only", "raises")])
 def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share, failure):
-    # 10 rows are written in one share; 5003 rows, with a bound of 0, in two
-    rows = 10 if share == "only" else 5003
-    if share != "only":
-        monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
+    # write_columns writes 10 rows in its only share. write_full_run, under a
+    # bound of 0, writes the 5 s run's CSV in three: a child writes the head
+    # to the CSV, this process the middle to part file 0, a child the tail
+    # to part file 1
+    monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     starts = _counted_starts(monkeypatch)
     write_rows = sc._write_rows
+    path = str(tmp_path / "run.csv")
+    names = {"only": path, "head": path, "middle": f"{path}.{os.getpid()}.0.part",
+             "tail": f"{path}.{os.getpid()}.1.part"}
 
-    def fails_after_writing(path, *args):
-        write_rows(path, *args)
-        if path.endswith(".part") != (share == "tail"):
-            # the other share: a head that fails finds its tail still running
-            if share == "head":
+    def fails_after_writing(name, *args):
+        write_rows(name, *args)
+        if name != names[share]:
+            # the other shares: a middle that fails finds both children running
+            if share == "middle":
                 time.sleep(60.0)
             return
         if failure == "exits":
@@ -863,16 +871,18 @@ def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share,
     monkeypatch.setattr(sc, "_write_rows", fails_after_writing)
     want = "exited with code 3" if failure == "exits" else f"{share} share failed"
     with _within(10.0), pytest.raises((OSError, RuntimeError), match=want):
-        sc.write_columns(str(tmp_path / "run.csv"), sc.TRAJECTORY_HEADER, _columns(rows))
-    assert len(starts) == (share != "only")
+        if share == "only":
+            sc.write_columns(path, sc.TRAJECTORY_HEADER, _columns(10))
+        else:
+            sc.write_full_run(_scenario(horizon=5.0), path)
+    assert len(starts) == (0 if share == "only" else 2)
     assert multiprocessing.active_children() == []
     assert list(tmp_path.iterdir()) == []
 
 
 def _split_small_csvs(monkeypatch):
-    """Make `write_columns` split the 5 s scenario's trajectories (797 and
-    10,001 rows) on two CPUs."""
-    monkeypatch.setattr(sc, "_CSV_BLOCK_ROWS", 64)
+    """Make `write_full_run` split the 5 s scenario's full.csv (797 rows) on
+    two CPUs."""
     monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
 
 
@@ -900,8 +910,8 @@ def test_cli_keeps_the_earlier_csv_when_its_write_fails(
     with _within(10.0):
         code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, cpus)
     # this process's share goes to a name of its own, never to the CSV's: the
-    # head of the CSV's temporary file, or, where a full run is written while
-    # it integrates, the first share of the rest to the first part file (a
+    # CSV's temporary file, or, where a full run is written while it
+    # integrates, the first share of the rest to the first part file (a
     # child writes the head)
     temp = f"{compare_dir / name}.{os.getpid()}.tmp"
     mine = f"{temp}.{os.getpid()}.0.part" if _writes_while_integrating(command, cpus) else temp
@@ -915,12 +925,11 @@ def test_cli_keeps_the_earlier_csv_when_its_write_fails(
                                            ("average", 1)])
 def test_cli_writes_a_long_csv_in_two_shares_with_the_same_bytes(
         monkeypatch, capsys, compare_dir, command, csvs):
-    # both trajectories split. This process makes the first run and forks
-    # one child per other run (compare's averaged run). A full run forks
-    # the head share of full.csv and one share of its rest; an averaged run
-    # the tail share of averaged.csv (in compare its child forks that one,
-    # and this process does not count it)
-    children = csvs - 1 + (2 if _writes_while_integrating(command, {0, 1}) else 1)
+    # this process makes the first run and forks one child per other run
+    # (compare's averaged run). A full run forks the head share of full.csv
+    # and one share of its rest; averaged.csv is written in one share, so
+    # `average` forks nothing
+    children = csvs - 1 + (2 if _writes_while_integrating(command, {0, 1}) else 0)
     _split_small_csvs(monkeypatch)
     starts = _counted_starts(monkeypatch)
     code, err, split = _cli_run(command, monkeypatch, capsys, compare_dir, {0, 1})
@@ -945,11 +954,18 @@ def test_cli_leaves_no_csv_when_a_tail_share_dies(monkeypatch, capsys, compare_d
             os._exit(3)
 
     monkeypatch.setattr(sc, "_write_rows", tail_dies)
+    starts = _counted_starts(monkeypatch)
     with _within(10.0):
         code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, {0, 1})
     assert multiprocessing.active_children() == []
-    assert code == 1 and "exited with code 3" in err
-    assert written == {}
+    if command == "average":
+        # averaged.csv is written in one share, by this process: no tail
+        # share dies, and no part file is written
+        assert (code, err, starts) == (0, "", [])
+        assert sorted(written) == ["averaged.csv", "averaged_meta.json"]
+    else:
+        assert code == 1 and "exited with code 3" in err
+        assert written == {}
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -1034,18 +1050,39 @@ def test_a_full_run_interrupted_after_its_midpoint_reaps_its_head_share(
     assert [path.name for path in compare_dir.iterdir()] == ["scenario.ini"]
 
 
-@pytest.mark.parametrize("rows, width, children", [(31832, 10, 1), (10001, 10, 0),
-                                                    (31831, 3, 0)])
+@pytest.mark.parametrize("rows, width, splits", [(31832, 10, 1), (10001, 10, 0),
+                                                  (31832, 3, 0)])
 def test_only_a_csv_of_more_numbers_than_the_bound_splits(
-        monkeypatch, tmp_path, rows, width, children):
+        monkeypatch, tmp_path, rows, width, splits):
     # the reference full.csv, averaged.csv and demo_di.csv: only the first
-    # has more than _SPLIT_NUMBERS numbers (rows x columns)
+    # has more than _SPLIT_NUMBERS numbers (rows x columns), and only
+    # write_full_run splits it; write_columns forks nothing at any size
+    assert (rows * width > sc._SPLIT_NUMBERS) == splits
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     starts = _counted_starts(monkeypatch)
     path = tmp_path / "run.csv"
     sc.write_columns(str(path), "header", [np.arange(rows), np.ones((rows, width - 1))])
-    assert len(starts) == children
+    assert starts == []
     assert path.read_bytes().count(b"\n") == rows + 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_a_full_run_splits_its_csv_only_above_the_bound(monkeypatch, tmp_path, above):
+    s = _scenario(horizon=5.0)
+    run = sc.run_full(s)
+    sc.write_trajectory_csv(run, str(tmp_path / "one.csv"))
+    numbers = len(run.t) * len(sc.TRAJECTORY_HEADER.split(","))
+    monkeypatch.setattr(sc, "_SPLIT_NUMBERS", numbers - 1 if above else numbers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    starts = _counted_starts(monkeypatch)
+    traj = sc.write_full_run(s, str(tmp_path / "full.csv"))
+    # above the bound a child writes the head share and another the tail
+    assert len(starts) == (2 if above else 0)
+    assert multiprocessing.active_children() == []
+    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert np.array_equal(traj.states, run.states)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["full.csv", "one.csv"]
 
 
 def test_a_full_run_that_overflows_names_the_time_of_its_blow_up():
