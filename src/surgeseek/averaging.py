@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import (IntegratorSettings, Trajectory, dividing_step, hermite,
-                         integrate)
+from .integrator import (IntegratorSettings, Trajectory, define_laws, dividing_step,
+                         hermite, integrate)
 from .quadrature import sample_period, simpson
 from .vehicle import dynamics_rhs
 
@@ -193,21 +193,26 @@ def es_product_gain(params, k):
     return 2.0 * (k / params.m11) ** 2
 
 
+# the surge component of <B1:B1>, stated once as source text (see
+# `integrator.define_laws`)
+_SURGE_SELF_PRODUCT = define_laws("""\
+def surge(x, y, theta):
+    rho = value(x, y)
+    gx, gy = gradient(x, y)
+    return gain * rho * (gx * cos(theta) + gy * sin(theta))
+""", ("gain", "value", "gradient", "cos", "sin"))
+
+
 def es_surge_self_product(params, k, cost_field):
     """Surge component of <B1:B1> as a float function of (x, y, theta).
 
     <B1:B1>_1 = 2 (k/m11)^2 rho * (rho_x cos(theta) + rho_y sin(theta));
-    the sway and yaw components vanish.
+    the sway and yaw components vanish. The averaged run's RK4 loop writes
+    the function's call out as its statements, and the calls of the cost
+    field's value and gradient in it as theirs.
     """
-    gain = es_product_gain(params, k)
-    value, gradient = cost_field.value, cost_field.gradient
-    cos, sin = math.cos, math.sin
-
-    def surge(x, y, theta):
-        rho = value(x, y)
-        gx, gy = gradient(x, y)
-        return gain * rho * (gx * cos(theta) + gy * sin(theta))
-
+    [surge] = _SURGE_SELF_PRODUCT(es_product_gain(params, k), cost_field.value,
+                                  cost_field.gradient, math.cos, math.sin)
     return surge
 
 

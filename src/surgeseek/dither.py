@@ -8,9 +8,9 @@ torque is a constant that keeps the vehicle turning,
     u1 = (k / eps) * cos(t / eps) * rho(x, y),
     u2 = c.
 
-`surge_law` states u1 once, on Python floats: the full run steps it and
-records it, so a change to the law (a dither phase, a bound on the force,
-measurement noise) is written there alone.
+`surge_law` states u1 once, as source text, on Python floats: the full run
+steps it and records it, so a change to the law (a dither phase, a bound on
+the force, measurement noise) is written there alone.
 
 The general input family is u = b0 + (1/eps) * sum_i b_i(q) w_i(t/eps)
 with T-periodic dithers w_i. Admissible dithers must have zero mean and
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .integrator import define_laws
 from .quadrature import sample_period, simpson
 
 
@@ -98,21 +99,24 @@ def validate_dither(w, period, tol=1e-8):
                        mean_residual=r1, iterated_residual=r2, tol=tol)
 
 
+# the surge law, stated once as source text (see `integrator.define_laws`)
+_SURGE_LAW = define_laws("""\
+def u1(t, rho):
+    return k_over_eps * cos(t * inv_eps) * rho
+""", ("k_over_eps", "inv_eps", "cos"))
+
+
 def surge_law(gains):
     """The seeking surge force u1(t, rho) = (k / eps) cos(t / eps) rho.
 
     Returns a function of a float time and a float measurement. This is the
-    one statement of the law: the full run's RHS steps it, and its record
-    stage maps it over the recorded samples, so the recorded surge force is
-    the one the loop applied.
+    one statement of the law: its record stage maps the function over the
+    recorded samples, and the full run's RK4 loop writes the function's
+    call out as the same statements, so the recorded surge force is the one
+    the loop applied.
     """
-    k_over_eps = gains.k / gains.epsilon
-    inv_eps = 1.0 / gains.epsilon
-    cos = math.cos  # a closure cell: cheaper per call than math.cos
-
-    def u1(t, rho):
-        return k_over_eps * cos(t * inv_eps) * rho
-
+    # math.cos in a closure cell: cheaper per call than math.cos
+    [u1] = _SURGE_LAW(gains.k / gains.epsilon, 1.0 / gains.epsilon, math.cos)
     return u1
 
 

@@ -27,9 +27,13 @@ plain callable the slots are one tuple `s` and the body is the call
 locals, its body is its own statements, and the loop is bound to the
 values of its free variables, so a step calls only what that body calls
 and builds no stage or rate tuple. The same expressions run in the same
-order, so the floats are those of calling it. A body that names one of the
-loop's own names (its time `t`, its step `h`, its `state`, ...) is called
-instead. The loop is generated once per state length and text, and
+order, so the floats are those of calling it. The seeking laws that such a
+body calls (a cost field's value and gradient, the surge law, the surge
+self product) are stated once each as source text by `define_laws`, which
+registers each text in `_LAWS` by the law's code, so `vehicle.model_rhs`
+writes their calls out in the body too, and a runner's step calls none of
+them. A body that names one of the loop's own names (its time `t`, its step
+`h`, its `state`, ...) is called instead. The loop is generated once per state length and text, and
 cached. It takes a range of steps, so `step_rows` can step one run in
 consecutive ranges of rows with the bits of one `integrate`, and the rows
 already stepped can be read in between.
@@ -40,6 +44,7 @@ is an error of a stage's body: an OverflowError always, and a ValueError
 slots, is not finite. A ValueError on a finite stage state is the RHS's
 own and propagates.
 """
+import ast
 import functools
 import math
 import struct
@@ -120,6 +125,56 @@ class Trajectory:
 # tuple, with `namespace` as its globals. `step_rows` writes `body` out at
 # each stage in place of a call to the function
 _TEXTS = {}
+
+# code object of a law -> (params, body, result): the law is
+# `def f(*params)`, which runs the assignments `body` and returns the
+# expression `result`; it reads its free variables from its closure and any
+# other name from the builtins. `vehicle.model_rhs` writes a call to it out
+# as these statements in place of the call
+_LAWS = {}
+
+# `define_laws` as source: `bind` takes the laws' free variables and returns
+# the laws
+_LAWS_TEMPLATE = """\
+def bind({names}):
+{source}    return {laws}
+"""
+
+
+def define_laws(source, names):
+    """`bind(*names)`, which returns the functions that `source` defines, in
+    order, as closures over the names `names`.
+
+    This is the one statement of each law: `source` defines it as a `def` of
+    positional parameters whose body is assignments and then one `return`.
+    Each function is the closure that the same `def` in a factory function
+    would be, with its bytecode. Its text is registered in `_LAWS` under its
+    code, which every function of that law that `bind` returns shares.
+    Raises a ValueError for a law of any other form.
+    """
+    laws = ast.parse(source).body
+    namespace = {}
+    exec(compile(_LAWS_TEMPLATE.format(names=", ".join(names),
+                                       source=textwrap.indent(source, " " * 4),
+                                       laws=_tup(law.name for law in laws)),
+                 "<laws>", "exec"), namespace)
+    bind = namespace["bind"]
+    codes = {c.co_name: c for c in bind.__code__.co_consts if isinstance(c, CodeType)}
+    for law in laws:
+        *body, result = law.body
+        args = law.args
+        if (args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg or args.defaults
+                or law.decorator_list or not isinstance(result, ast.Return)
+                or result.value is None or not all(isinstance(s, ast.Assign) for s in body)
+                or any(isinstance(node, (ast.Lambda, ast.NamedExpr, ast.comprehension))
+                       for node in ast.walk(law))):
+            raise ValueError(f"law {law.name} is not positional parameters, assignments "
+                             f"and one return")
+        _LAWS[codes[law.name]] = (tuple(arg.arg for arg in args.args),
+                                  "".join(ast.unparse(stmt) + "\n" for stmt in body),
+                                  ast.unparse(result.value))
+    return bind
+
 
 # The RK4 loop for a state of length m, bound by `bind` to the names its
 # stages read: the RHS, or the free variables of a written-out function.
@@ -304,14 +359,25 @@ def hermite(ts, values, rates, t):
 
     `rates` are the exact time derivatives of `values` at the sample times
     `ts`, so the interpolant is O(h^4) accurate between samples and exact
-    at them (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6).
+    at them (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6). The
+    samples lie along the last axis of the arrays `values` and `rates`:
+    stacked rows, shape (k, len(ts)), share one search for the intervals
+    and one evaluation of the basis, and each row has the bits it has on
+    its own.
     """
     i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
     h = ts[i + 1] - ts[i]
     u = (t - ts[i]) / h
+    # the rate terms' basis carries h: (h10 * h) * rate is the plain
+    # formula's product order
     h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-    h10 = u * (1.0 - u) ** 2
+    h10 = u * (1.0 - u) ** 2 * h
     h01 = u * u * (3.0 - 2.0 * u)
-    h11 = u * u * (u - 1.0)
-    return (h00 * values[i] + h10 * h * rates[i]
-            + h01 * values[i + 1] + h11 * h * rates[i + 1])
+    h11 = u * u * (u - 1.0) * h
+    # freed before the rows are formed, which sets the peak memory
+    del h, u
+    out = np.empty(values.shape[:-1] + np.shape(t))
+    for row in np.ndindex(values.shape[:-1]):
+        v, r = values[row], rates[row]
+        out[row] = h00 * v[i] + h10 * r[i] + h01 * v[i + 1] + h11 * r[i + 1]
+    return out

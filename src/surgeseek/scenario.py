@@ -353,8 +353,9 @@ def _hermite_position(traj, t):
     """
     s = traj.states
     cos, sin = _mapped(math.cos, s[:, 2]), _mapped(math.sin, s[:, 2])
-    rates = (cos * s[:, 3] - sin * s[:, 4], sin * s[:, 3] + cos * s[:, 4])
-    return [hermite(traj.t, s[:, j], rates[j], t) for j in (0, 1)]
+    rates = np.array([cos * s[:, 3] - sin * s[:, 4], sin * s[:, 3] + cos * s[:, 4]])
+    # x and y share the intervals and the basis
+    return hermite(traj.t, np.array([s[:, 0], s[:, 1]]), rates, t)
 
 
 def sup_position_deviation(full, averaged, t_max=None):

@@ -65,6 +65,17 @@ def test_a_bad_floor_is_named_with_its_value(name, value):
         get_field(name, floor=value)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name, key", [
+    ("quadratic", "x_star"), ("quadratic", "y_star"), ("rotated_quadratic", "x_star"),
+    ("rotated_quadratic", "y_star"), ("rotated_quadratic", "angle"), ("log_bowl", "x_star"),
+    ("log_bowl", "y_star")])
+def test_a_non_finite_minimizer_or_angle_is_named_with_its_value(name, key, value):
+    # such a field's value would be inf or NaN everywhere
+    with pytest.raises(ValueError, match=rf"^{key} must be finite, got {value}$"):
+        get_field(name, **{key: value})
+
+
 @pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])
 def test_grid_positivity_and_unique_minimum(name):
     field = get_field(name)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from surgeseek.integrator import (BlowUpError, IntegratorSettings, Trajectory,
+from surgeseek.integrator import (BlowUpError, IntegratorSettings, Trajectory, hermite,
                                   integrate)
 
 
@@ -281,3 +281,17 @@ def test_trajectory_length_checks():
     with pytest.raises(ValueError):
         Trajectory(t=np.arange(3.0), states=np.zeros((3, 1)),
                    rho=np.zeros(2))
+
+
+def test_hermite_of_stacked_columns_gives_each_columns_bits():
+    # stacked columns share the intervals and the basis; each row keeps the
+    # bits of its own interpolation, and every sample is met exactly
+    rng = np.random.default_rng(30)
+    ts = np.linspace(0.0, 2.0, 41)
+    values, rates = rng.normal(size=(3, 41)), rng.normal(size=(3, 41))
+    t = np.concatenate([rng.uniform(-0.1, 2.1, 200), ts])
+    stacked = hermite(ts, values, rates, t)
+    assert stacked.shape == (3, len(t))
+    for row, v, r in zip(stacked, values, rates):
+        assert row.tobytes() == hermite(ts, v, r, t).tobytes()
+        assert np.array_equal(row[-len(ts):], v)

@@ -14,11 +14,13 @@ import surgeseek.scenario as sc
 from surgeseek.averaging import AVERAGED_STEPS
 from surgeseek.costs import get_field
 from surgeseek.dither import EsGains
-from surgeseek.integrator import BlowUpError, IntegratorSettings, _loop, integrate
+from surgeseek.integrator import (_TEXTS, BlowUpError, IntegratorSettings, _loop, _rk4_loop,
+                                  integrate)
 from surgeseek.vehicle import (MODEL, RATES, SLOTS, VehicleParams, constants, dynamics_rhs,
                                model_rhs, reference_boat)
 
 from oracles import averaged_closure, full_closure
+from test_laws import law_calls
 
 # per runner: its integration, the closure it replaced, and its step
 RUNNERS = {
@@ -168,6 +170,23 @@ def test_the_boats_runners_read_no_off_diagonal_damping_entry(runner, monkeypatc
     code = _loop(rhs, 6).__code__
     names = {*code.co_freevars, *code.co_varnames, *code.co_names}
     assert {name for name in names if re.fullmatch(r"d\d\d", name)} == {"d11", "d22", "d33"}
+
+
+@pytest.mark.parametrize("field", ["quadratic", "rotated_quadratic", "log_bowl"])
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_the_runners_write_out_their_laws_and_the_loop_writes_out_the_runners(
+        runner, field, monkeypatch):
+    # the surge law, the self product and the field's value and gradient are
+    # written out in the runner's text, and that text in the loop
+    rhs = _stepped_rhs(runner, _scenario(field), monkeypatch)
+    assert law_calls(rhs) == []
+    assert _rk4_loop(6, rhs.__code__) is not None
+    # a wrapped field is called, in the text and so in the loop
+    value = _scenario(field).cost.value
+    wrapped = _stepped_rhs(runner, _with_value(_scenario(field), lambda x, y: value(x, y)),
+                           monkeypatch)
+    assert "value(x, y)" in _TEXTS[wrapped.__code__][1]
+    assert _rk4_loop(6, wrapped.__code__) is not None
 
 
 @pytest.mark.parametrize("field", ["quadratic", "rotated_quadratic", "log_bowl"])
