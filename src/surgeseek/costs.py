@@ -34,6 +34,8 @@ def _check_coefficients(a, b, floor):
                              f"got {value}")
     if not floor >= 0:
         raise ValueError(f"floor must be non-negative, got {floor}")
+    # an infinite one passes those tests, but gives an inf or NaN value
+    _check_finite(a=a, b=b, floor=floor)
 
 
 def _check_finite(**values):

@@ -20,37 +20,35 @@ The loop is generated from one source template, the way
 locals and writes every stage and the update out in full, in the operation
 order of the plain comprehension loop, so it gives the same bits. Each of
 the four stages has one form: the stage time in `tau`, the stage state in
-the slots, then a body that leaves the stage's rates in m locals. For a
-plain callable the slots are one tuple `s` and the body is the call
-`rhs(tau, s)`. A function whose code `_TEXTS` names (what
-`vehicle.model_rhs` compiles) is written out instead: its slots are its own
-locals, its body is its own statements, and the loop is bound to the
-values of its free variables, so a step calls only what that body calls
-and builds no stage or rate tuple. The same expressions run in the same
-order, so the floats are those of calling it. The seeking laws that such a
-body calls (a cost field's value and gradient, the surge law, the surge
-self product) are stated once each as source text by `define_laws`, which
-registers each text in `_LAWS` by the law's code, so `vehicle.model_rhs`
-writes their calls out in the body too, and a runner's step calls none of
-them. A body that names one of the loop's own names (its time `t`, its step
-`h`, its `state`, ...) is called instead. The loop is generated once per state length and text, and
-cached. It takes a range of steps, so `step_rows` can step one run in
-consecutive ranges of rows with the bits of one `integrate`, and the rows
-already stepped can be read in between.
+`s0 ... s{m-1}`, then `(k...) = rhs(tau, (s0, ...))`; the first checks the
+length of what `rhs` returns, unless `rhs` is a law whose result is a tuple
+of m names. A law is a function stated once as source text by
+`define_laws`, which registers the text in `_LAWS` by the law's code: the
+seeking laws are, and so are the runners' right-hand sides (what
+`vehicle.model_rhs` returns). When `rhs` is a law, `_Splice` writes each
+stage's call out as its statements, bound to the values of its free
+variables, so a step calls only what they call and builds no stage or rate
+tuple; the same expressions run in the same order, so the floats are those
+of calling it. Any other callable is called. The loop is generated once per
+state length and law code, and cached. It takes a range of steps, so
+`step_rows` can step one run in consecutive ranges of rows with the bits of
+one `integrate`, and the rows already stepped can be read in between.
 
 Blow-up rule: a step that leaves the state non-finite is a blow-up, and so
-is an error of a stage's body: an OverflowError always, and a ValueError
-(what `math.cos` raises on inf) when that stage's state, read from its
-slots, is not finite. A ValueError on a finite stage state is the RHS's
+is an error of a stage's RHS: an OverflowError always, and a ValueError
+(what `math.cos` raises on inf) when that stage's state, read from
+`s0 ...`, is not finite. A ValueError on a finite stage state is the RHS's
 own and propagates.
 """
 import ast
+import builtins
+import collections
 import functools
 import math
 import struct
 import textwrap
 from dataclasses import dataclass
-from types import CodeType
+from types import CellType, CodeType, FunctionType
 
 import numpy as np
 
@@ -119,18 +117,11 @@ class Trajectory:
         return self.t[1] - self.t[0]
 
 
-# code object of an RHS function -> (slots, body, rates, namespace): the
-# function is `def f(tau, state)`, which unpacks `state` into the names
-# `slots`, runs the statements `body` and returns the names `rates` as a
-# tuple, with `namespace` as its globals. `step_rows` writes `body` out at
-# each stage in place of a call to the function
-_TEXTS = {}
-
 # code object of a law -> (params, body, result): the law is
 # `def f(*params)`, which runs the assignments `body` and returns the
 # expression `result`; it reads its free variables from its closure and any
-# other name from the builtins. `vehicle.model_rhs` writes a call to it out
-# as these statements in place of the call
+# other name from the builtins. `_Splice` writes a call to it out as these
+# statements in place of the call
 _LAWS = {}
 
 # `define_laws` as source: `bind` takes the laws' free variables and returns
@@ -141,6 +132,7 @@ def bind({names}):
 """
 
 
+@functools.cache
 def define_laws(source, names):
     """`bind(*names)`, which returns the functions that `source` defines, in
     order, as closures over the names `names`.
@@ -149,8 +141,10 @@ def define_laws(source, names):
     positional parameters whose body is assignments and then one `return`.
     Each function is the closure that the same `def` in a factory function
     would be, with its bytecode. Its text is registered in `_LAWS` under its
-    code, which every function of that law that `bind` returns shares.
-    Raises a ValueError for a law of any other form.
+    code, which every function of that law that `bind` returns shares. The
+    same source and names give the same `bind`, so the laws of one text,
+    bound to any values (a sweep's runs, say), share one compile. Raises a
+    ValueError for a law of any other form.
     """
     laws = ast.parse(source).body
     namespace = {}
@@ -176,12 +170,158 @@ def define_laws(source, names):
     return bind
 
 
-# The RK4 loop for a state of length m, bound by `bind` to the names its
-# stages read: the RHS, or the free variables of a written-out function.
-# Each stage and the update are written out per component, in the operation
-# order of the plain loop `tuple([a + half * b for a, b in zip(y, k)])` and
-# so on: on Python floats that is about 2.5x cheaper per stage than a
-# comprehension, which runs as its own frame over a zip.
+def _tuple_names(node):
+    """The names of a tuple of names, or None for any other node."""
+    if isinstance(node, ast.Tuple) and all(isinstance(elt, ast.Name) for elt in node.elts):
+        return [elt.id for elt in node.elts]
+    return None
+
+
+class _Splice:
+    """Writes the calls of laws (`_LAWS`) in statements out as the laws' own
+    statements; `values` holds the values of the names the statements read,
+    and `taken` every name of the text they are part of.
+
+    A call is written out where it names a value that is a law, passes
+    positional arguments only, and everything its statement evaluates
+    before it is a name or a constant, so that the law's statements can run
+    first. Its parameters are bound to its arguments: a name as itself, a
+    tuple of names passed for the parameter that the law's first statement
+    unpacks (and nothing else reads) by making the unpacked locals those
+    names, any other argument by a statement that runs first. A statement
+    that assigns a result tuple of the law's locals to as many names goes,
+    and those locals are those names; otherwise the result expression
+    replaces the call. The law's other names keep their own unless `taken`
+    or another law's names take them, and are the same at each call of the
+    law; its closure values and builtins join `values`. So the same float
+    operations run in the same order and raise the same errors. Laws that
+    the law calls are written out in turn; any other callable is called.
+    """
+
+    def __init__(self, values, taken):
+        self.values = values
+        self.taken = {*values, *taken}
+        # law function -> the names its own names are written out under
+        self.names = {}
+
+    def text(self, statements):
+        """The statements `statements` with their calls of laws written out."""
+        return "".join(ast.unparse(stmt) + "\n" for node in ast.parse(statements).body
+                       for stmt in self.statement(node))
+
+    def fresh(self, base):
+        name, n = base, 1
+        while name in self.taken:
+            name, n = f"{base}_{n}", n + 1
+        self.taken.add(name)
+        return name
+
+    def law(self, node):
+        """The law that the expression `node` calls and its text, or None."""
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
+            fn = self.values.get(node.func.id)
+            text = type(fn) is FunctionType and _LAWS.get(fn.__code__)
+            if text and len(node.args) == len(text[0]) and not any(
+                    isinstance(arg, ast.Starred) for arg in node.args):
+                return fn, text
+        return None
+
+    def statement(self, stmt):
+        """`stmt`, with its calls of laws written out, as a list: the laws'
+        statements, then it, unless they store what it assigns."""
+        before, clean = [], True
+
+        def expr(node, targets=None):
+            nonlocal clean
+            if isinstance(node, (ast.Name, ast.Constant)):
+                return node
+            called = clean and self.law(node)
+            if called:
+                statements, result = self.splice(node, *called, targets)
+                before.extend(statements)
+                # a second call of the law would assign the locals this
+                # result reads
+                result = result and expr(result)
+                clean = False
+                return result
+            # an operation or a call, after its operands in their order
+            if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.Tuple)):
+                for name, value in ast.iter_fields(node):
+                    if isinstance(value, ast.expr):
+                        setattr(node, name, expr(value))
+                    elif isinstance(value, list):
+                        setattr(node, name, [expr(v) if isinstance(v, ast.expr) else v
+                                             for v in value])
+            clean = False
+            return node
+
+        if isinstance(stmt, ast.Assign):
+            stmt.value = expr(stmt.value, len(stmt.targets) == 1
+                              and _tuple_names(stmt.targets[0]))
+            if stmt.value is None:
+                return before
+        return [*before, stmt]
+
+    def splice(self, call, fn, text, targets=None):
+        """The statements that bind the parameters of the law `fn` to the
+        arguments of `call` and run its body, and its result expression, or
+        None where they store the result under the names `targets`."""
+        params, body, result = text
+        body = ast.parse(body).body
+        result = ast.parse(result, mode="eval").body
+        nodes = [node for tree in (*body, result) for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)]
+        used = collections.Counter(node.id for node in nodes)
+        stored = collections.Counter(node.id for node in nodes if isinstance(node.ctx, ast.Store))
+        args = dict(zip(params, call.args))
+        names = {param: arg.id for param, arg in args.items()
+                 if isinstance(arg, ast.Name) and param not in stored}
+        first = body[0] if body else None
+        if isinstance(first, ast.Assign) and isinstance(first.value, ast.Name):
+            param, unpacked = first.value.id, _tuple_names(first.targets[0])
+            passed = _tuple_names(args.get(param))
+            # the first statement is the one use of the parameter, which then
+            # needs no binding, and the one assignment of the unpacked locals
+            if (passed and unpacked and len(passed) == len(set(unpacked)) == len(unpacked)
+                    and len(first.targets) == 1 and set(unpacked).isdisjoint(params)
+                    and used[param] == 1 and all(stored[name] == 1 for name in unpacked)):
+                names.update(zip(unpacked, passed), **{param: param})
+                del body[0]
+        results = _tuple_names(result)
+        into = (targets and results and len(targets) == len(set(targets)) == len(results)
+                == len(set(results)) and stored.keys() >= set(results)
+                and set(results).isdisjoint([*params, *names])
+                and set(targets).isdisjoint(names.values()))
+        if into:
+            names.update(zip(results, targets))
+        own = self.names.setdefault(fn, {})
+        closure = dict(zip(fn.__code__.co_freevars,
+                           [cell.cell_contents for cell in fn.__closure__ or ()]))
+        statements, unbound = [], [param for param in args if param not in names]
+        for name in unbound + sorted(used.keys() - names.keys() - args.keys()):
+            if name not in own:
+                own[name] = self.fresh(name)
+                if name not in stored and name not in params:
+                    self.values[own[name]] = (closure[name] if name in closure
+                                              else getattr(builtins, name))
+            names[name] = own[name]
+            if name in unbound:
+                # with a position, so that it compiles as a syntax tree
+                statements += self.statement(ast.fix_missing_locations(
+                    ast.Assign([ast.Name(own[name], ast.Store())], args[name], lineno=0)))
+        for node in nodes:
+            node.id = names[node.id]
+        for stmt in body:
+            statements += self.statement(stmt)
+        return statements, None if into else result
+
+
+# The RK4 loop for a state of length m, bound by `bind` to the RHS and to
+# the names its stages read besides. Each stage and the update are written
+# out per component, in the operation order of the plain loop
+# `tuple([a + half * b for a, b in zip(y, k)])` and so on: on Python floats
+# that is about 2.5x cheaper per stage than a comprehension, which runs as
+# its own frame over a zip.
 _LOOP_TEMPLATE = """\
 def bind({names}):
     def rk4_loop(state, i0, i1, h, states):
@@ -192,7 +332,8 @@ def bind({names}):
         t = h * i0
         try:
             for i in range(i0, i1):
-{steps}\
+                # the stages and the update: `_rk4_loop` puts them here
+                pass
                 # the product that gives times[i + 1], bit for bit; a list of
                 # all the times would keep about 1 MB of float objects alive
                 # through the loop and raise the peak RSS
@@ -212,21 +353,20 @@ def bind({names}):
         # finite one it is the RHS's own error. Stage 1's state is finite: the
         # start is checked before the loop and every step after it
         except (OverflowError, ValueError) as exc:
-            if isinstance(exc, ValueError) and all(map(isfinite, {stage_state})):
+            if isinstance(exc, ValueError) and all(map(isfinite, {s})):
                 raise
             raise BlowUpError(h * (i + 1), states[i].copy()) from exc
     return rk4_loop
 """
 
-# One stage: its time in tau and its state in the slots, then the body,
-# which leaves the stage's rates in its outputs
-_STAGE = "tau = {time}\n{slots}{body}"
-
-# the body of a stage that calls the RHS; the first stage's body also
-# checks the length of what the RHS returns
-_CALL = "{out} = rhs(tau, s)\n"
-_FIRST_CALL = """\
-k = rhs(tau, s)
+# One stage: its time in tau and its state in s0 ... s{m-1}, then the call
+# of the RHS, which leaves the stage's rates in its outputs; the first
+# stage's call also checks the length of what the RHS returns, unless that
+# is a tuple of m names
+_STAGE = "tau = {time}\n{slots}{out} = rhs(tau, {s})\n"
+_FIRST_STAGE = """\
+tau = {time}
+{slots}k = rhs(tau, {s})
 try:
     {out} = k
 except ValueError:
@@ -251,62 +391,57 @@ def _rk4_loop(m, code=None):
     `_LOOP_TEMPLATE`.
 
     Without `code`, `bind(rhs)` gives the loop that calls `rhs` at each
-    stage, with the stage state in the tuple s. With the code object of a
-    function that `_TEXTS` names, `bind` takes the function's free
-    variables and gives the loop that writes its body out at each stage,
-    with the stage state in its slots. None when that body cannot be
-    written out for states of length m: its slots or rates are not m, or
-    the body, slots or rates name one of the calling loop's own names
-    other than tau (its `state`, `t`, `h`, `half`, `s`, ...).
+    stage. With the code object of a law, the stages' calls of `rhs` are
+    written out as the law's statements (see `_Splice`), under its own
+    names where the loop takes none of them, and `bind(rhs, *values)` gives
+    the loop bound to `values`, the law's closure values in the order of
+    its free variables.
     """
-    y, k1, k2, k3, k4 = ([f"{p}{j}" for j in range(m)] for p in "yabcd")
-    namespace = {}
-    if code is None:
-        names, stage_state = ("rhs",), "s"
-
-        def stage(time, state, out):
-            body = _FIRST_CALL if out is k1 else _CALL
-            return _STAGE.format(time=time, slots=f"s = {_tup(state)}\n",
-                                 body=body.format(out=_tup(out), m=m))
-    else:
-        slots, body, rates, namespace = _TEXTS[code]
-        own = _names(_rk4_loop(m).__code__) - {"tau"}
-        read = {*slots, *rates, *_names(compile(body, "<body>", "exec"))}
-        if len(slots) != m or len(rates) != m or not own.isdisjoint(read):
-            return None
-        # the last stage's rates are read by the update where the body leaves them
-        names, stage_state, k4 = code.co_freevars, _tup(slots), list(rates)
-
-        def stage(time, state, out):
-            return _STAGE.format(
-                time=time, slots="".join(f"{a} = {b}\n" for a, b in zip(slots, state)),
-                body=body + "".join(f"{a} = {b}\n" for a, b in zip(out, rates) if a != b))
-    stages = "".join(map(stage, ("t", "t + half", "t + half", "t + h"), (
-        y, [f"{a} + half * {b}" for a, b in zip(y, k1)],
-        [f"{a} + half * {b}" for a, b in zip(y, k2)],
-        [f"{a} + h * {b}" for a, b in zip(y, k3)]), (k1, k2, k3, k4)))
-    update = "".join(f"{a} = {a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})\n"
+    y, s, k1, k2, k3, k4 = ([f"{p}{j}" for j in range(m)] for p in "ysabcd")
+    checked = code is None or len(
+        _tuple_names(ast.parse(_LAWS[code][2], mode="eval").body) or "*") != m
+    steps = "".join((_FIRST_STAGE if out is k1 and checked else _STAGE).format(
+        time=time, slots="".join(f"{a} = {b}\n" for a, b in zip(s, state)), s=_tup(s),
+        out=_tup(out), m=m) for time, state, out in zip(
+            ("t", "t + half", "t + half", "t + h"),
+            (y, [f"{a} + half * {b}" for a, b in zip(y, k1)],
+             [f"{a} + half * {b}" for a, b in zip(y, k2)],
+             [f"{a} + h * {b}" for a, b in zip(y, k3)]), (k1, k2, k3, k4)))
+    steps += "".join(f"{a} = {a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})\n"
                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-    source = _LOOP_TEMPLATE.format(
-        names=", ".join(names), y=_tup(y), steps=textwrap.indent(stages + update, " " * 16),
-        total=" + ".join(y) or "0.0", ylist="".join(f"{a}, " for a in y),
-        stage_state=stage_state)
+    steps, names, namespace = ast.parse(steps).body, ["rhs"], {}
+    if code is not None:
+        # the loop is bound to each run's values, so the stand-in for the law
+        # holds no law in its closure: the calls its statements make stay calls
+        law = FunctionType(code, {}, "rhs", None, tuple(CellType(None) for _ in code.co_freevars))
+        splice = _Splice({"rhs": law}, _names(_rk4_loop(m).__code__))
+        steps = [out for stmt in steps for out in splice.statement(stmt)]
+        # a law of other than two parameters is called, its values unread
+        own = splice.names.get(law, {})
+        names += [own.get(name) or splice.fresh(name) for name in code.co_freevars]
+        # the builtins the law reads under a name that the loop takes
+        namespace = {name: value for name, value in splice.values.items() if name not in names}
+    tree = ast.parse(_LOOP_TEMPLATE.format(
+        names=", ".join(names), y=_tup(y), total=" + ".join(y) or "0.0",
+        ylist="".join(f"{a}, " for a in y), s=_tup(s)))
+    # as syntax trees, the statements are not unparsed and parsed again
+    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
+    loop.body[:1] = steps
     # native doubles, the layout of a C-contiguous float64 row
     row = struct.Struct(f"{m}d")
-    namespace = {**namespace, "isfinite": math.isfinite, "BlowUpError": BlowUpError,
-                 "pack_row": row.pack_into, "row_bytes": row.size}
-    exec(compile(source, f"<rk4 loop, m={m}>", "exec"), namespace)
+    namespace.update(isfinite=math.isfinite, BlowUpError=BlowUpError,
+                     pack_row=row.pack_into, row_bytes=row.size)
+    exec(compile(tree, f"<rk4 loop, m={m}>", "exec"), namespace)
     return namespace["bind"]
 
 
 def _loop(rhs, m):
-    """The RK4 loop that steps `rhs` on states of length m: a function that
-    `_TEXTS` names written out, bound to the values of its free variables,
-    where it can be; otherwise the calls to `rhs`."""
+    """The RK4 loop that steps `rhs` on states of length m: a law written
+    out, bound to the values of its free variables; any other callable
+    called."""
     code = getattr(rhs, "__code__", None)
-    bind = code in _TEXTS and _rk4_loop(m, code)
-    if bind:
-        return bind(*[cell.cell_contents for cell in rhs.__closure__ or ()])
+    if code in _LAWS:
+        return _rk4_loop(m, code)(rhs, *[cell.cell_contents for cell in rhs.__closure__ or ()])
     return _rk4_loop(m)(rhs)
 
 

@@ -28,26 +28,23 @@ damping matrix D (linear hydrodynamic damping).
 system, the drift fields and the passivity audit evaluate it. The full and
 averaged runners step `model_rhs` functions, also compiled from it, which
 compute their inputs and the rates in one frame and leave out the damping
-products of the vessel's zero entries. The seeking laws those inputs call
-(the surge law, the surge self product, the cost field's value and
-gradient) are stated once as source text too (`integrator.define_laws`),
-and `model_rhs` writes each call of one out as its statements. The RK4
-loop does not call such a function either: it writes the function's
-statements out at each of its stages (see `integrator`).
+products of the vessel's zero entries. Each is a law, stated as source text
+by `integrator.define_laws`, like the seeking laws its inputs call (the
+surge law, the surge self product, the cost field's value and gradient),
+whose calls it writes out as their statements. The RK4 loop writes the
+function itself out at each of its stages (see `integrator`).
 """
 import ast
-import builtins
 import functools
 import math
 import numbers
 import textwrap
 from dataclasses import dataclass, field
 from math import cos, sin
-from types import CodeType, FunctionType
 
 import numpy as np
 
-from .integrator import _LAWS, _TEXTS, _names, _rk4_loop
+from .integrator import _Splice, _names, define_laws
 
 
 @dataclass(frozen=True)
@@ -165,15 +162,11 @@ def dynamics_rhs(params, state, u):
 """
 
 
-def _define(name, source):
-    """The function `name` that `source` defines, compiled from `MODEL`."""
-    namespace = {"__name__": __name__, "np": np, "cos": cos, "sin": sin}
-    exec(compile(source, "<vehicle.MODEL>", "exec"), namespace)
-    return namespace[name]
-
-
-dynamics_rhs = _define("dynamics_rhs", _RHS_TEMPLATE.format(
-    slots=", ".join(SLOTS), rates=", ".join(RATES), model=textwrap.indent(MODEL, "    ")))
+_RHS_NAMESPACE = {"__name__": __name__, "np": np, "cos": cos, "sin": sin}
+exec(compile(_RHS_TEMPLATE.format(slots=", ".join(SLOTS), rates=", ".join(RATES),
+                                  model=textwrap.indent(MODEL, "    ")),
+             "<vehicle.MODEL>", "exec"), _RHS_NAMESPACE)
+dynamics_rhs = _RHS_NAMESPACE["dynamics_rhs"]
 dynamics_rhs.__doc__ = """Time derivative of the 6-state under input u = (u1, u2), as a 6-tuple.
 
     It is compiled from `MODEL` and works on floats: C(v)v and D v are
@@ -229,156 +222,22 @@ def _model_without(zero):
     return ast.unparse(_DropProducts(zero).visit(ast.parse(MODEL))) + "\n"
 
 
-# A `model_rhs` function as source: `bind` takes the values and returns the
-# right-hand side, which reads them as closure cells
-_MODEL_RHS_TEMPLATE = """\
-def bind({names}):
-    def rhs(tau, state):
-        {slots} = state
-{body}        return ({rates})
-    return rhs
+# A `model_rhs` function as source: a law (see `integrator.define_laws`)
+# over the values, which unpacks the slots, runs `body` and returns the rates
+_MODEL_RHS = f"""\
+def rhs(tau, state):
+    {", ".join(SLOTS)} = state
+{{body}}    return ({", ".join(RATES)})
 """
-
-
-@functools.cache
-def _model_rhs_binder(body, names):
-    bind = _define("bind", _MODEL_RHS_TEMPLATE.format(
-        names=", ".join(names), slots=", ".join(SLOTS), body=textwrap.indent(body, " " * 8),
-        rates=", ".join(RATES)))
-    # the code of the rhs that `bind` returns: an RK4 loop writes `body` out
-    # at each stage in place of a call to it
-    [code] = [const for const in bind.__code__.co_consts if isinstance(const, CodeType)]
-    _TEXTS[code] = (SLOTS, body, RATES, bind.__globals__)
-    return bind
-
-
-class _Rename(ast.NodeTransformer):
-    """Renames each name to the one `names` gives it."""
-
-    def __init__(self, names):
-        self.names = names
-
-    def visit_Name(self, node):
-        return ast.Name(self.names[node.id], node.ctx)
-
-
-@functools.cache
-def _taken(source):
-    """Every name that the statements `source` or the RK4 loop of the model
-    read or write."""
-    return frozenset({*_names(compile(source, "<text>", "exec")),
-                      *_names(_rk4_loop(len(SLOTS)).__code__)})
-
-
-class _Splice:
-    """Writes the calls that statements of the text `source` make to laws
-    (`integrator._LAWS`) out as the laws' own statements; `values` holds
-    the values of the names the statements read.
-
-    A call is written out where it names a value that is a law, passes
-    positional arguments only, and everything its statement evaluates
-    before it is a name or a constant, so that the law's statements can run
-    first. The law's parameters are bound to the call's arguments: a name
-    as itself, any other argument by a statement that runs before the
-    law's. The law's locals, and its closure values and builtins, which
-    join `values`, get names that no name of the statements, of `values` or
-    of the RK4 loop takes. The law's result expression replaces the call.
-    So the same float operations run in the same order and raise the same
-    errors. Laws that the law calls are written out in turn; any other
-    callable is called.
-    """
-
-    def __init__(self, values, source):
-        self.values = values
-        self.taken = {*values, *_taken(source)}
-
-    def text(self, statements):
-        """The statements `statements`, a part of `source`, with their calls
-        of laws written out."""
-        return "".join(ast.unparse(stmt) + "\n" for node in ast.parse(statements).body
-                       for stmt in self.statement(node))
-
-    def fresh(self, base):
-        name, n = base, 1
-        while name in self.taken:
-            name, n = f"{base}_{n}", n + 1
-        self.taken.add(name)
-        return name
-
-    def law(self, node):
-        """The law that the expression `node` calls and its text, or None."""
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
-            fn = self.values.get(node.func.id)
-            text = type(fn) is FunctionType and _LAWS.get(fn.__code__)
-            if text and len(node.args) == len(text[0]) and not any(
-                    isinstance(arg, ast.Starred) for arg in node.args):
-                return fn, text
-        return None
-
-    def statement(self, stmt):
-        """`stmt`, with its calls of laws written out, as a list: the laws'
-        statements, then it."""
-        before, clean = [], True
-
-        def expr(node):
-            nonlocal clean
-            if isinstance(node, (ast.Name, ast.Constant)):
-                return node
-            called = clean and self.law(node)
-            if called:
-                statements, result = self.splice(node, *called)
-                before.extend(statements)
-                return expr(result)
-            # an operation or a call, after its operands in their order
-            if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.Tuple)):
-                for name, value in ast.iter_fields(node):
-                    if isinstance(value, ast.expr):
-                        setattr(node, name, expr(value))
-                    elif isinstance(value, list):
-                        setattr(node, name, [expr(v) if isinstance(v, ast.expr) else v
-                                             for v in value])
-            clean = False
-            return node
-
-        if isinstance(stmt, ast.Assign):
-            stmt.value = expr(stmt.value)
-        return [*before, stmt]
-
-    def splice(self, call, fn, text):
-        """The statements that bind the parameters of the law `fn` to the
-        arguments of `call` and run its body, and its result expression."""
-        params, body, result = text
-        base = call.func.id
-        body = ast.parse(body).body
-        result = ast.parse(result, mode="eval").body
-        stored = {node.id for stmt in body for node in ast.walk(stmt)
-                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
-        names, statements = {}, []
-        for param, arg in zip(params, call.args):
-            if isinstance(arg, ast.Name) and param not in stored:
-                names[param] = arg.id
-            else:
-                names[param] = self.fresh(f"{base}_{param}")
-                statements += self.statement(
-                    ast.Assign([ast.Name(names[param], ast.Store())], arg, lineno=0))
-        read = {node.id for tree in (*body, result) for node in ast.walk(tree)
-                if isinstance(node, ast.Name)}
-        closure = dict(zip(fn.__code__.co_freevars,
-                           [cell.cell_contents for cell in fn.__closure__ or ()]))
-        for name in sorted(read - names.keys()):
-            names[name] = self.fresh(f"{base}_{name}")
-            if name not in stored:
-                self.values[names[name]] = (closure[name] if name in closure
-                                            else getattr(builtins, name))
-        rename = _Rename(names)
-        for stmt in body:
-            statements += self.statement(rename.visit(stmt))
-        return statements, rename.visit(result)
+# every name of the source of `MODEL`'s function; each text that leaves out
+# damping products reads a part of them
+_MODEL_NAMES = _names(compile(_MODEL_RHS.format(body=textwrap.indent(MODEL, " " * 4)),
+                              "<vehicle.MODEL>", "exec"))
 
 
 def model_rhs(params, inputs, values, after=""):
     """The right-hand side rhs(tau, state) of the model of `params`, one
-    generated function for an RK4 loop to call.
+    generated function.
 
     The statements `inputs` compute u1 and u2 from the stage time `tau`, the
     slots `SLOTS` of `state` and the names of `values`; `MODEL` then computes
@@ -389,21 +248,23 @@ def model_rhs(params, inputs, values, after=""):
     `dynamics_rhs` gives at those inputs; it can differ only in the sign of
     a zero. A call in `inputs` or `after` of a value that is a law (see
     `integrator.define_laws`) is written out as the law's statements, bound
-    to its closure values (see `_Splice`), and so are the calls of laws in
-    those; a value that is any other callable is called. The source is
-    compiled once per text, that is per input statements, laws, pattern of
-    zero damping entries and value names, so every run of a sweep, which
-    shares one vessel, shares one compile.
+    to its closure values (see `integrator._Splice`), and so are the calls
+    of laws in those; a value that is any other callable is called.
 
-    The function's code is registered with `integrator`: an RK4 loop writes
-    its statements out at each stage, bound to the values, in place of a
-    call. Its floats are the returned function's, which stays the
-    reference, and a wrapper of it (a lambda, say) is stepped by calls.
+    The function is itself a law over the values, so `inputs` and `after`
+    are assignments: an RK4 loop writes it out at each stage, and a wrapper
+    of it (a lambda, say) is stepped by calls, with the same floats. Its
+    source is compiled once per text, that is per input statements, laws,
+    pattern of zero damping entries and value names, so every run of a
+    sweep, which shares one vessel, shares one compile.
     """
     names = constants(params)
     zero = frozenset(name for name in _DAMPING if names[name] == 0.0)
     values = {**names, **values}
     model = _model_without(zero)
-    splice = _Splice(values, inputs + model + after)
+    text = compile(f"{inputs}\n{after}", "<text>", "exec")
+    splice = _Splice(values, {*_MODEL_NAMES, *_names(text)})
     body = splice.text(inputs) + model + splice.text(after)
-    return _model_rhs_binder(body, tuple(values))(**values)
+    [rhs] = define_laws(_MODEL_RHS.format(body=textwrap.indent(body, " " * 4)),
+                        tuple(values))(*values.values())
+    return rhs

@@ -65,6 +65,14 @@ def test_a_bad_floor_is_named_with_its_value(name, value):
         get_field(name, floor=value)
 
 
+@pytest.mark.parametrize("key", ["a", "b", "floor"])
+@pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])
+def test_an_infinite_coefficient_or_floor_is_named(name, key):
+    # it passes the sign tests, but the value at the minimizer would be NaN
+    with pytest.raises(ValueError, match=rf"^{key} must be finite, got inf$"):
+        get_field(name, **{key: math.inf})
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("name, key", [
     ("quadratic", "x_star"), ("quadratic", "y_star"), ("rotated_quadratic", "x_star"),

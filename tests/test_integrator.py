@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from surgeseek.integrator import (BlowUpError, IntegratorSettings, Trajectory, hermite,
-                                  integrate)
+from surgeseek.integrator import (BlowUpError, IntegratorSettings, Trajectory, define_laws,
+                                  hermite, integrate)
 
 
 def comprehension_integrate(rhs, initial, settings):
@@ -253,6 +253,21 @@ def test_rhs_output_length_must_match_state(width):
     with pytest.raises(ValueError, match=rf"rhs returned {width} values .* length 2"):
         integrate(lambda t, y: (0.0,) * width, np.array([1.0, 2.0]),
                   IntegratorSettings(step=0.1, tf=1.0))
+
+
+@pytest.mark.parametrize("result", ["(y0,)", "(y0, y1, y0)", "(-y1, 2.0 * y0)"])
+def test_a_law_returns_what_its_call_returns(result):
+    # written out, a law whose result is not a tuple of m names keeps the
+    # length check of the first stage
+    [law] = define_laws(f"def f(t, y):\n    y0, y1 = y\n    return {result}\n", ())()
+    outcomes = []
+    for rhs in (law, lambda t, y: law(t, y)):
+        try:
+            outcomes.append(integrate(rhs, np.array([1.0, 2.0]),
+                                      IntegratorSettings(step=0.1, tf=1.0)).states.tobytes())
+        except ValueError as exc:
+            outcomes.append(exc.args)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_rhs_receives_a_tuple_of_floats():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from surgeseek.averaging import es_surge_self_product
 from surgeseek.costs import log_bowl_cost, quadratic_cost, rotated_quadratic_cost
 from surgeseek.dither import EsGains, surge_law
-from surgeseek.integrator import _LAWS, _TEXTS, define_laws
+from surgeseek.integrator import _LAWS, define_laws
 from surgeseek.vehicle import model_rhs, reference_boat
 
 
@@ -19,7 +19,7 @@ def law_calls(rhs):
     calls a registered law."""
     closure = dict(zip(rhs.__code__.co_freevars,
                        [cell.cell_contents for cell in rhs.__closure__]))
-    return [node.func.id for node in ast.walk(ast.parse(_TEXTS[rhs.__code__][1]))
+    return [node.func.id for node in ast.walk(ast.parse(_LAWS[rhs.__code__][1]))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and getattr(closure.get(node.func.id), "__code__", None) in _LAWS]
 

@@ -14,8 +14,7 @@ import surgeseek.scenario as sc
 from surgeseek.averaging import AVERAGED_STEPS
 from surgeseek.costs import get_field
 from surgeseek.dither import EsGains
-from surgeseek.integrator import (_TEXTS, BlowUpError, IntegratorSettings, _loop, _rk4_loop,
-                                  integrate)
+from surgeseek.integrator import _LAWS, BlowUpError, IntegratorSettings, _loop, integrate
 from surgeseek.vehicle import (MODEL, RATES, SLOTS, VehicleParams, constants, dynamics_rhs,
                                model_rhs, reference_boat)
 
@@ -172,6 +171,14 @@ def test_the_boats_runners_read_no_off_diagonal_damping_entry(runner, monkeypatc
     assert {name for name in names if re.fullmatch(r"d\d\d", name)} == {"d11", "d22", "d33"}
 
 
+def loop_calls(rhs):
+    """The free names of the RK4 loop that steps `rhs` whose values are
+    `rhs` itself or a registered law."""
+    loop = _loop(rhs, 6)
+    return [name for name, cell in zip(loop.__code__.co_freevars, loop.__closure__)
+            if name == "rhs" or getattr(cell.cell_contents, "__code__", None) in _LAWS]
+
+
 @pytest.mark.parametrize("field", ["quadratic", "rotated_quadratic", "log_bowl"])
 @pytest.mark.parametrize("runner", ["full", "averaged"])
 def test_the_runners_write_out_their_laws_and_the_loop_writes_out_the_runners(
@@ -180,13 +187,14 @@ def test_the_runners_write_out_their_laws_and_the_loop_writes_out_the_runners(
     # written out in the runner's text, and that text in the loop
     rhs = _stepped_rhs(runner, _scenario(field), monkeypatch)
     assert law_calls(rhs) == []
-    assert _rk4_loop(6, rhs.__code__) is not None
+    assert loop_calls(rhs) == []
     # a wrapped field is called, in the text and so in the loop
     value = _scenario(field).cost.value
     wrapped = _stepped_rhs(runner, _with_value(_scenario(field), lambda x, y: value(x, y)),
                            monkeypatch)
-    assert "value(x, y)" in _TEXTS[wrapped.__code__][1]
-    assert _rk4_loop(6, wrapped.__code__) is not None
+    assert "value(x, y)" in _LAWS[wrapped.__code__][1]
+    assert loop_calls(wrapped) == []
+    assert "value" in _loop(wrapped, 6).__code__.co_freevars
 
 
 @pytest.mark.parametrize("field", ["quadratic", "rotated_quadratic", "log_bowl"])
@@ -233,16 +241,32 @@ def test_a_written_out_runner_blows_up_as_a_called_one(runner, slot, value, monk
     # writes the loop's time and one of its first stage's rates
     ("u1 = 0.3\nu2 = c\n", "t = dvx\na0 = t\ndvx = dvx - a0 * a0\n", {"c": -0.7}),
 ])
-def test_a_text_naming_a_loop_name_is_stepped_by_calls(inputs, after, values):
-    # such a text cannot be written out into the loop: its function is
-    # called, and steps the bytes of any other callable
+def test_a_text_naming_a_loop_name_is_written_out_under_fresh_names(inputs, after, values):
+    # such a text is written out into the loop under names the loop does not
+    # take, and steps the bytes of any other callable
     rhs = model_rhs(reference_boat(), inputs, values, after=after)
-    assert _loop(rhs, 6).__code__.co_freevars == ("rhs",)
+    assert loop_calls(rhs) == []
     initial = np.array([0.5, -0.3, 0.2, 0.1, 0.0, 0.3])
     settings = IntegratorSettings(step=0.01, tf=1.0)
     got = integrate(rhs, initial, settings)
     want = integrate(lambda tau, state: rhs(tau, state), initial, settings)
     assert got.states.tobytes() == want.states.tobytes()
+
+
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_a_state_of_the_wrong_length_raises_the_error_of_a_called_runner(runner, monkeypatch):
+    # written out, the runner unpacks the stage state into its slots as its
+    # function does, and so fails as a lambda that calls it
+    rhs = _stepped_rhs(runner, _scenario(), monkeypatch)
+    initial = _scenario().initial[:5]
+    errors = []
+    for stepped in (rhs, lambda tau, state: rhs(tau, state)):
+        with pytest.raises(ValueError) as info:
+            integrate(stepped, initial, _settings(runner, _scenario()))
+        errors.append(info.value)
+    assert "rhs" not in _loop(rhs, 5).__code__.co_freevars
+    assert [type(e) for e in errors] == [ValueError, ValueError]
+    assert errors[0].args == errors[1].args == ("not enough values to unpack (expected 6, got 5)",)
 
 
 nonzero = st.floats(-5.0, 5.0, allow_subnormal=False).filter(bool)
