@@ -10,7 +10,7 @@ exploiting quadratic structure.
 Each field's value and gradient are plain float functions of (x, y), stated
 once as source text by `integrator.define_laws`. The record stage and the
 generic averaging route call them; the runners' RK4 loops write their calls
-out as the same statements (see `vehicle.model_rhs`).
+out as the same statements (see `integrator`).
 """
 import inspect
 import math

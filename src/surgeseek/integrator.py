@@ -24,13 +24,15 @@ the four stages has one form: the stage time in `tau`, the stage state in
 length of what `rhs` returns, unless `rhs` is a law whose result is a tuple
 of m names. A law is a function stated once as source text by
 `define_laws`, which registers the text in `_LAWS` by the law's code: the
-seeking laws are, and so are the runners' right-hand sides (what
-`vehicle.model_rhs` returns). When `rhs` is a law, `_Splice` writes each
-stage's call out as its statements, bound to the values of its free
-variables, so a step calls only what they call and builds no stage or rate
-tuple; the same expressions run in the same order, so the floats are those
-of calling it. Any other callable is called. The loop is generated once per
-state length and law code, and cached. It takes a range of steps, so
+seeking laws are, and so are the runners' right-hand sides that call them
+(see `vehicle.model_rhs`). The loop is the one place a law is written out:
+when `rhs` is a law, `_Splice` writes each stage's call out as its
+statements, and the calls of the laws in its closure in turn, bound to the
+values of their free variables, so a step calls only what they call and
+builds no stage or rate tuple; the same expressions run in the same order,
+so the floats are those of calling it. Any other callable is called. The
+loop is generated once per state length and tree of law codes, and cached.
+It takes a range of steps, so
 `step_rows` can step one run in consecutive ranges of rows with the bits of
 one `integrate`, and the rows already stepped can be read in between.
 
@@ -204,11 +206,6 @@ class _Splice:
         # law function -> the names its own names are written out under
         self.names = {}
 
-    def text(self, statements):
-        """The statements `statements` with their calls of laws written out."""
-        return "".join(ast.unparse(stmt) + "\n" for node in ast.parse(statements).body
-                       for stmt in self.statement(node))
-
     def fresh(self, base):
         name, n = base, 1
         while name in self.taken:
@@ -220,7 +217,7 @@ class _Splice:
         """The law that the expression `node` calls and its text, or None."""
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords:
             fn = self.values.get(node.func.id)
-            text = type(fn) is FunctionType and _LAWS.get(fn.__code__)
+            text = _LAWS.get(_law_code(fn))
             if text and len(node.args) == len(text[0]) and not any(
                     isinstance(arg, ast.Starred) for arg in node.args):
                 return fn, text
@@ -385,21 +382,39 @@ def _names(code):
                        *(_names(c) for c in code.co_consts if isinstance(c, CodeType)))
 
 
-@functools.cache
-def _rk4_loop(m, code=None):
-    """`bind` of the RK4 loop for states of length m, generated from
-    `_LOOP_TEMPLATE`.
+def _law_code(value):
+    """The code object of `value` if it is a law, else None."""
+    return value.__code__ if type(value) is FunctionType and value.__code__ in _LAWS else None
 
-    Without `code`, `bind(rhs)` gives the loop that calls `rhs` at each
-    stage. With the code object of a law, the stages' calls of `rhs` are
-    written out as the law's statements (see `_Splice`), under its own
-    names where the loop takes none of them, and `bind(rhs, *values)` gives
-    the loop bound to `values`, the law's closure values in the order of
-    its free variables.
+
+def _tree(law):
+    """(law, free variable, value) of `law`'s closure, each law in it followed by its own."""
+    for name, cell in zip(law.__code__.co_freevars, law.__closure__ or ()):
+        yield law, name, cell.cell_contents
+        if _law_code(cell.cell_contents):
+            yield from _tree(cell.cell_contents)
+
+
+def _stand_in(codes):
+    """A function of the next code of `codes`, or None for None, whose closure
+    holds the stand-ins of the codes after it, in `_tree`'s order."""
+    code = next(codes)
+    return code and FunctionType(code, {}, "rhs", None,
+                                 tuple(CellType(_stand_in(codes)) for _ in code.co_freevars))
+
+
+@functools.cache
+def _rk4_loop(m, codes=None):
+    """`bind` of the RK4 loop for states of length m, generated from
+    `_LOOP_TEMPLATE`: without `codes`, `bind(rhs)` gives the loop that calls
+    `rhs` at each stage. With the `_law_code`s of a law and of its `_tree`'s
+    values, each stage's call of `rhs` is written out as the law's
+    statements, and the calls of laws in those in turn (see `_Splice`), and
+    `bind(rhs, *values)` binds them to the tree's values.
     """
     y, s, k1, k2, k3, k4 = ([f"{p}{j}" for j in range(m)] for p in "ysabcd")
-    checked = code is None or len(
-        _tuple_names(ast.parse(_LAWS[code][2], mode="eval").body) or "*") != m
+    checked = codes is None or len(
+        _tuple_names(ast.parse(_LAWS[codes[0]][2], mode="eval").body) or "*") != m
     steps = "".join((_FIRST_STAGE if out is k1 and checked else _STAGE).format(
         time=time, slots="".join(f"{a} = {b}\n" for a, b in zip(s, state)), s=_tup(s),
         out=_tup(out), m=m) for time, state, out in zip(
@@ -410,15 +425,14 @@ def _rk4_loop(m, code=None):
     steps += "".join(f"{a} = {a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})\n"
                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
     steps, names, namespace = ast.parse(steps).body, ["rhs"], {}
-    if code is not None:
-        # the loop is bound to each run's values, so the stand-in for the law
-        # holds no law in its closure: the calls its statements make stay calls
-        law = FunctionType(code, {}, "rhs", None, tuple(CellType(None) for _ in code.co_freevars))
+    if codes is not None:
+        # the loop serves every run of the tree, so the stand-ins hold no run's values
+        law = _stand_in(iter(codes))
         splice = _Splice({"rhs": law}, _names(_rk4_loop(m).__code__))
         steps = [out for stmt in steps for out in splice.statement(stmt)]
-        # a law of other than two parameters is called, its values unread
-        own = splice.names.get(law, {})
-        names += [own.get(name) or splice.fresh(name) for name in code.co_freevars]
+        # a law that stays a call leaves its values unread
+        names += [splice.names.get(fn, {}).get(name) or splice.fresh(name)
+                  for fn, name, _ in _tree(law)]
         # the builtins the law reads under a name that the loop takes
         namespace = {name: value for name, value in splice.values.items() if name not in names}
     tree = ast.parse(_LOOP_TEMPLATE.format(
@@ -436,13 +450,12 @@ def _rk4_loop(m, code=None):
 
 
 def _loop(rhs, m):
-    """The RK4 loop that steps `rhs` on states of length m: a law written
-    out, bound to the values of its free variables; any other callable
-    called."""
-    code = getattr(rhs, "__code__", None)
-    if code in _LAWS:
-        return _rk4_loop(m, code)(rhs, *[cell.cell_contents for cell in rhs.__closure__ or ()])
-    return _rk4_loop(m)(rhs)
+    """The RK4 loop that steps `rhs` on states of length m: a law written out
+    with the laws of its `_tree`, bound to its values; any other callable called."""
+    if _law_code(rhs) is None:
+        return _rk4_loop(m)(rhs)
+    values = [value for *_, value in _tree(rhs)]
+    return _rk4_loop(m, tuple(map(_law_code, [rhs, *values])))(rhs, *values)
 
 
 def allocate(initial, settings):

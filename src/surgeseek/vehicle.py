@@ -30,9 +30,9 @@ averaged runners step `model_rhs` functions, also compiled from it, which
 compute their inputs and the rates in one frame and leave out the damping
 products of the vessel's zero entries. Each is a law, stated as source text
 by `integrator.define_laws`, like the seeking laws its inputs call (the
-surge law, the surge self product, the cost field's value and gradient),
-whose calls it writes out as their statements. The RK4 loop writes the
-function itself out at each of its stages (see `integrator`).
+surge law, the surge self product, the cost field's value and gradient).
+The RK4 loop writes it out at each of its stages, and those laws in it
+(see `integrator`).
 """
 import ast
 import functools
@@ -44,7 +44,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .integrator import _Splice, _names, define_laws
+from .integrator import define_laws
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,6 @@ def rhs(tau, state):
     {", ".join(SLOTS)} = state
 {{body}}    return ({", ".join(RATES)})
 """
-# every name of the source of `MODEL`'s function; each text that leaves out
-# damping products reads a part of them
-_MODEL_NAMES = _names(compile(_MODEL_RHS.format(body=textwrap.indent(MODEL, " " * 4)),
-                              "<vehicle.MODEL>", "exec"))
 
 
 def model_rhs(params, inputs, values, after=""):
@@ -246,25 +242,20 @@ def model_rhs(params, inputs, values, after=""):
     `params.d` that are exactly 0.0 are left out of `MODEL` (six of nine for
     a diagonal vessel), so each rate equals, as a float, the one
     `dynamics_rhs` gives at those inputs; it can differ only in the sign of
-    a zero. A call in `inputs` or `after` of a value that is a law (see
-    `integrator.define_laws`) is written out as the law's statements, bound
-    to its closure values (see `integrator._Splice`), and so are the calls
-    of laws in those; a value that is any other callable is called.
+    a zero.
 
-    The function is itself a law over the values, so `inputs` and `after`
-    are assignments: an RK4 loop writes it out at each stage, and a wrapper
-    of it (a lambda, say) is stepped by calls, with the same floats. Its
-    source is compiled once per text, that is per input statements, laws,
-    pattern of zero damping entries and value names, so every run of a
-    sweep, which shares one vessel, shares one compile.
+    The function is a law over the values (see `integrator.define_laws`),
+    so `inputs` and `after` are assignments. Its text only states their
+    calls: an RK4 loop writes it out, and the laws it calls, while a wrapper
+    of it (a lambda, say) is called, with the same floats. The text is
+    compiled once per input statements, pattern of zero damping entries and
+    value names, so the runs of a sweep, which share one vessel, share one
+    compile, whatever the cost field.
     """
     names = constants(params)
     zero = frozenset(name for name in _DAMPING if names[name] == 0.0)
     values = {**names, **values}
-    model = _model_without(zero)
-    text = compile(f"{inputs}\n{after}", "<text>", "exec")
-    splice = _Splice(values, {*_MODEL_NAMES, *_names(text)})
-    body = splice.text(inputs) + model + splice.text(after)
+    body = f"{inputs}\n{_model_without(zero)}{after}\n"
     [rhs] = define_laws(_MODEL_RHS.format(body=textwrap.indent(body, " " * 4)),
                         tuple(values))(*values.values())
     return rhs

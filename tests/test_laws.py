@@ -1,6 +1,7 @@
 """The seeking laws, each stated once as source text by `define_laws`: the
-function it compiles and the statements that `model_rhs` writes a call to
-it out as give the same floats and raise the same errors."""
+function it compiles and the statements that `_Splice` writes a call to it
+out as give the same floats and raise the same errors, and an RK4 loop
+writes out the laws that a runner's function calls under names of its own."""
 import ast
 import struct
 
@@ -10,27 +11,33 @@ from hypothesis import example, given, settings, strategies as st
 from surgeseek.averaging import es_surge_self_product
 from surgeseek.costs import log_bowl_cost, quadratic_cost, rotated_quadratic_cost
 from surgeseek.dither import EsGains, surge_law
-from surgeseek.integrator import _LAWS, define_laws
+from surgeseek.integrator import (_LAWS, BlowUpError, IntegratorSettings, _loop, _Splice,
+                                  define_laws, integrate)
 from surgeseek.vehicle import model_rhs, reference_boat
 
 
-def law_calls(rhs):
-    """The names through which the text of the `model_rhs` function `rhs`
-    calls a registered law."""
-    closure = dict(zip(rhs.__code__.co_freevars,
-                       [cell.cell_contents for cell in rhs.__closure__]))
-    return [node.func.id for node in ast.walk(ast.parse(_LAWS[rhs.__code__][1]))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and getattr(closure.get(node.func.id), "__code__", None) in _LAWS]
+def loop_calls(rhs):
+    """The free names of the RK4 loop that steps `rhs` whose values are
+    `rhs` itself or a registered law."""
+    loop = _loop(rhs, 6)
+    return [name for name, cell in zip(loop.__code__.co_freevars, loop.__closure__)
+            if name == "rhs" or getattr(cell.cell_contents, "__code__", None) in _LAWS]
 
 
-def _written_out(law, targets, after=None):
-    """The rates of a `model_rhs` function whose `after` statements assign the
-    law's result to `targets` from the slots x, y and vx; the heading is 0,
-    so the model before them raises nothing on any float."""
-    args = ", ".join(["x", "y", "vx"][:len(_LAWS[law.__code__][0])])
-    after = after or f"{targets} = law({args})\n"
-    return model_rhs(reference_boat(), "u1 = 0.0\nu2 = 0.0\n", {"law": law}, after=after)
+def _written_out(law, targets, args):
+    """The values that the statement `targets = law(...)` on `args`, written
+    out by `_Splice`, leaves in `targets`, as a tuple."""
+    names = [f"arg{j}" for j in range(len(args))]
+    splice = _Splice({"law": law, **dict(zip(names, args))}, targets.split(", "))
+    [stmt] = ast.parse(f"{targets} = law({', '.join(names)})").body
+    statements = splice.statement(stmt)
+    # no call of a law is left
+    assert not [node for tree in statements for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and getattr(splice.values.get(node.func.id), "__code__", None) in _LAWS]
+    namespace = dict(splice.values)
+    exec(compile(ast.Module(statements, []), "<written out>", "exec"), namespace)
+    return tuple(namespace[name] for name in targets.split(", "))
 
 
 def _outcome(call):
@@ -53,7 +60,8 @@ fields = (st.builds(quadratic_cost, positive, positive, offset, offset, st.float
 
 @st.composite
 def laws(draw):
-    """A registered law with drawn parameters, and the rates its result goes to."""
+    """A registered law with drawn parameters, and the names its result is
+    assigned to."""
     field = draw(fields)
     gains = draw(st.builds(EsGains, st.floats(0.0, 10.0), positive, positive))
     return draw(st.sampled_from([
@@ -74,29 +82,30 @@ anything = st.floats() | st.sampled_from([1e152, -1e152, 1e200, 1e308])
          (0.0, 0.0, float("inf")))
 def test_a_written_out_law_gives_the_floats_and_errors_of_its_function(law, args):
     fn, targets = law
-    rhs = _written_out(fn, targets)
-    assert law_calls(rhs) == []
     n = len(targets.split(","))
-    state = (args[0], args[1], 0.0, args[2], 0.0, 0.0)
+    args = args[:len(_LAWS[fn.__code__][0])]
 
     def called():
-        result = fn(*args[:len(_LAWS[fn.__code__][0])])
+        result = fn(*args)
         return result if n > 1 else (result,)
 
-    assert _outcome(lambda: rhs(0.0, state)[:n]) == _outcome(called)
+    assert _outcome(lambda: _written_out(fn, targets, args)) == _outcome(called)
 
 
 def test_a_law_is_written_out_under_names_its_text_does_not_take():
-    # the field's locals dx and dy are two of the model's rates, and the
-    # name the field's `a` would take first is one of the values
+    # the field's locals dx and dy are two of the model's rates, and its
+    # closure values a and c are two of the values
     field = rotated_quadratic_cost()
-    values = {"value": field.value, "value_a": 5.0}
-    spliced = model_rhs(reference_boat(), "u1 = value(x, y) + value_a\nu2 = 0.0\n", values)
-    called = model_rhs(reference_boat(), "u1 = value(x, y) + value_a\nu2 = 0.0\n",
+    values = {"value": field.value, "a": 5.0, "c": -0.7}
+    spliced = model_rhs(reference_boat(), "u1 = value(x, y) + a\nu2 = c\n", values)
+    called = model_rhs(reference_boat(), "u1 = value(x, y) + a\nu2 = c\n",
                        {**values, "value": lambda x, y: field.value(x, y)})
-    assert law_calls(spliced) == []
-    state = (0.5, -0.3, 0.2, 0.1, 0.4, 0.3)
-    assert spliced(0.7, state) == called(0.7, state)
+    assert loop_calls(spliced) == []
+    assert "value" in _loop(called, 6).__code__.co_freevars
+    initial = (0.5, -0.3, 0.2, 0.1, 0.4, 0.3)
+    settings = IntegratorSettings(step=0.01, tf=1.0)
+    got = integrate(spliced, initial, settings)
+    assert got.states.tobytes() == integrate(called, initial, settings).states.tobytes()
 
 
 @pytest.mark.parametrize("after", [
@@ -107,11 +116,12 @@ def test_a_law_is_written_out_under_names_its_text_does_not_take():
     "dx = law(x, y=y)\n",
 ])
 def test_a_law_called_after_an_operation_stays_a_call(after):
-    rhs = _written_out(quadratic_cost().value, "dx", after=after)
-    assert law_calls(rhs) == ["law"]
-    state = (1e200, 0.0, 0.0, 1e200, 0.0, 0.0)
-    with pytest.raises(OverflowError):
-        rhs(0.0, state)
+    rhs = model_rhs(reference_boat(), "u1 = 0.0\nu2 = 0.0\n", {"law": quadratic_cost().value},
+                    after=after)
+    assert loop_calls(rhs) == ["law"]
+    with pytest.raises(BlowUpError) as info:
+        integrate(rhs, (1e200, 0.0, 0.0, 1e200, 0.0, 0.0), IntegratorSettings(step=0.1, tf=0.1))
+    assert type(info.value.__cause__) is OverflowError
 
 
 @pytest.mark.parametrize("source", [

@@ -2,6 +2,7 @@
 `model_rhs` without the vessel's zero damping products. They step the same
 floats as the closures that call `dynamics_rhs`, and they keep the loop's
 blow-up rule."""
+import ast
 import re
 import struct
 from dataclasses import replace
@@ -19,7 +20,7 @@ from surgeseek.vehicle import (MODEL, RATES, SLOTS, VehicleParams, constants, dy
                                model_rhs, reference_boat)
 
 from oracles import averaged_closure, full_closure
-from test_laws import law_calls
+from test_laws import loop_calls
 
 # per runner: its integration, the closure it replaced, and its step
 RUNNERS = {
@@ -171,30 +172,68 @@ def test_the_boats_runners_read_no_off_diagonal_damping_entry(runner, monkeypatc
     assert {name for name in names if re.fullmatch(r"d\d\d", name)} == {"d11", "d22", "d33"}
 
 
-def loop_calls(rhs):
-    """The free names of the RK4 loop that steps `rhs` whose values are
-    `rhs` itself or a registered law."""
-    loop = _loop(rhs, 6)
-    return [name for name, cell in zip(loop.__code__.co_freevars, loop.__closure__)
-            if name == "rhs" or getattr(cell.cell_contents, "__code__", None) in _LAWS]
+def _with_gains(scenario, **gains):
+    return replace(scenario, gains=replace(scenario.gains, **gains))
+
+
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_a_runner_compiles_one_text_whatever_the_field(runner, monkeypatch):
+    # the text calls the field's laws by name; the loop writes them out
+    quadratic, *others = [_stepped_rhs(runner, _scenario(field), monkeypatch)
+                          for field in ("quadratic", "rotated_quadratic", "log_bowl")]
+    for other in others:
+        assert other.__code__ is quadratic.__code__
+
+
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_one_loop_serves_every_k_of_a_field_and_one_per_field(runner, monkeypatch):
+    def loop(field, k):
+        return _loop(_stepped_rhs(runner, _with_gains(_scenario(field), k=k), monkeypatch), 6)
+
+    quadratic = loop("quadratic", 1.0)
+    assert loop("quadratic", 2.0).__code__ is quadratic.__code__
+    for field in ("rotated_quadratic", "log_bowl"):
+        assert loop(field, 1.0).__code__ is not quadratic.__code__
+
+
+def test_a_warm_run_at_another_k_or_c_parses_no_text(monkeypatch):
+    # its text, its compile and its loop are those of the run before it
+    scenario = _scenario()
+    runs = (sc._integrate_full, sc._integrate_averaged)
+    for run in runs:
+        run(scenario)
+    parse, parsed = ast.parse, []
+
+    def counting(*args, **kwargs):
+        parsed.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting)
+    for run in runs:
+        for gains in ({"k": 2.0}, {"c": 0.5}):
+            run(_with_gains(scenario, **gains))
+    assert parsed == []
 
 
 @pytest.mark.parametrize("field", ["quadratic", "rotated_quadratic", "log_bowl"])
 @pytest.mark.parametrize("runner", ["full", "averaged"])
 def test_the_runners_write_out_their_laws_and_the_loop_writes_out_the_runners(
         runner, field, monkeypatch):
-    # the surge law, the self product and the field's value and gradient are
-    # written out in the runner's text, and that text in the loop
+    # the loop writes out the runner's text, and in it the surge law, the self
+    # product and the field's value and gradient
     rhs = _stepped_rhs(runner, _scenario(field), monkeypatch)
-    assert law_calls(rhs) == []
     assert loop_calls(rhs) == []
-    # a wrapped field is called, in the text and so in the loop
+    # a wrapped field is called by the loop
     value = _scenario(field).cost.value
-    wrapped = _stepped_rhs(runner, _with_value(_scenario(field), lambda x, y: value(x, y)),
-                           monkeypatch)
-    assert "value(x, y)" in _LAWS[wrapped.__code__][1]
+
+    def wrapper(x, y):
+        return value(x, y)
+
+    wrapped = _stepped_rhs(runner, _with_value(_scenario(field), wrapper), monkeypatch)
     assert loop_calls(wrapped) == []
-    assert "value" in _loop(wrapped, 6).__code__.co_freevars
+    loop = _loop(wrapped, 6)
+    cells = dict(zip(loop.__code__.co_freevars, loop.__closure__))
+    assert cells["value"].cell_contents is wrapper
 
 
 @pytest.mark.parametrize("field", ["quadratic", "rotated_quadratic", "log_bowl"])
@@ -240,6 +279,8 @@ def test_a_written_out_runner_blows_up_as_a_called_one(runner, slot, value, monk
     ("u1 = state[3] * t\nu2 = c\n", "", {"t": 2.0, "c": -0.7}),
     # writes the loop's time and one of its first stage's rates
     ("u1 = 0.3\nu2 = c\n", "t = dvx\na0 = t\ndvx = dvx - a0 * a0\n", {"c": -0.7}),
+    # both, in statements with no trailing newline
+    ("u1 = half * tau\nu2 = c", "t = dvx\na0 = t\ndvx = dvx - a0 * a0", {"half": 0.5, "c": -0.7}),
 ])
 def test_a_text_naming_a_loop_name_is_written_out_under_fresh_names(inputs, after, values):
     # such a text is written out into the loop under names the loop does not
