@@ -46,7 +46,8 @@ def _check_finite(**values):
 
 # The fields' laws, each stated once as source text (see
 # `integrator.define_laws`): a runner's RK4 loop writes a call to one out
-# where the runner's text makes it. The quadratic form
+# where the runner's text makes it. A law is written out where its call is
+# an assignment's whole value; any other call is called. The quadratic form
 # a (x - x_star)^2 + b (y - y_star)^2 and its gradient's components are
 # spliced into the quadratic's and the log bowl's texts
 _FORM = "a * (x - x_star) ** 2 + b * (y - y_star) ** 2"

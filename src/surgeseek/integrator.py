@@ -25,14 +25,15 @@ length of what `rhs` returns, unless `rhs` is a law whose result is a tuple
 of m names. A law is a function stated once as source text by
 `define_laws`, which registers the text in `_LAWS` by the law's code: the
 seeking laws are, and so are the runners' right-hand sides that call them
-(see `vehicle.model_rhs`). The loop is the one place a law is written out:
-when `rhs` is a law, `_Splice` writes each stage's call out as its
-statements, and the calls of the laws in its closure in turn, bound to the
-values of their free variables, so a step calls only what they call and
-builds no stage or rate tuple; the same expressions run in the same order,
-so the floats are those of calling it. Any other callable is called. The
-loop is generated once per state length and tree of law codes, and cached.
-It takes a range of steps, so
+(see `vehicle.model_rhs`). The loop is the one place a law is written out,
+by one rule: a law is written out where its call is an assignment's whole
+value; any other call is called. When `rhs` is a law, `_Splice` writes each
+stage's call out as its statements, and the calls of the laws in its
+closure in turn, bound to the values of their free variables, so a step
+calls only what they call and builds no stage or rate tuple; the same
+expressions run in the same order, so the floats are those of calling it.
+Any other callable is called. The loop is generated once per state length
+and tree of law codes, and cached. It takes a range of steps, so
 `step_rows` can step one run in consecutive ranges of rows with the bits of
 one `integrate`, and the rows already stepped can be read in between.
 
@@ -72,12 +73,15 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Fixed step over [0, tf]; the step must divide tf."""
+    """Fixed step over [0, tf], both finite; the step must divide tf."""
 
     step: float
     tf: float
 
     def __post_init__(self):
+        for name, value in (("step", self.step), ("tf", self.tf)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0.0 < self.step <= self.tf):
             raise ValueError("require 0 < step <= tf")
         if abs(self.n_steps * self.step - self.tf) > 1e-9 * self.tf:
@@ -184,20 +188,21 @@ class _Splice:
     statements; `values` holds the values of the names the statements read,
     and `taken` every name of the text they are part of.
 
-    A call is written out where it names a value that is a law, passes
-    positional arguments only, and everything its statement evaluates
-    before it is a name or a constant, so that the law's statements can run
-    first. Its parameters are bound to its arguments: a name as itself, a
-    tuple of names passed for the parameter that the law's first statement
-    unpacks (and nothing else reads) by making the unpacked locals those
-    names, any other argument by a statement that runs first. A statement
-    that assigns a result tuple of the law's locals to as many names goes,
-    and those locals are those names; otherwise the result expression
-    replaces the call. The law's other names keep their own unless `taken`
-    or another law's names take them, and are the same at each call of the
-    law; its closure values and builtins join `values`. So the same float
-    operations run in the same order and raise the same errors. Laws that
-    the law calls are written out in turn; any other callable is called.
+    One rule: a law is written out where its call is an assignment's whole
+    value; any other call is called. The call names a value that is a law
+    and passes positional arguments only. The law's parameters are bound to
+    its arguments: a name as itself, a tuple of names passed for the
+    parameter that the law's first statement unpacks (and nothing else
+    reads) by making the unpacked locals those names, any other argument by
+    a statement that runs first. A statement that assigns a result tuple of
+    the law's locals to as many names goes, and those locals are those
+    names; otherwise the result expression replaces the call. The law's
+    other names keep their own unless `taken` or another law's names take
+    them, and are the same at each call of the law; its closure values and
+    builtins join `values`. So the same float operations run in the same
+    order and raise the same errors. The law's statements, and the
+    statement its result goes into, are written out in turn by the same
+    rule.
     """
 
     def __init__(self, values, taken):
@@ -224,40 +229,18 @@ class _Splice:
         return None
 
     def statement(self, stmt):
-        """`stmt`, with its calls of laws written out, as a list: the laws'
-        statements, then it, unless they store what it assigns."""
-        before, clean = [], True
-
-        def expr(node, targets=None):
-            nonlocal clean
-            if isinstance(node, (ast.Name, ast.Constant)):
-                return node
-            called = clean and self.law(node)
-            if called:
-                statements, result = self.splice(node, *called, targets)
-                before.extend(statements)
-                # a second call of the law would assign the locals this
-                # result reads
-                result = result and expr(result)
-                clean = False
-                return result
-            # an operation or a call, after its operands in their order
-            if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.Tuple)):
-                for name, value in ast.iter_fields(node):
-                    if isinstance(value, ast.expr):
-                        setattr(node, name, expr(value))
-                    elif isinstance(value, list):
-                        setattr(node, name, [expr(v) if isinstance(v, ast.expr) else v
-                                             for v in value])
-            clean = False
-            return node
-
-        if isinstance(stmt, ast.Assign):
-            stmt.value = expr(stmt.value, len(stmt.targets) == 1
-                              and _tuple_names(stmt.targets[0]))
-            if stmt.value is None:
-                return before
-        return [*before, stmt]
+        """`stmt` as a list of statements: where its whole value is a call of
+        a law, the law's statements, then it with the law's result as its
+        value, unless they store that result in its targets."""
+        called = isinstance(stmt, ast.Assign) and self.law(stmt.value)
+        if not called:
+            return [stmt]
+        statements, result = self.splice(stmt.value, *called, len(stmt.targets) == 1
+                                         and _tuple_names(stmt.targets[0]))
+        if result is None:
+            return statements
+        stmt.value = result
+        return statements + self.statement(stmt)
 
     def splice(self, call, fn, text, targets=None):
         """The statements that bind the parameters of the law `fn` to the

@@ -264,7 +264,8 @@ def _integrate_averaged(scenario):
     rhs = model_rhs(p, "u1 = 0.0\nu2 = c\n",
                     {"c": scenario.gains.c, "LAMBDA_11": LAMBDA_11,
                      "self_product": self_product},
-                    after="dvx = dvx - LAMBDA_11 * self_product(x, y, th)\n")
+                    after="forcing = self_product(x, y, th)\n"
+                          "dvx = dvx - LAMBDA_11 * forcing\n")
     return _integrate(scenario, rhs, scenario.horizon / AVERAGED_STEPS, "averaged")
 
 
@@ -619,13 +620,17 @@ def sweep(base, axis, values):
     for value in values:
         try:
             scenario = _with_value(base, axis, value)
+            # the full run's step count, its task's cost: where it is not a
+            # number (a subnormal epsilon's), the run fails as on its own
+            with _run_failure(scenario, "full", _full_eps(scenario)):
+                steps = round(scenario.horizon / _full_step(scenario))
         except Exception as exc:
             pairs.append(str(exc))
             continue
         key = (scenario.gains.k, scenario.gains.c)
         if key not in averaged:
             averaged[key] = add(_averaged_states, scenario, AVERAGED_STEPS)
-        full = add(_full_positions, scenario, round(scenario.horizon / _full_step(scenario)))
+        full = add(_full_positions, scenario, steps)
         pairs.append((scenario, full, averaged[key]))
 
     def exited(_i, code):

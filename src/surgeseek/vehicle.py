@@ -247,7 +247,9 @@ def model_rhs(params, inputs, values, after=""):
     The function is a law over the values (see `integrator.define_laws`),
     so `inputs` and `after` are assignments. Its text only states their
     calls: an RK4 loop writes it out, and the laws it calls, while a wrapper
-    of it (a lambda, say) is called, with the same floats. The text is
+    of it (a lambda, say) is called, with the same floats. A law is written
+    out where its call is an assignment's whole value; any other call is
+    called. The text is
     compiled once per input statements, pattern of zero damping entries and
     value names, so the runs of a sweep, which share one vessel, share one
     compile, whatever the cost field.

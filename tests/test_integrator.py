@@ -290,6 +290,17 @@ def test_settings_validation():
         IntegratorSettings(step=0.3, tf=1.0)
 
 
+@pytest.mark.parametrize("step, tf, message", [
+    (0.1, math.inf, "tf must be finite, got inf"),
+    (math.inf, math.inf, "step must be finite, got inf"),
+    (-math.inf, 1.0, "step must be finite, got -inf"),
+    (0.1, math.nan, "tf must be finite, got nan"),
+])
+def test_settings_name_a_non_finite_step_or_horizon(step, tf, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IntegratorSettings(step=step, tf=tf)
+
+
 def test_trajectory_length_checks():
     with pytest.raises(ValueError):
         Trajectory(t=np.arange(3.0), states=np.zeros((2, 1)))

@@ -97,8 +97,9 @@ def test_a_law_is_written_out_under_names_its_text_does_not_take():
     # closure values a and c are two of the values
     field = rotated_quadratic_cost()
     values = {"value": field.value, "a": 5.0, "c": -0.7}
-    spliced = model_rhs(reference_boat(), "u1 = value(x, y) + a\nu2 = c\n", values)
-    called = model_rhs(reference_boat(), "u1 = value(x, y) + a\nu2 = c\n",
+    inputs = "u1 = value(x, y)\nu1 = u1 + a\nu2 = c\n"
+    spliced = model_rhs(reference_boat(), inputs, values)
+    called = model_rhs(reference_boat(), inputs,
                        {**values, "value": lambda x, y: field.value(x, y)})
     assert loop_calls(spliced) == []
     assert "value" in _loop(called, 6).__code__.co_freevars
@@ -114,6 +115,8 @@ def test_a_law_is_written_out_under_names_its_text_does_not_take():
     "dx = vx ** 2 + law(x, y)\n",
     # keywords are not bound
     "dx = law(x, y=y)\n",
+    # a call inside an expression is not written out
+    "dx = law(x, y) + vx\n",
 ])
 def test_a_law_called_after_an_operation_stays_a_call(after):
     rhs = model_rhs(reference_boat(), "u1 = 0.0\nu2 = 0.0\n", {"law": quadratic_cost().value},

@@ -1154,6 +1154,20 @@ def test_sweep_continues_past_failures():
     assert math.isnan(rows[1]["final_error"])
 
 
+def test_a_sweep_fails_only_the_row_of_a_subnormal_epsilon():
+    # the full run's step count is infinite for 1e-320, and its step zero for 5e-324
+    s = _scenario(horizon=2.0)
+    rows = sc.sweep(s, "epsilon", [0.1, 1e-320, 5e-324])
+    assert rows[0] == sc.sweep(s, "epsilon", [0.1])[0]
+    assert rows[0]["status"] == "ok"
+    for row, eps, reason in zip(rows[1:], ["1e-320", "5e-324"],
+                                ["cannot convert float infinity to integer",
+                                 "float division by zero"]):
+        assert row["status"] == (f"full run failed ({reason}); gains k=1.0 c=1.0 "
+                                 f"eps={eps}; horizon=2.0")
+        assert math.isnan(row["final_error"])
+
+
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ValueError):
         sc.sweep(_scenario(), "horizon", [1.0])
