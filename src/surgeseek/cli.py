@@ -68,9 +68,11 @@ def _runs(args, names, meta, extra=lambda s, *runs: {}):
     `sc.write_full_run`, which on two CPUs writes a long CSV in three
     shares while the run is integrating, the averaged run's
     `sc.run_to_csv` of `sc.run_averaged`; each returns its run's times and
-    states only. The CSVs and the meta are renamed into place together,
-    only once every run, every write and the meta have succeeded. Returns
-    the scenario, the path of each CSV and the added keys."""
+    states only. Before a child is forked, this process builds both runs'
+    loops (`sc.build_loops`), so the child does not. The CSVs and the meta
+    are renamed into place together, only once every run, every write and
+    the meta have succeeded. Returns the scenario, the path of each CSV and
+    the added keys."""
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s.output_dir)
     writers = {"full": sc.write_full_run,
@@ -82,8 +84,9 @@ def _runs(args, names, meta, extra=lambda s, *runs: {}):
                            f"before sending its run")
 
     with _renamed(*paths, os.path.join(out, meta)) as temps:
-        runs = sc.run_forked([partial(writers[name], s, temp)
-                              for name, temp in zip(names, temps)], exited)
+        tasks = [partial(writers[name], s, temp) for name, temp in zip(names, temps)]
+        sc.build_loops(s, tasks)
+        runs = sc.run_forked(tasks, exited)
         added = extra(s, *runs)
         _write_meta(temps[-1], s, added)
     return s, paths, added

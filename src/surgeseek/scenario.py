@@ -38,7 +38,7 @@ from . import costs
 from .averaging import AVERAGED_STEPS, LAMBDA_11, es_product_gain, es_surge_self_product
 from .dither import EsGains, surge_law
 from .integrator import (IntegratorSettings, Trajectory, allocate, dividing_step, hermite,
-                         integrate, step_rows)
+                         integrate, prepare, step_rows)
 from .passivity import c_hat_bound
 from .vehicle import VehicleParams, model_rhs
 
@@ -183,11 +183,12 @@ def _run_failure(scenario, name, eps=""):
 
 
 def _integrate(scenario, rhs, step, name, eps=""):
-    """Integrate `rhs` over the horizon, recording the states only; a
-    failure is re-raised by `_run_failure(scenario, name, eps)`."""
+    """Integrate `rhs(scenario)` over the horizon by the step
+    `step(scenario)`, recording the states only; a failure, of either of
+    them too, is re-raised by `_run_failure(scenario, name, eps)`."""
     with _run_failure(scenario, name, eps):
-        return integrate(rhs, scenario.initial,
-                         IntegratorSettings(step=step, tf=scenario.horizon))
+        return integrate(rhs(scenario), scenario.initial,
+                         IntegratorSettings(step=step(scenario), tf=scenario.horizon))
 
 
 # rows per block that `_mapped` reads and `_write_rows` writes: for the
@@ -251,22 +252,42 @@ def _full_rhs(scenario):
 
 def _integrate_full(scenario):
     """The oscillatory closed loop's states, on `run_full`'s grid."""
-    return _integrate(scenario, _full_rhs(scenario), _full_step(scenario), "full",
-                      _full_eps(scenario))
+    return _integrate(scenario, _full_rhs, _full_step, "full", _full_eps(scenario))
+
+
+def _averaged_rhs(scenario):
+    """The symmetric product system: the model under zero surge force and
+    the torque c, its surge rate forced by -Lambda_11 <B1:B1>."""
+    p = scenario.vehicle
+    self_product = es_surge_self_product(p, scenario.gains.k, scenario.cost)
+    return model_rhs(p, "u1 = 0.0\nu2 = c\n",
+                     {"c": scenario.gains.c, "LAMBDA_11": LAMBDA_11,
+                      "self_product": self_product},
+                     after="forcing = self_product(x, y, th)\n"
+                           "dvx = dvx - LAMBDA_11 * forcing\n")
+
+
+def _averaged_step(scenario):
+    """`run_averaged`'s step: `AVERAGED_STEPS` steps over the horizon."""
+    return scenario.horizon / AVERAGED_STEPS
 
 
 def _integrate_averaged(scenario):
-    """The symmetric product system's states, on `run_averaged`'s grid: the
-    model under zero surge force and the torque c, its surge rate forced by
-    -Lambda_11 <B1:B1>."""
-    p = scenario.vehicle
-    self_product = es_surge_self_product(p, scenario.gains.k, scenario.cost)
-    rhs = model_rhs(p, "u1 = 0.0\nu2 = c\n",
-                    {"c": scenario.gains.c, "LAMBDA_11": LAMBDA_11,
-                     "self_product": self_product},
-                    after="forcing = self_product(x, y, th)\n"
-                          "dvx = dvx - LAMBDA_11 * forcing\n")
-    return _integrate(scenario, rhs, scenario.horizon / AVERAGED_STEPS, "averaged")
+    """The symmetric product system's states, on `run_averaged`'s grid."""
+    return _integrate(scenario, _averaged_rhs, _averaged_step, "averaged")
+
+
+def build_loops(scenario, tasks):
+    """Where `run_forked` forks to run `tasks`, generate both runners' RK4
+    loops for `scenario` in this process first, stepping nothing, so that
+    the children inherit them: the runs of one scenario file share them,
+    whatever the gains. A runner whose right-hand side overflows (the self
+    product's gain at k = 1e200, say) is left to fail in its own run, by
+    name."""
+    if min(len(tasks), _usable_cpus()) > 1:
+        for rhs in (_full_rhs, _averaged_rhs):
+            with contextlib.suppress(ArithmeticError):
+                prepare(rhs(scenario), len(scenario.initial))
 
 
 def run_full(scenario):
@@ -599,11 +620,12 @@ def sweep(base, axis, values):
     full run per value, and one averaged run per distinct (k, c), since the
     averaged run reads neither epsilon nor samples_per_period. A full run
     task returns its times and x, y columns only, an averaged run task all
-    but its omega column. The rows are computed in
-    this process from the returned runs. A worker that dies fails each row
-    that reads one of its runs with a reason naming its exit code. Every
-    run is deterministic, so a row depends neither on the order of the
-    values nor on the number of processes.
+    but its omega column. Before it forks, this process builds both runs'
+    loops, which every value's runs share, so no child builds one. The
+    rows are computed in this process from the returned runs. A worker
+    that dies fails each row that reads one of its runs with a reason
+    naming its exit code. Every run is deterministic, so a row depends
+    neither on the order of the values nor on the number of processes.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
@@ -636,6 +658,7 @@ def sweep(base, axis, values):
     def exited(_i, code):
         return f"sweep worker exited with code {code} before sending its runs"
 
+    build_loops(base, tasks)
     runs = run_forked(tasks, exited, costs)
     return [_failed_row(value, pair) if isinstance(pair, str)
             else _sweep_row(value, pair[0], runs[pair[1]], runs[pair[2]])

@@ -1,10 +1,38 @@
+import ast
+import dis
 import math
+import re
 
 import numpy as np
 import pytest
 
-from surgeseek.integrator import (BlowUpError, IntegratorSettings, Trajectory, define_laws,
-                                  hermite, integrate)
+from surgeseek import integrator
+from surgeseek.integrator import (BlowUpError, IntegratorSettings, Trajectory, _loop,
+                                  _numbered, define_laws, hermite, integrate)
+
+
+def loop_text(rhs, monkeypatch, m=6):
+    """The text of the RK4 loop generated to step `rhs` on states of length m."""
+    texts = []
+
+    def compiling(tree, *args):
+        texts.append(ast.unparse(tree))
+        return compile(tree, *args)
+
+    integrator._rk4_loop.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(integrator, "compile", compiling, raising=False)
+        _loop(rhs, m)
+    return texts[-1]
+
+
+def stepped(rhs, initial, settings):
+    """The states `integrate` steps, as bytes, or the time, the state's bytes
+    and the cause's type of its blow-up."""
+    try:
+        return integrate(rhs, initial, settings).states.tobytes()
+    except BlowUpError as exc:
+        return exc.time, exc.state.tobytes(), type(exc.__cause__)
 
 
 def comprehension_integrate(rhs, initial, settings):
@@ -321,3 +349,70 @@ def test_hermite_of_stacked_columns_gives_each_columns_bits():
     for row, v, r in zip(stacked, values, rates):
         assert row.tobytes() == hermite(ts, v, r, t).tobytes()
         assert np.array_equal(row[-len(ts):], v)
+
+
+def test_a_laws_loop_computes_a_repeated_pure_call_once_and_an_impure_one_every_time(
+        monkeypatch):
+    # math.cos of one slot is computed once per stage; g, which is no
+    # function of math, is called at each of its calls
+    calls = []
+
+    def impure(x):
+        calls.append(x)
+        return math.sin(x)
+
+    [law] = define_laws("def f(t, y):\n    y0, y1 = y\n    a = cos(y0) * g(y1)\n"
+                        "    b = cos(y0) * g(y1)\n    return (a - b * y1, b + t)\n",
+                        ("cos", "g"))(math.cos, impure)
+    text = loop_text(law, monkeypatch, 2)
+    assert len(re.findall(r"\bcos\w*\(", text)) == 4
+    assert len(re.findall(r"\bg\w*\(", text)) == 8
+    settings = IntegratorSettings(step=0.1, tf=1.0)
+    got = stepped(law, (0.3, -0.2), settings)
+    assert len(calls) == 8 * 10
+    assert got == stepped(lambda t, y: law(t, y), (0.3, -0.2), settings)
+
+
+def test_names_that_read_one_closure_cell_are_one_operand(monkeypatch):
+    # f and the law g it calls close over one cell p: written out under two
+    # names, its product with a slot is computed once per stage. Two cells
+    # are two operands, even when they hold one object, so a run's loop
+    # does not depend on which of its values happen to be one object
+    source = ("def g(x):\n    return x * p\n\n"
+              "def f(t, y):\n    y0, y1 = y\n    a = y0 * p\n    b = g(y0)\n"
+              "    c = y0 * q\n    return (a + b - c, a - y1)\n")
+    p = 1.5
+    [_, f] = define_laws(source, ("p", "q"))(p, p)
+    text = loop_text(f, monkeypatch, 2)
+    assert len(re.findall(r"\* p(_\d+)*\b", text)) == 4
+    assert len(re.findall(r"\* q(_\d+)*\b", text)) == 4
+    settings = IntegratorSettings(step=0.1, tf=1.0)
+    assert stepped(f, (0.3, -0.2), settings) == stepped(lambda t, y: f(t, y), (0.3, -0.2),
+                                                        settings)
+    [_, other] = define_laws(source, ("p", "q"))(1.5, 2.5)
+    assert _loop(other, 2).__code__ is _loop(f, 2).__code__
+
+
+def test_a_laws_loop_reads_each_value_once_per_call():
+    # from a local bound before the steps, not from its closure cell at
+    # each use, with the bytes of its wrapped self
+    [law] = define_laws("def f(t, y):\n    y0, y1 = y\n    a = k * y0 + g(y1)\n"
+                        "    b = k * y1 - g(y0)\n    return (a, b)\n", ("k", "g"))(-0.5, math.atan)
+    loop = _loop(law, 2)
+    cells = [ins.argval for ins in dis.get_instructions(loop) if ins.opname == "LOAD_DEREF"]
+    assert len(cells) == len(set(cells)) == 2
+    settings = IntegratorSettings(step=0.1, tf=1.0)
+    assert stepped(law, (0.3, -0.2), settings) == stepped(lambda t, y: law(t, y), (0.3, -0.2),
+                                                          settings)
+
+
+def test_a_constant_is_an_operand_by_its_type_and_repr():
+    # -0.0 + 0.0 is 0.0 and -0.0 + -0.0 is -0.0: the two sums are two values
+    steps = ast.parse("a = x + 0.0\nb = x + 0.0\n").body
+    steps[1].value.right.value = -0.0
+    names = iter(["v0", "v1"])
+    statements, _ = _numbered(steps, {}, lambda _base: next(names), {"a", "b"})
+    namespace = {"x": -0.0}
+    exec(compile(ast.Module(statements, []), "<numbered>", "exec"), namespace)
+    assert math.copysign(1.0, namespace["a"]) == 1.0
+    assert math.copysign(1.0, namespace["b"]) == -1.0

@@ -3,6 +3,7 @@
 floats as the closures that call `dynamics_rhs`, and they keep the loop's
 blow-up rule."""
 import ast
+import math
 import re
 import struct
 from dataclasses import replace
@@ -20,6 +21,7 @@ from surgeseek.vehicle import (MODEL, RATES, SLOTS, VehicleParams, constants, dy
                                model_rhs, reference_boat)
 
 from oracles import averaged_closure, full_closure
+from test_integrator import loop_text, stepped
 from test_laws import loop_calls
 
 # per runner: its integration, the closure it replaced, and its step
@@ -330,6 +332,103 @@ def test_model_rhs_equals_dynamics_rhs_on_any_state(p, slots, zeroed):
     assert struct.pack("6d", *got) == struct.pack("6d", *want)
     got, want = rates(tuple(v if z is None else z for v, z in zip(slots, zeroed)))
     assert got == want
+
+
+FIELDS = ["quadratic", "rotated_quadratic", "log_bowl"]
+
+
+def _runner_text(runner, field, monkeypatch):
+    return loop_text(_stepped_rhs(runner, _scenario(field), monkeypatch), monkeypatch)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_full_loop_calls_the_dither_cosine_three_times_per_step(field, monkeypatch):
+    # stages 2 and 3 share their time: the surge law's cosine of it is
+    # computed once for both
+    text = _runner_text("full", field, monkeypatch)
+    assert len(re.findall(r"\bcos\w*\(\w+ \* inv_eps\w*\)", text)) == 3
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_an_averaged_stage_calls_cos_and_sin_once_and_stores_no_time(field, monkeypatch):
+    # the model's cos(th) and sin(th) and the self product's cosine and
+    # sine of the heading are math.cos and math.sin of one float; nothing
+    # reads the stage time
+    text = _runner_text("averaged", field, monkeypatch)
+    for fn in ("cos", "sin"):
+        assert len(re.findall(rf"\b{fn}(_\d+)*\(", text)) == 4
+    assert "tau" not in text
+
+
+def test_a_log_bowl_averaged_stage_squares_each_offset_once(monkeypatch):
+    # the value's two ** terms are those of the gradient's denominator
+    assert _runner_text("averaged", "log_bowl", monkeypatch).count(" ** ") == 4 * 2
+
+
+def test_a_rotated_averaged_stage_computes_the_offset_and_its_axes_once(monkeypatch):
+    # the value and the gradient compute dx, dy, p and q of one position
+    text = _runner_text("averaged", "rotated_quadratic", monkeypatch)
+    for star in ("x_star", "y_star"):
+        assert len(re.findall(rf"- {star}(_\d+)*\b", text)) == 4
+    # p = c * dx + s * dy and q = -s * dx + c * dy
+    assert len(re.findall(r"= c\w* \* dx\w* \+ s\w* \* dy", text)) == 4
+    assert len(re.findall(r"\* dx\w* \+ c\w* \* dy", text)) == 4
+
+
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_an_impure_callable_is_called_at_every_stage(runner, monkeypatch):
+    # a counting wrapper of math.cos, given to the model as cos, is no
+    # function of math: the loop calls it once per stage, and steps the
+    # bytes of the runner without it
+    scenario = replace(_scenario(), horizon=0.2)
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return math.cos(x)
+
+    run = RUNNERS[runner][0]
+    want = run(scenario)
+    with monkeypatch.context() as patch:
+        patch.setattr(sc, "model_rhs", lambda p, inputs, values, after="": model_rhs(
+            p, inputs, {**values, "cos": counting}, after))
+        got = run(scenario)
+    assert len(calls) == 4 * (len(got.t) - 1)
+    assert got.states.tobytes() == want.states.tobytes()
+
+
+def test_an_operand_reassigned_between_two_equal_expressions_is_read_anew(monkeypatch):
+    # w + tau is computed twice per stage: w changes in between
+    inputs = "w = vx * om\nu1 = w + tau\nw = w * 0.5\nu2 = w + tau\n"
+    rhs = model_rhs(reference_boat(), inputs, {})
+    assert len(re.findall(r"\bw \+ t(au)?\b", loop_text(rhs, monkeypatch))) == 4 * 2
+    initial = np.array([0.5, -0.3, 0.2, 0.1, 0.0, 0.3])
+    settings = IntegratorSettings(step=0.01, tf=1.0)
+    assert stepped(rhs, initial, settings) == stepped(lambda tau, state: rhs(tau, state),
+                                                      initial, settings)
+
+
+huge = st.sampled_from([1e152, -1e152, 1e200, 1e308, -1e308])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FIELDS), st.sampled_from(["full", "averaged"]),
+       st.tuples(*[st.floats(-3.0, 3.0)] * 6),
+       st.none() | st.tuples(st.integers(0, 5), huge),
+       st.floats(0.0, 5.0), st.floats(0.1, 5.0), st.floats(0.05, 1.0))
+def test_a_written_out_runner_steps_what_its_wrapped_self_steps(field, runner, initial, far,
+                                                                 k, c, epsilon):
+    # the same bytes, or the same blow-up: its time, its state and the type
+    # of its cause
+    initial = list(initial)
+    if far is not None:
+        initial[far[0]] = far[1]
+    scenario = replace(_scenario(field), gains=EsGains(k=k, c=c, epsilon=epsilon))
+    rhs = {"full": sc._full_rhs, "averaged": sc._averaged_rhs}[runner](scenario)
+    step = RUNNERS[runner][2](scenario)
+    settings = IntegratorSettings(step=step, tf=40 * step)
+    assert stepped(rhs, initial, settings) == stepped(lambda tau, state: rhs(tau, state),
+                                                      initial, settings)
 
 
 def test_constants_names_every_name_the_model_reads():

@@ -20,6 +20,7 @@ from surgeseek.averaging import (AVERAGED_STEPS, LAMBDA_11, averaged_rhs,
 from surgeseek.cli import main
 from surgeseek.costs import get_field, quadratic_cost
 from surgeseek.dither import EsGains, es_dither_set, surge_law
+from surgeseek import integrator
 from surgeseek.integrator import BlowUpError, IntegratorSettings, Trajectory, integrate
 from surgeseek.vehicle import VehicleParams, reference_boat
 
@@ -1166,6 +1167,33 @@ def test_a_sweep_fails_only_the_row_of_a_subnormal_epsilon():
         assert row["status"] == (f"full run failed ({reason}); gains k=1.0 c=1.0 "
                                  f"eps={eps}; horizon=2.0")
         assert math.isnan(row["final_error"])
+
+
+@pytest.mark.parametrize("eps, reason", [(1e-320, "cannot convert float infinity to integer"),
+                                         (5e-324, "float division by zero")])
+@pytest.mark.parametrize("run", [sc.run_full, sc._integrate_full])
+def test_a_full_run_names_a_subnormal_epsilon(run, eps, reason):
+    # its step is computed inside the run, as a sweep's step count is
+    s = _scenario(gains=EsGains(1.0, 1.0, eps), horizon=2.0)
+    with pytest.raises(RuntimeError) as info:
+        run(s)
+    assert str(info.value) == (f"full run failed ({reason}); gains k=1.0 c=1.0 eps={eps}, "
+                               f"horizon=2.0")
+
+
+def test_a_forking_sweep_builds_the_loops_before_it_forks(monkeypatch):
+    # the full run of eps = 0.05 outweighs the shared averaged run, which a
+    # child steps with the other full run: the child inherits the averaged
+    # runner's loop from this process
+    monkeypatch.setattr(sc, "_usable_cpus", lambda: 2)
+    integrator._rk4_loop.cache_clear()
+    s = _scenario(horizon=20.0)
+    rows = sc.sweep(s, "epsilon", [0.1, 0.05])
+    assert [row["status"] for row in rows] == ["ok", "ok"]
+    misses = integrator._rk4_loop.cache_info().misses
+    for rhs in (sc._averaged_rhs(s), sc._full_rhs(s)):
+        integrator._loop(rhs, 6)
+    assert integrator._rk4_loop.cache_info().misses == misses
 
 
 def test_sweep_rejects_unknown_axis():
