@@ -194,25 +194,26 @@ def es_product_gain(params, k):
 
 
 # the surge component of <B1:B1>, stated once as source text (see
-# `integrator.define_laws`)
+# `integrator.define_laws`): it takes the heading's cosine and sine, which
+# the model computes, and the field's value and gradient from one law,
+# which computes what they share once
 _SURGE_SELF_PRODUCT = define_laws("""\
-def surge(x, y, theta):
-    rho = value(x, y)
-    gx, gy = gradient(x, y)
-    return gain * rho * (gx * cos(theta) + gy * sin(theta))
-""", ("gain", "value", "gradient", "cos", "sin"))
+def surge(x, y, cth, sth):
+    rho, gx, gy = value_gradient(x, y)
+    return gain * rho * (gx * cth + gy * sth)
+""", ("gain", "value_gradient"))
 
 
 def es_surge_self_product(params, k, cost_field):
-    """Surge component of <B1:B1> as a float function of (x, y, theta).
+    """Surge component of <B1:B1> as a float function of (x, y, cos(theta),
+    sin(theta)).
 
     <B1:B1>_1 = 2 (k/m11)^2 rho * (rho_x cos(theta) + rho_y sin(theta));
     the sway and yaw components vanish. The averaged run's RK4 loop writes
-    the function's call out as its statements, and the calls of the cost
-    field's value and gradient in it as theirs.
+    the function's call out as its statements, and in turn the call of the
+    cost field's `value_gradient`.
     """
-    [surge] = _SURGE_SELF_PRODUCT(es_product_gain(params, k), cost_field.value,
-                                  cost_field.gradient, math.cos, math.sin)
+    [surge] = _SURGE_SELF_PRODUCT(es_product_gain(params, k), cost_field.value_gradient)
     return surge
 
 
@@ -225,7 +226,7 @@ def es_self_product(params, k, cost_field):
 
     def value(q):
         q = _floats(q)
-        return np.array([surge(q[0], q[1], q[2]), 0.0, 0.0])
+        return np.array([surge(q[0], q[1], math.cos(q[2]), math.sin(q[2])), 0.0, 0.0])
 
     return value
 

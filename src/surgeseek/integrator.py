@@ -32,18 +32,14 @@ stage's call out as its statements, and the calls of the laws in its
 closure in turn, bound to the values of their free variables, so a step
 calls only what they call and builds no stage or rate tuple; the same
 expressions run in the same order, so the floats are those of calling it.
-Any other callable is called. Then one value-numbering pass runs over a
-law's written-out step (see `_Numbering`): within one step a pure
-expression is computed once while its operands keep their values; names
-bound to one object are one operand; only `math`'s functions and arithmetic
-are pure. A repeat reads the name that holds the first result, which runs
-where it ran, so the floats and the errors are those of the written-out
-step; the step reads each value from a local bound once per call of the
-loop. The loop is generated once per state length and `_loop` key (the tree
-of law codes, the pure functions and which values share a closure cell),
-and cached. It takes a range of steps, so
-`step_rows` can step one run in consecutive ranges of rows with the bits of
-one `integrate`, and the rows already stepped can be read in between.
+Any other callable is called. A law's step reads each value, and each
+operation of values and constants by +, -, * or unary - (on floats it
+cannot raise), from a local that the loop computes once per call, before
+its first step (see `_Hoist`); what laws share within a step their texts
+state once. The loop is generated once per state length and `_loop` key,
+and cached. It takes a range of steps, so `step_rows` can step one run in
+consecutive ranges of rows with the bits of one `integrate`, and the rows
+already stepped can be read in between.
 
 Blow-up rule: a step that leaves the state non-finite is a blow-up, and so
 is an error of a stage's RHS: an OverflowError always, and a ValueError
@@ -59,7 +55,7 @@ import math
 import struct
 import textwrap
 from dataclasses import dataclass
-from types import BuiltinFunctionType, CellType, CodeType, FunctionType
+from types import CellType, CodeType, FunctionType
 
 import numpy as np
 
@@ -304,220 +300,41 @@ class _Splice:
         return statements, None if into else result
 
 
-# math's functions of numbers, by id: a call of one on the same operands
-# gives the same float, or raises the same error, again. Those of an
-# iterable are left out: a list keeps its identity while its items change
-_PURE = {id(fn): fn for name, fn in vars(math).items() if isinstance(fn, BuiltinFunctionType)
-         and name not in ("fsum", "prod", "dist", "sumprod")}
+def _invariant(node, values):
+    """Whether `node` is a name of `values`, a constant, or +, -, * or unary -
+    of such: on floats it cannot raise."""
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+        return isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.USub)) and all(
+            _invariant(operand, values) for operand in ast.iter_child_nodes(node)
+            if isinstance(operand, ast.expr))
+    return isinstance(node, ast.Constant) or isinstance(node, ast.Name) and node.id in values
 
-# the expressions whose every evaluation evaluates each of their operands, in
-# field order; `_Numbering` numbers the operands of these and of arithmetic
-_EVALUATED = (ast.Call, ast.Tuple, ast.List, ast.Subscript)
 
-
-class _Numbering(ast.NodeTransformer):
-    """Local value numbering (Briggs, Cooper and Simpson, "Value Numbering",
-    Software: Practice and Experience 1997) of the statements of one RK4
-    step, in order: within the step a pure expression is computed once while
-    its operands keep their values; names bound to one object are one
-    operand; only `math`'s functions and arithmetic are pure.
-
-    `values` maps each name the statements read that is not a loop local to
-    its value, one object for names bound to one object, and `fresh` gives a
-    name the loop does not take. A local is numbered by the number it holds,
-    a value name by its object, a constant by its type and repr, and
-    arithmetic (`BinOp`, `UnaryOp`) or a call of one of `_PURE` by its
-    operation and its operands' numbers. Any other expression gets a new
-    number and runs every time; only the operands of `_EVALUATED` ones are
-    numbered inside it. So does every statement but an assignment to names:
-    the names it stores get new numbers.
-
-    An expression whose number the step computed before reads it: a local
-    is read as the value name or constant it holds, or as the first local
-    that still holds its number, and any other expression in turn as such a
-    local, or as the name its first computation is made to store with `:=`.
-    An assignment of the numbers its targets hold goes. Nothing is
-    reordered: a repeat skips only an operation that has already run on the
-    same operands and succeeded.
-    """
+class _Hoist(ast.NodeTransformer):
+    """Makes the statements of an RK4 step read each name of `values` from a
+    local, and each `_invariant` operation of them from a local that holds
+    its result; `prologue` maps the text that computes a local, once per
+    call of the loop, to its name (a name from `fresh`), each local after
+    those it reads."""
 
     def __init__(self, values, fresh):
         self.values, self.fresh = values, fresh
-        self.keys = {}          # an expression's key -> its number
-        self.held = {}          # local -> the number it holds
-        self.holders = collections.defaultdict(list)  # number -> the locals given it
-        self.leaves = {}        # number -> the value name or constant node that reads it
-        self.first = {}         # number -> the expression that computed it first, its statement
-        self.stored = {}        # expression -> the name it is made to store with `:=`
-        self.changed = set()    # the statements of those expressions
-        self.numbers = {}       # node of the statement at hand -> its number
+        self.prologue = {}
 
-    def new(self, key=None):
-        """The number of `key`, or a new number."""
-        return self.keys.setdefault(object() if key is None else key, len(self.keys))
+    def local(self, node, base):
+        text = ast.unparse(node)
+        return ast.Name(self.prologue.get(text) or self.prologue.setdefault(
+            text, self.fresh(base)), ast.Load())
 
-    def give(self, name, number):
-        self.held[name] = number
-        self.holders[number].append(name)
-        return number
-
-    def pure(self, node):
-        if isinstance(node, ast.Call):
-            return (isinstance(node.func, ast.Name) and not node.keywords
-                    and id(self.values.get(node.func.id)) in _PURE
-                    and not any(isinstance(arg, ast.Starred) for arg in node.args))
-        return isinstance(node, (ast.BinOp, ast.UnaryOp))
-
-    def number(self, node):
-        """The number of the expression `node`, kept in `numbers` with those
-        of the operands it evaluates."""
+    def visit(self, node):
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)) and _invariant(node, self.values):
+            for name in ast.walk(node):
+                if isinstance(name, ast.Name):
+                    name.id = self.local(name, name.id).id
+            return self.local(node, "invariant")
         if isinstance(node, ast.Name) and node.id in self.values:
-            number = self.new(("value", id(self.values[node.id])))
-            self.leaves.setdefault(number, node)
-        elif isinstance(node, ast.Name):
-            # a local the step has not assigned holds a value from before it
-            number = self.held.get(node.id)
-            if number is None:
-                number = self.give(node.id, self.new())
-        elif isinstance(node, ast.Constant):
-            number = self.new(("constant", type(node.value), repr(node.value)))
-            self.leaves.setdefault(number, node)
-        elif isinstance(node, ast.Call) and self.pure(node):
-            number = self.new((self.values[node.func.id], *map(self.number, node.args)))
-        elif isinstance(node, ast.BinOp):
-            number = self.new((type(node.op), self.number(node.left), self.number(node.right)))
-        elif isinstance(node, ast.UnaryOp):
-            number = self.new((type(node.op), self.number(node.operand)))
-        else:
-            if isinstance(node, _EVALUATED):
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, ast.expr):
-                        self.number(child)
-            number = self.new()
-        self.numbers[node] = number
-        return number
-
-    def holder(self, number):
-        return next((name for name in self.holders[number] if self.held.get(name) == number),
-                    None)
-
-    def read(self, number):
-        """A name or constant that reads `number`, computed before."""
-        leaf = self.leaves.get(number)
-        if leaf is not None:
-            return ast.Name(leaf.id, ast.Load()) if isinstance(leaf, ast.Name) else (
-                ast.Constant(leaf.value))
-        name = self.holder(number)
-        if name is None:
-            node, stmt = self.first[number]
-            name = self.stored[node] = self.fresh("shared")
-            self.changed.add(stmt)
-            self.give(name, number)
-        return ast.Name(name, ast.Load())
-
-    def visit(self, node):
-        number = self.numbers.get(node)
-        if (number is None or isinstance(node, ast.Constant)
-                or isinstance(node, ast.Name) and node.id in self.values):
-            return node
-        if number in self.leaves or number in self.first or self.holder(number) is not None:
-            return ast.copy_location(self.read(number), node)
-        self.generic_visit(node)
-        if self.pure(node):
-            self.first[number] = node, self.stmt
-        return node
-
-    def statement(self, stmt):
-        """`stmt` with its expressions read where the step computed them
-        before, or None where it stores the numbers its targets hold."""
-        self.numbers, self.stmt = {}, stmt
-        if not (isinstance(stmt, ast.Assign) and all(
-                isinstance(target, ast.Name) or _tuple_names(target) is not None
-                for target in stmt.targets)):
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                    self.give(node.id, self.new())
-            return stmt
-        value, numbers = stmt.value, []
-        number = self.number(value)
-        for target in stmt.targets:
-            if isinstance(target, ast.Name):
-                numbers.append((target.id, number))
-            elif isinstance(value, ast.Tuple) and len(target.elts) == len(value.elts) and not any(
-                    isinstance(element, ast.Starred) for element in value.elts):
-                numbers += zip(_tuple_names(target), map(self.numbers.get, value.elts))
-            else:
-                numbers += [(name, self.new()) for name in _tuple_names(target)]
-        if numbers and all(self.held.get(name) == number for name, number in numbers):
-            return None
-        stmt.value = self.visit(stmt.value)
-        for name, number in numbers:
-            self.give(name, number)
-        return stmt
-
-
-class _Store(ast.NodeTransformer):
-    """Makes each expression of `stored` store its value under its name with `:=`."""
-
-    def __init__(self, stored):
-        self.stored = stored
-
-    def visit(self, node):
-        node = self.generic_visit(node)
-        name = self.stored.get(node)
-        if name is None:
-            return node
-        target = ast.copy_location(ast.Name(name, ast.Store()), node)
-        return ast.copy_location(ast.NamedExpr(target, node), node)
-
-
-def _plain(node):
-    """Whether `node` is a name, a constant, or +, - or * of such."""
-    if isinstance(node, ast.BinOp):
-        return isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)) and _plain(
-            node.left) and _plain(node.right)
-    if isinstance(node, ast.UnaryOp):
-        return isinstance(node.op, ast.USub) and _plain(node.operand)
-    return isinstance(node, (ast.Name, ast.Constant))
-
-
-def _cannot_raise(stmt):
-    """Whether the assignment `stmt` raises nothing: a `_plain` value stored
-    under names, or a tuple of them unpacked to as many names."""
-    value = stmt.value
-    if not isinstance(value, ast.Tuple):
-        return _plain(value) and all(isinstance(target, ast.Name) for target in stmt.targets)
-    return all(map(_plain, value.elts)) and all(
-        isinstance(target, ast.Name) or _tuple_names(target) is not None
-        and len(target.elts) == len(value.elts) for target in stmt.targets)
-
-
-def _numbered(steps, values, fresh, live):
-    """The statements `steps` of one RK4 step after `_Numbering` with
-    `values` and `fresh`, without the assignments that raise nothing and
-    store names that nothing reads after them: no later statement of the
-    step, and none of the names `live`, which the rest of the loop reads.
-    They read each value under a local name of its own; returns them and
-    the local name of each value they read."""
-    numbering = _Numbering(values, fresh)
-    steps = [stmt for stmt in map(numbering.statement, steps) if stmt is not None]
-    store = _Store(numbering.stored)
-    steps = [store.visit(stmt) if stmt in numbering.changed else stmt for stmt in steps]
-    read, kept, local = set(live), [], {}
-    for stmt in reversed(steps):
-        names = [node for node in ast.walk(stmt) if isinstance(node, ast.Name)]
-        stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
-        if isinstance(stmt, ast.Assign):
-            if stored.isdisjoint(read) and _cannot_raise(stmt):
-                continue
-            # the rest of the loop can read `live` after any statement that raises
-            read -= stored - live
-        read |= {node.id for node in names if isinstance(node.ctx, ast.Load)}
-        for node in names:
-            if node.id in values:
-                node.id = local.get(node.id) or local.setdefault(node.id, fresh(node.id))
-        kept.append(stmt)
-    return kept[::-1], local
+            return self.local(node, node.id)
+        return super().visit(node)
 
 
 # The RK4 loop for a state of length m, bound by `bind` to the RHS and to
@@ -534,7 +351,7 @@ def bind({names}):
         {y} = state
         # the product the step before i0 left in t, bit for bit
         t = h * i0
-        try:
+{prologue}        try:
             for i in range(i0, i1):
                 # the stages and the update: `_rk4_loop` puts them here
                 pass
@@ -595,9 +412,9 @@ def _law_code(value):
 
 
 def _tree(law):
-    """(law, free variable, cell) of `law`'s closure, each law in it followed by its own."""
+    """(law, free variable, value) of `law`'s closure, each law in it followed by its own."""
     for name, cell in zip(law.__code__.co_freevars, law.__closure__ or ()):
-        yield law, name, cell
+        yield law, name, cell.cell_contents
         if _law_code(cell.cell_contents):
             yield from _tree(cell.cell_contents)
 
@@ -605,15 +422,12 @@ def _tree(law):
 def _stand_in(key):
     """A law with the `_loop` key `key`, whose tree holds no run's values: a
     function of each law's code, whose closure holds the stand-ins of the
-    entries after it in `_tree`'s order, each pure function itself, and one
-    new object per cell of the key's values."""
-    entries, cells = iter(key), {}
+    entries after it in `_tree`'s order, and None for any other value."""
+    entries = iter(key)
 
-    def stand_in(entry):
-        if isinstance(entry, CodeType):
-            return FunctionType(entry, {}, "rhs", None, tuple(
-                CellType(stand_in(next(entries))) for _ in entry.co_freevars))
-        return cells.setdefault(entry, object()) if isinstance(entry, int) else entry
+    def stand_in(code):
+        return code and FunctionType(code, {}, "rhs", None, tuple(
+            CellType(stand_in(next(entries))) for _ in code.co_freevars))
     return stand_in(next(entries))
 
 
@@ -624,76 +438,68 @@ def _rk4_loop(m, key=None):
     `rhs` at each stage. With the `_loop` key of a law, each stage's call of
     `rhs` is written out as the law's statements, and the calls of laws in
     those in turn (see `_Splice`), and `bind(rhs, *values)` binds them to
-    the values of its `_tree`. Then one value-numbering pass runs over the
-    written-out step (see `_Numbering`): within one step a pure expression
-    is computed once while its operands keep their values; names bound to
-    one object are one operand; only `math`'s functions and arithmetic are
-    pure. An assignment that raises nothing and whose names nothing reads
-    after it goes, and the step reads each value from a local that the loop
-    binds once per call.
+    the values of its `_tree`; the step reads them, and the operations that
+    `_Hoist` takes out of it, from locals computed once per call. A stage
+    writes its time `tau` only where it reads it.
     """
     y, s, k1, k2, k3, k4 = ([f"{p}{j}" for j in range(m)] for p in "ysabcd")
-    checked = key is None or len(
-        _tuple_names(ast.parse(_LAWS[key[0]][2], mode="eval").body) or "*") != m
-    steps = "".join((_FIRST_STAGE if out is k1 and checked else _STAGE).format(
-        time=time, slots="".join(f"{a} = {b}\n" for a, b in zip(s, state)), s=_tup(s),
-        out=_tup(out), m=m) for time, state, out in zip(
-            ("t", "t + half", "t + half", "t + h"),
-            (y, [f"{a} + half * {b}" for a, b in zip(y, k1)],
-             [f"{a} + half * {b}" for a, b in zip(y, k2)],
-             [f"{a} + h * {b}" for a, b in zip(y, k3)]), (k1, k2, k3, k4)))
-    steps += "".join(f"{a} = {a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})\n"
-                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-    steps, names, namespace = ast.parse(steps).body, ["rhs"], {}
+    results = key and _tuple_names(ast.parse(_LAWS[key[0]][2], mode="eval").body)
+    checked = results is None or len(results) != m
+    names, prologue, namespace = ["rhs"], "", {}
     if key is not None:
         # the loop serves every run of the key, so the stand-ins hold no run's values
         law = _stand_in(key)
         splice = _Splice({"rhs": law}, _names(_rk4_loop(m).__code__))
-        steps = [out for stmt in steps for out in splice.statement(stmt)]
+    steps = []
+    for time, state, out in zip(("t", "t + half", "t + half", "t + h"),
+                                (y, [f"{a} + half * {b}" for a, b in zip(y, k1)],
+                                 [f"{a} + half * {b}" for a, b in zip(y, k2)],
+                                 [f"{a} + h * {b}" for a, b in zip(y, k3)]), (k1, k2, k3, k4)):
+        tau, *stage = ast.parse((_FIRST_STAGE if out is k1 and checked else _STAGE).format(
+            time=time, slots="".join(f"{a} = {b}\n" for a, b in zip(s, state)), s=_tup(s),
+            out=_tup(out), m=m)).body
+        if key is not None:
+            stage = [new for stmt in stage for new in splice.statement(stmt)]
+        if any(isinstance(node, ast.Name) and node.id == "tau"
+               for stmt in stage for node in ast.walk(stmt)):
+            steps.append(tau)
+        steps += stage
+    steps += ast.parse("".join(f"{a} = {a} + sixth * ({b1} + 2.0 * ({b2} + {b3}) + {b4})\n"
+                               for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))).body
+    if key is not None:
         # a law that stays a call leaves its values unread
         names += [splice.names.get(fn, {}).get(name) or splice.fresh(name)
                   for fn, name, _ in _tree(law)]
         # the builtins the law reads under a name that the loop takes
         namespace = {name: value for name, value in splice.values.items() if name not in names}
+        # locals are cheaper to read than a closure cell or a global
+        hoist = _Hoist(splice.values, splice.fresh)
+        steps = [hoist.visit(stmt) for stmt in steps]
+        prologue = "".join(f"        {name} = {text}\n" for text, name in hoist.prologue.items())
     tree = ast.parse(_LOOP_TEMPLATE.format(
-        names=", ".join(names), y=_tup(y), total=" + ".join(y) or "0.0",
+        names=", ".join(names), prologue=prologue, y=_tup(y), total=" + ".join(y) or "0.0",
         ylist="".join(f"{a}, " for a in y), s=_tup(s)))
     # as syntax trees, the statements are not unparsed and parsed again
     loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
-    if key is not None:
-        steps, local = _numbered(steps, splice.values, splice.fresh, {
-            node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
-        # the step reads each value from a local bound once per call of the
-        # loop, which is cheaper to read than a closure cell or a global
-        rk4_loop = tree.body[0].body[0]
-        rk4_loop.body[-1:-1] = ast.parse("".join(f"{name} = {value}\n"
-                                                 for value, name in local.items())).body
     loop.body[:1] = steps
     # native doubles, the layout of a C-contiguous float64 row
     row = struct.Struct(f"{m}d")
     namespace.update(isfinite=math.isfinite, BlowUpError=BlowUpError,
                      pack_row=row.pack_into, row_bytes=row.size)
-    exec(compile(tree, f"<rk4 loop, m={m}>", "exec"), namespace)
+    exec(compile(ast.fix_missing_locations(tree), f"<rk4 loop, m={m}>", "exec"), namespace)
     return namespace["bind"]
 
 
 def _loop(rhs, m):
     """The RK4 loop that steps `rhs` on states of length m: a law written out
     with the laws of its `_tree`, bound to its values; any other callable
-    called. The loop of a law is keyed on its code and one entry per value
-    of its tree: a law's code, a pure function itself (`_PURE`), and for any
-    other value the position of the first value in the same closure cell.
-    So the runs of one text share a loop whatever their values, and names
-    that read one cell, such as a field's value and gradient do, are one
-    operand in it."""
+    called. The loop of a law is keyed on the codes of the laws of its tree,
+    with None for any other value, so the runs of one text share a loop
+    whatever their values."""
     if _law_code(rhs) is None:
         return _rk4_loop(m)(rhs)
-    tree = [cell for *_, cell in _tree(rhs)]
-    values = [cell.cell_contents for cell in tree]
-    cells = {}
-    key = [_law_code(value) or _PURE.get(id(value)) or cells.setdefault(id(cell), j)
-           for j, (cell, value) in enumerate(zip(tree, values), 1)]
-    return _rk4_loop(m, (rhs.__code__, *key))(rhs, *values)
+    values = [value for *_, value in _tree(rhs)]
+    return _rk4_loop(m, (rhs.__code__, *map(_law_code, values)))(rhs, *values)
 
 
 def prepare(rhs, m):

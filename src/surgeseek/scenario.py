@@ -263,7 +263,7 @@ def _averaged_rhs(scenario):
     return model_rhs(p, "u1 = 0.0\nu2 = c\n",
                      {"c": scenario.gains.c, "LAMBDA_11": LAMBDA_11,
                       "self_product": self_product},
-                     after="forcing = self_product(x, y, th)\n"
+                     after="forcing = self_product(x, y, cth, sth)\n"
                            "dvx = dvx - LAMBDA_11 * forcing\n")
 
 

@@ -249,10 +249,9 @@ def model_rhs(params, inputs, values, after=""):
     calls: an RK4 loop writes it out, and the laws it calls, while a wrapper
     of it (a lambda, say) is called, with the same floats. A law is written
     out where its call is an assignment's whole value; any other call is
-    called. The text is
-    compiled once per input statements, pattern of zero damping entries and
-    value names, so the runs of a sweep, which share one vessel, share one
-    compile, whatever the cost field.
+    called. The text is compiled once per input statements, pattern of zero
+    damping entries and value names, so the runs of a sweep, which share one
+    vessel, share one compile, whatever the cost field.
     """
     names = constants(params)
     zero = frozenset(name for name in _DAMPING if names[name] == 0.0)

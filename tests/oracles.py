@@ -9,6 +9,8 @@ runners' right-hand sides are kept here as closures that call
 `dynamics_rhs`, the reference of the `model_rhs` functions the runners
 step; no run executes them.
 """
+import math
+
 import numpy as np
 
 from surgeseek.averaging import LAMBDA_11, es_surge_self_product, fd_jacobian
@@ -113,7 +115,7 @@ def averaged_closure(scenario):
 
     def rhs(_t, y):
         dx, dy, dth, dvx, dvy, dom = dynamics_rhs(p, y, (0.0, c_torque))
-        return (dx, dy, dth, dvx - LAMBDA_11 * self_product(y[0], y[1], y[2]),
-                dvy, dom)
+        forcing = self_product(y[0], y[1], math.cos(y[2]), math.sin(y[2]))
+        return (dx, dy, dth, dvx - LAMBDA_11 * forcing, dvy, dom)
 
     return rhs

@@ -3,6 +3,7 @@ function it compiles and the statements that `_Splice` writes a call to it
 out as give the same floats and raise the same errors, and an RK4 loop
 writes out the laws that a runner's function calls under names of its own."""
 import ast
+import math
 import struct
 
 import pytest
@@ -74,12 +75,12 @@ anything = st.floats() | st.sampled_from([1e152, -1e152, 1e200, 1e308])
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(laws(), st.tuples(anything, anything, anything))
-@example((quadratic_cost().value, "dx"), (1e152, 0.0, 0.0))
-@example((quadratic_cost().value, "dx"), (1e200, 0.0, 0.0))
-@example((log_bowl_cost().gradient, "dx, dy"), (1e152, 0.0, 0.0))
-@example((es_surge_self_product(reference_boat(), 1.0, quadratic_cost()), "dx"),
-         (0.0, 0.0, float("inf")))
+@given(laws(), st.tuples(anything, anything, anything, anything))
+@example((quadratic_cost().value, "dx"), (1e152, 0.0, 0.0, 0.0))
+@example((quadratic_cost().value, "dx"), (1e200, 0.0, 0.0, 0.0))
+@example((log_bowl_cost().gradient, "dx, dy"), (1e152, 0.0, 0.0, 0.0))
+@example((es_surge_self_product(reference_boat(), 1.0, log_bowl_cost()), "dx"),
+         (1e200, 0.0, 1.0, 0.0))
 def test_a_written_out_law_gives_the_floats_and_errors_of_its_function(law, args):
     fn, targets = law
     n = len(targets.split(","))
@@ -90,6 +91,43 @@ def test_a_written_out_law_gives_the_floats_and_errors_of_its_function(law, args
         return result if n > 1 else (result,)
 
     assert _outcome(lambda: _written_out(fn, targets, args)) == _outcome(called)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(fields, anything, anything)
+@example(quadratic_cost(), 1e152, 0.0)
+@example(quadratic_cost(), 1e200, 0.0)
+@example(log_bowl_cost(), 1e152, 0.0)
+@example(log_bowl_cost(), 0.0, 1e200)
+def test_a_fields_value_gradient_is_its_value_and_gradient(field, x, y):
+    # the one law computes what the two share once: the same floats, or the
+    # same error
+    assert _outcome(lambda: field.value_gradient(x, y)) == _outcome(
+        lambda: (field.value(x, y), *field.gradient(x, y)))
+
+
+@pytest.mark.parametrize("x, y", [(0.3, -1.7), (-1.05, 0.76), (-40.0, 60.0), (2.0, 3.0)])
+def test_the_fields_laws_give_the_floats_of_their_formulas(x, y):
+    # each formula in its operation order; the log bowl's denominator adds
+    # the form's terms to 1.0 one at a time
+    a, b, xs, ys, floor, angle = 1.3, 0.7, 2.0, 3.0, 0.5, 0.4
+    qx, qy = a * (x - xs) ** 2, b * (y - ys) ** 2
+    c, s = math.cos(angle), math.sin(angle)
+    p, q = c * (x - xs) + s * (y - ys), -s * (x - xs) + c * (y - ys)
+    formulas = {
+        quadratic_cost(a, b, xs, ys, floor):
+            (qx + qy + floor, 2.0 * a * (x - xs), 2.0 * b * (y - ys)),
+        log_bowl_cost(a, b, xs, ys, floor):
+            (math.log1p(qx + qy) + floor, 2.0 * a * (x - xs) / (1.0 + qx + qy),
+             2.0 * b * (y - ys) / (1.0 + qx + qy)),
+        rotated_quadratic_cost(a, b, xs, ys, floor, angle):
+            (a * p * p + b * q * q + floor, 2.0 * a * p * c - 2.0 * b * q * s,
+             2.0 * a * p * s + 2.0 * b * q * c),
+    }
+    for field, want in formulas.items():
+        want = struct.pack("3d", *want)
+        assert struct.pack("3d", field.value(x, y), *field.gradient(x, y)) == want
+        assert struct.pack("3d", *field.value_gradient(x, y)) == want
 
 
 def test_a_law_is_written_out_under_names_its_text_does_not_take():

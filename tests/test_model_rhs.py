@@ -342,11 +342,40 @@ def _runner_text(runner, field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_the_full_loop_calls_the_dither_cosine_three_times_per_step(field, monkeypatch):
-    # stages 2 and 3 share their time: the surge law's cosine of it is
-    # computed once for both
+def test_the_full_loop_calls_the_dither_cosine_four_times_per_step(field, monkeypatch):
+    # once per stage: stages 2 and 3 share their time, but computing its
+    # cosine once for both saved at most 2% of the full loop's time
     text = _runner_text("full", field, monkeypatch)
-    assert len(re.findall(r"\bcos\w*\(\w+ \* inv_eps\w*\)", text)) == 3
+    assert len(re.findall(r"\bcos\w*\(\w+ \* inv_eps\w*\)", text)) == 4
+
+
+def _invariant(node, bound):
+    """Whether `node` is a name of `bound`, a constant, or +, -, * or unary -
+    of such."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)) and _invariant(
+            node.left, bound) and _invariant(node.right, bound)
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, ast.USub) and _invariant(node.operand, bound)
+    return isinstance(node, ast.Constant) or isinstance(node, ast.Name) and node.id in bound
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("runner", ["full", "averaged"])
+def test_a_runners_step_computes_no_operation_of_bound_values(runner, field, monkeypatch):
+    # the vessel's -m11 and m22 - m11 and the fields' 2.0 * a and -s are
+    # computed once per call of the loop, before its steps; bound are the
+    # loop's values and the locals set before the steps and not in them
+    [bind] = ast.parse(_runner_text(runner, field, monkeypatch)).body
+    rk4_loop = bind.body[0]
+    loop = next(node for node in ast.walk(rk4_loop) if isinstance(node, ast.For))
+    stored = {node.id for node in ast.walk(loop)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound = {arg.arg for arg in bind.args.args} | {
+        target.id for stmt in rk4_loop.body if isinstance(stmt, ast.Assign)
+        for target in stmt.targets if isinstance(target, ast.Name)} - stored
+    assert [ast.unparse(node) for node in ast.walk(loop)
+            if isinstance(node, (ast.BinOp, ast.UnaryOp)) and _invariant(node, bound)] == []
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -415,15 +444,17 @@ huge = st.sampled_from([1e152, -1e152, 1e200, 1e308, -1e308])
 @given(st.sampled_from(FIELDS), st.sampled_from(["full", "averaged"]),
        st.tuples(*[st.floats(-3.0, 3.0)] * 6),
        st.none() | st.tuples(st.integers(0, 5), huge),
-       st.floats(0.0, 5.0), st.floats(0.1, 5.0), st.floats(0.05, 1.0))
+       st.floats(0.0, 5.0), st.floats(0.1, 5.0), st.floats(0.05, 1.0),
+       st.builds(VehicleParams.diagonal, *[positive] * 6))
 def test_a_written_out_runner_steps_what_its_wrapped_self_steps(field, runner, initial, far,
-                                                                 k, c, epsilon):
+                                                                 k, c, epsilon, vessel):
     # the same bytes, or the same blow-up: its time, its state and the type
-    # of its cause
+    # of its cause, on any vessel (m22 - m11 of either sign)
     initial = list(initial)
     if far is not None:
         initial[far[0]] = far[1]
-    scenario = replace(_scenario(field), gains=EsGains(k=k, c=c, epsilon=epsilon))
+    scenario = replace(_scenario(field), vehicle=vessel,
+                       gains=EsGains(k=k, c=c, epsilon=epsilon))
     rhs = {"full": sc._full_rhs, "averaged": sc._averaged_rhs}[runner](scenario)
     step = RUNNERS[runner][2](scenario)
     settings = IntegratorSettings(step=step, tf=40 * step)

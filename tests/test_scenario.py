@@ -739,7 +739,7 @@ def test_compare_reports_a_child_that_dies(monkeypatch, capsys, compare_dir):
 def test_compare_reraises_a_failed_averaged_run(monkeypatch, capsys, compare_dir):
     # a NaN forcing makes the averaged run blow up at its first step
     monkeypatch.setattr(sc, "es_surge_self_product",
-                        lambda *_args: lambda _x, _y, _theta: math.nan)
+                        lambda *_args: lambda _x, _y, _cth, _sth: math.nan)
     code, err, written = _cli_compare(monkeypatch, capsys, compare_dir, {0})
     assert code == 1 and err.startswith("error: RuntimeError: averaged run failed (")
     assert written == {}
