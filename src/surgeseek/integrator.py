@@ -32,14 +32,13 @@ stage's call out as its statements, and the calls of the laws in its
 closure in turn, bound to the values of their free variables, so a step
 calls only what they call and builds no stage or rate tuple; the same
 expressions run in the same order, so the floats are those of calling it.
-Any other callable is called. A law's step reads each value, and each
-operation of values and constants by +, -, * or unary - (on floats it
-cannot raise), from a local that the loop computes once per call, before
-its first step (see `_Hoist`); what laws share within a step their texts
+Any other callable is called. A law's step reads each bound value, and
+each +, -, * or unary - of them and constants (on floats, which laws are
+bound to, it cannot raise), from a local computed once per call, before
+the first step (see `_Hoist`); what laws share within a step their texts
 state once. The loop is generated once per state length and `_loop` key,
-and cached. It takes a range of steps, so `step_rows` can step one run in
-consecutive ranges of rows with the bits of one `integrate`, and the rows
-already stepped can be read in between.
+and cached; it takes a range of steps, so `step_rows` can step one run in
+consecutive ranges of rows, reading those stepped in between.
 
 Blow-up rule: a step that leaves the state non-finite is a blow-up, and so
 is an error of a stage's RHS: an OverflowError always, and a ValueError
@@ -154,7 +153,7 @@ def define_laws(source, names):
     code, which every function of that law that `bind` returns shares. The
     same source and names give the same `bind`, so the laws of one text,
     bound to any values (a sweep's runs, say), share one compile. Raises a
-    ValueError for a law of any other form.
+    ValueError for a law of any other form. Bind only floats (see `_Hoist`).
     """
     laws = ast.parse(source).body
     namespace = {}
@@ -311,11 +310,12 @@ def _invariant(node, values):
 
 
 class _Hoist(ast.NodeTransformer):
-    """Makes the statements of an RK4 step read each name of `values` from a
-    local, and each `_invariant` operation of them from a local that holds
-    its result; `prologue` maps the text that computes a local, once per
-    call of the loop, to its name (a name from `fresh`), each local after
-    those it reads."""
+    """Makes an RK4 step read each name of `values`, and each `_invariant`
+    operation of them, from a local; `prologue` maps the text that computes
+    a local, once per call of the loop, to its name (from `fresh`), each
+    after those it reads. The prologue runs before the loop's `try`, even
+    for no steps: exact only if `values` are floats, as every runner binds
+    and nothing checks (a huge int times 1.0 raises OverflowError there)."""
 
     def __init__(self, values, fresh):
         self.values, self.fresh = values, fresh
