@@ -19,6 +19,7 @@ the integrated dither signals.
 """
 import math
 from dataclasses import dataclass
+from math import cos, sin
 
 import numpy as np
 
@@ -102,15 +103,18 @@ def _floats(v):
 
 
 def _jac(field, q):
-    if field.jacobian is not None:
-        return _floats(field.jacobian(q))
-    return fd_jacobian(field.value, q).tolist()
+    if field.jacobian is None:
+        return fd_jacobian(field.value, q).tolist()
+    jac = field.jacobian(q)
+    return jac if jac.__class__ is tuple else _floats(jac)
 
 
 def _apply(jac, w):
     """The 3x3 matrix `jac` (rows of floats) applied to the 3-vector `w`."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = jac
     w0, w1, w2 = w
-    return [r[0] * w0 + r[1] * w1 + r[2] * w2 for r in jac]
+    return (a0 * w0 + a1 * w1 + a2 * w2, b0 * w0 + b1 * w1 + b2 * w2,
+            c0 * w0 + c1 * w1 + c2 * w2)
 
 
 def coriolis_bilinear(params, xv, yv):
@@ -134,22 +138,29 @@ def _symmetric_product(x_field, y_field, params, q):
     its two Jacobian terms are then the same floats, and their sum is the
     one the two-field route forms.
     """
-    cth, sth = math.cos(q[2]), math.sin(q[2])
-    xv = _floats(x_field.value(q))
+    th = q[2]
+    cth, sth = cos(th), sin(th)
+    xv = x_field.value(q)
+    if xv.__class__ is not tuple:
+        xv = _floats(xv)
+    x0, x1, x2 = xv
     # J(theta) X
-    jx = (cth * xv[0] - sth * xv[1], sth * xv[0] + cth * xv[1], xv[2])
+    jx = (cth * x0 - sth * x1, sth * x0 + cth * x1, x2)
     if y_field is x_field:
         yv = xv
-        ax = ay = _apply(_jac(x_field, q), jx)
+        ax0, ax1, ax2 = ay0, ay1, ay2 = _apply(_jac(x_field, q), jx)
     else:
-        yv = _floats(y_field.value(q))
-        jy = (cth * yv[0] - sth * yv[1], sth * yv[0] + cth * yv[1], yv[2])
-        ax = _apply(_jac(x_field, q), jy)
-        ay = _apply(_jac(y_field, q), jx)
+        yv = y_field.value(q)
+        if yv.__class__ is not tuple:
+            yv = _floats(yv)
+        y0, y1, y2 = yv
+        jy = (cth * y0 - sth * y1, sth * y0 + cth * y1, y2)
+        ax0, ax1, ax2 = _apply(_jac(x_field, q), jy)
+        ay0, ay1, ay2 = _apply(_jac(y_field, q), jx)
     c0, c1, c2 = coriolis_bilinear(params, xv, yv)
-    return (ax[0] + ay[0] + c0 / params.m11,
-            ax[1] + ay[1] + c1 / params.m22,
-            ax[2] + ay[2] + c2 / params.m33)
+    return (ax0 + ay0 + c0 / params.m11,
+            ax1 + ay1 + c1 / params.m22,
+            ax2 + ay2 + c2 / params.m33)
 
 
 def symmetric_product(x_field, y_field, params, q):
@@ -225,8 +236,8 @@ def es_self_product(params, k, cost_field):
     surge = es_surge_self_product(params, k, cost_field)
 
     def value(q):
-        q = _floats(q)
-        return np.array([surge(q[0], q[1], math.cos(q[2]), math.sin(q[2])), 0.0, 0.0])
+        x, y, th = _floats(q)
+        return np.array((surge(x, y, cos(th), sin(th)), 0.0, 0.0))
 
     return value
 
@@ -284,7 +295,7 @@ def averaged_rhs(params, b0, fields, lam, state):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (len(fields), len(fields)):
         raise ValueError("lambda matrix dimension must match field count")
-    if isinstance(state, np.ndarray):
+    if state.__class__ is not tuple and isinstance(state, np.ndarray):
         state = tuple(state.tolist())
     q = state[:3]
     # accumulated from zero, as an array sum would be
@@ -296,8 +307,8 @@ def averaged_rhs(params, b0, fields, lam, state):
                 f0 += lam_ij * s0
                 f1 += lam_ij * s1
                 f2 += lam_ij * s2
-    d = dynamics_rhs(params, state, b0)
-    return np.array((d[0], d[1], d[2], d[3] - f0, d[4] - f1, d[5] - f2))
+    d0, d1, d2, d3, d4, d5 = dynamics_rhs(params, state, b0)
+    return np.array((d0, d1, d2, d3 - f0, d4 - f1, d5 - f2))
 
 
 def closed_loop_fields(params, gains, cost_field):

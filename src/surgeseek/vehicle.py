@@ -149,11 +149,10 @@ def constants(params):
 # and sin are globals, `math`'s
 _RHS_TEMPLATE = """\
 def dynamics_rhs(params, state, u):
-    if u.__class__ is not tuple or state.__class__ is not tuple:
-        if isinstance(state, np.ndarray):
-            state = state.tolist()
-        if isinstance(u, np.ndarray):
-            u = u.tolist()
+    if state.__class__ is not tuple and isinstance(state, ndarray):
+        state = state.tolist()
+    if u.__class__ is not tuple and isinstance(u, ndarray):
+        u = u.tolist()
     {slots} = state
     u1, u2 = u
     m11, m22, m33 = params.m11, params.m22, params.m33
@@ -162,7 +161,7 @@ def dynamics_rhs(params, state, u):
 """
 
 
-_RHS_NAMESPACE = {"__name__": __name__, "np": np, "cos": cos, "sin": sin}
+_RHS_NAMESPACE = {"__name__": __name__, "ndarray": np.ndarray, "cos": cos, "sin": sin}
 exec(compile(_RHS_TEMPLATE.format(slots=", ".join(SLOTS), rates=", ".join(RATES),
                                   model=textwrap.indent(MODEL, "    ")),
              "<vehicle.MODEL>", "exec"), _RHS_NAMESPACE)
@@ -172,15 +171,16 @@ dynamics_rhs.__doc__ = """Time derivative of the 6-state under input u = (u1, u2
     It is compiled from `MODEL` and works on floats: C(v)v and D v are
     written out (the rows of D come from `params.d_rows`) and M^{-1} is applied by
     dividing by the diagonal inertia entries; D may be any valid damping
-    matrix. A numpy row given for `state` or `u` is taken as Python floats,
-    so the result is a 6-tuple of floats whatever the caller indexed: on
-    numpy scalars every operation would cost about three times as much and
-    carry that type into an RK4 loop's later stages. Given a tuple of state
-    slots whose velocities are equal-length columns and whose heading is a
-    float (`math.cos` takes no column), and a tuple of two input columns,
-    the same arithmetic evaluates every sample in one call and returns
-    six columns, bit-equal to the per-sample floats at that heading. The
-    velocity derivatives do not read the heading.
+    matrix. A numpy row given for `state` or `u` is taken as Python floats
+    by one `.tolist()`, so the result is a 6-tuple of floats whatever the
+    caller indexed. A row adds 0.15-0.25 us to a call that takes 0.6 us on
+    tuples; on numpy scalars the call would take 1.8 us (2-vCPU x86-64 VM,
+    Python 3.11) and carry that type into an RK4 loop's later stages. Given
+    a tuple of state slots whose velocities are equal-length columns and
+    whose heading is a float (`math.cos` takes no column), and a tuple of
+    two input columns, the same arithmetic evaluates every sample in one
+    call and returns six columns, bit-equal to the per-sample floats at
+    that heading. The velocity derivatives do not read the heading.
     """
 
 

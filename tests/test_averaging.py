@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from surgeseek.averaging import (ConfigVectorField, averaged_rhs,
                                  symmetric_product, xi_field)
 from surgeseek.costs import get_field, quadratic_cost
 from surgeseek.dither import DitherComponent, DitherSet, EsGains, es_dither_set
-from surgeseek.vehicle import dynamics_rhs, reference_boat
+from surgeseek.vehicle import VehicleParams, dynamics_rhs, reference_boat
 
 from oracles import coriolis, inertia_inv, kinematic_matrix, second_derivative_term_fd
 
@@ -362,6 +363,66 @@ def test_averaged_rhs_of_array_row_equals_float_tuple_bit_for_bit():
         from_tuple = averaged_rhs(BOAT, B0, fields, lam, tuple(row.tolist()))
         assert isinstance(from_row, np.ndarray) and from_row.shape == (6,)
         assert from_row.tobytes() == from_tuple.tobytes()
+
+
+COUPLED = VehicleParams(1.0, 2.0, 0.5, np.array([[2.0, 0.3, 0.1], [0.3, 3.0, 0.2],
+                                                [0.1, 0.2, 1.0]]))
+
+# sha256 of `route_bytes` per vessel and cost field: the bits that the
+# generic averaging route and the model give on seeded states
+ROUTE_SHA256 = {
+    ("boat", "quadratic"):
+        "b7cf58b30f10a601be17c44e581c07a98cbc747e686371fe08aaaee0fc73feb3",
+    ("boat", "rotated_quadratic"):
+        "cdee1eb2de0e73a3f77c73bcc5b46c94248437a78ba15414e28166acd79af292",
+    ("boat", "log_bowl"):
+        "798ce9ece90d794fefa93c2bbc3e1aae02d3e4ec9bbce8ac2432e8d58932c2a6",
+    ("coupled", "quadratic"):
+        "993fac14bc8b2b54332867705607445910f916427e42bd28fc464a316cba8d0f",
+    ("coupled", "rotated_quadratic"):
+        "3e71faee14e895cfb1ef93a92e749fbd2eebea4813d838556ce6f666bc865c41",
+    ("coupled", "log_bowl"):
+        "7f332226836c99bb7bd680df665da77f0d63e7897848a4fed27f7307429df77a",
+}
+
+
+def route_bytes(p, name):
+    """The outputs of `averaged_rhs`, `symmetric_product`, `es_self_product`
+    and `dynamics_rhs` on 25 seeded states, as bytes: array rows and float
+    tuples mixed, fields returning tuples and arrays, and Jacobians analytic
+    and by finite differences."""
+    cost = get_field(name)
+    b1 = es_input_field(p, 1.3, cost)
+    fd = ConfigVectorField(b1.value)
+    rng = np.random.default_rng(36)
+    # a field whose Jacobian has no zero entry, so that every sum counts
+    a = rng.uniform(-2.0, 2.0, (3, 3))
+    b2 = ConfigVectorField(lambda q: a @ np.array([q[0], q[1] ** 2, math.sin(q[2])]),
+                           lambda q: a * np.array([1.0, 2.0 * q[1], math.cos(q[2])]))
+    closed = es_self_product(p, 1.3, cost)
+    lam = np.array([[0.25, -0.1], [-0.1, 0.5]])
+    out = []
+    for row, u in zip(rng.uniform(-3.0, 3.0, (25, 6)), rng.uniform(-2.0, 2.0, (25, 2))):
+        state, ut = tuple(row.tolist()), tuple(u.tolist())
+        q, qt = row[:3], state[:3]
+        out += [averaged_rhs(p, B0, [b1], [[0.25]], row),
+                averaged_rhs(p, ut, [b1, b2], lam, state),
+                averaged_rhs(p, u, [fd, b2], lam, row),
+                symmetric_product(b1, b1, p, q), symmetric_product(b1, b1, p, qt),
+                symmetric_product(fd, fd, p, qt), symmetric_product(b1, b2, p, qt),
+                symmetric_product(b2, fd, p, q),
+                closed(q), closed(qt),
+                dynamics_rhs(p, state, ut), dynamics_rhs(p, state, u),
+                dynamics_rhs(p, row, ut), dynamics_rhs(p, row, u)]
+    return b"".join(np.array(value, dtype=float).tobytes() for value in out)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])
+@pytest.mark.parametrize("vessel", ["boat", "coupled"])
+def test_the_generic_route_keeps_its_bits(vessel, name):
+    p = {"boat": BOAT, "coupled": COUPLED}[vessel]
+    digest = hashlib.sha256(route_bytes(p, name)).hexdigest()
+    assert digest == ROUTE_SHA256[vessel, name]
 
 
 def test_body_input_field_maps_through_inertia():
