@@ -336,8 +336,11 @@ def _rolling_mean(values, window):
 
 
 def period_window_samples(traj, epsilon):
-    """Number of samples spanning one dither period 2*pi*eps."""
-    return max(1, int(round(2.0 * math.pi * epsilon / traj.step)))
+    """Number of samples spanning one dither period 2*pi*eps, at most the
+    record's: a period longer than the run averages the whole run. The
+    clamp is taken on the float, which may be too large for an int."""
+    span, samples = 2.0 * math.pi * epsilon / traj.step, len(traj.t)
+    return max(1, int(round(span))) if span < samples else samples
 
 
 def final_error(traj, minimizer, epsilon):

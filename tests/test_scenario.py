@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -717,6 +718,26 @@ def test_compare_forks_one_child_on_two_cpus_and_writes_the_same_bytes(
     for cpus in ({0}, None):
         assert _cli_compare(monkeypatch, capsys, compare_dir, cpus) == (0, "", forked)
     assert len(starts) == 1
+
+
+@pytest.mark.parametrize("edit", [("epsilon = 0.1", "epsilon = 1e20"),
+                                  ("epsilon = 0.1", "epsilon = 1e308"),
+                                  ("horizon = 5.0", "horizon = 1e-300")])
+def test_compare_averages_the_whole_run_over_a_longer_dither_period(
+        monkeypatch, capsys, compare_dir, edit):
+    # a dither period longer than the run, or one too many samples long
+    # for an int, takes every sample of the record as its window
+    path = compare_dir / "scenario.ini"
+    path.write_text(path.read_text().replace(*edit))
+    code, err, written = _cli_run("compare", monkeypatch, capsys, compare_dir, {0})
+    assert (code, err) == (0, "")
+    metrics = json.loads(written["compare_meta.json"])["metrics"]
+    s = sc.load_scenario(str(path))
+    traj = sc.run_full(s)
+    assert sc.period_window_samples(traj, s.gains.epsilon) == len(traj.t)
+    errors = np.hypot(traj.states[:, 0] - 2.0, traj.states[:, 1] - 3.0)
+    assert math.isfinite(metrics["final_error"])
+    assert metrics["final_error"] == pytest.approx(float(np.mean(errors)), rel=1e-12)
 
 
 def test_compare_reports_a_child_that_dies(monkeypatch, capsys, compare_dir):
