@@ -32,13 +32,14 @@ stage's call out as its statements, and the calls of the laws in its
 closure in turn, bound to the values of their free variables, so a step
 calls only what they call and builds no stage or rate tuple; the same
 expressions run in the same order, so the floats are those of calling it.
-Any other callable is called. A law's step reads each bound value, and
-each +, -, * or unary - of them and constants (on floats, which laws are
-bound to, it cannot raise), from a local computed once per call, before
-the first step (see `_Hoist`); what laws share within a step their texts
-state once. The loop is generated once per state length and `_loop` key,
-and cached; it takes a range of steps, so `step_rows` can step one run in
-consecutive ranges of rows, reading those stepped in between.
+Any other callable is called, and so is a law bound to a value that is not
+a float or a callable. A law's step reads each bound value, and each +, -,
+* or unary - of them and constants (on floats it cannot raise), from a
+local computed once per call, before the first step (see `_Hoist`); what
+laws share within a step their texts state once. The loop is generated
+once per state length and `_loop` key, and cached; it takes a range of
+steps, so `step_rows` can step one run in consecutive ranges of rows,
+reading those stepped in between.
 
 Blow-up rule: a step that leaves the state non-finite is a blow-up, and so
 is an error of a stage's RHS: an OverflowError always, and a ValueError
@@ -153,7 +154,8 @@ def define_laws(source, names):
     code, which every function of that law that `bind` returns shares. The
     same source and names give the same `bind`, so the laws of one text,
     bound to any values (a sweep's runs, say), share one compile. Raises a
-    ValueError for a law of any other form. Bind only floats (see `_Hoist`).
+    ValueError for a law of any other form. A law bound to a value that is
+    not a float or a callable is called, not written out (see `_loop`).
     """
     laws = ast.parse(source).body
     namespace = {}
@@ -314,8 +316,9 @@ class _Hoist(ast.NodeTransformer):
     operation of them, from a local; `prologue` maps the text that computes
     a local, once per call of the loop, to its name (from `fresh`), each
     after those it reads. The prologue runs before the loop's `try`, even
-    for no steps: exact only if `values` are floats, as every runner binds
-    and nothing checks (a huge int times 1.0 raises OverflowError there)."""
+    for no steps: exact only if `values` are floats (a huge int times 1.0
+    raises OverflowError there), so `_loop` calls a law bound to another
+    value instead."""
 
     def __init__(self, values, fresh):
         self.values, self.fresh = values, fresh
@@ -493,12 +496,14 @@ def _rk4_loop(m, key=None):
 def _loop(rhs, m):
     """The RK4 loop that steps `rhs` on states of length m: a law written out
     with the laws of its `_tree`, bound to its values; any other callable
-    called. The loop of a law is keyed on the codes of the laws of its tree,
-    with None for any other value, so the runs of one text share a loop
-    whatever their values."""
-    if _law_code(rhs) is None:
+    called, and so is a law whose tree holds a value that is not a float or
+    a callable, since `_Hoist`'s prologue is exact on floats only. The loop
+    of a law is keyed on the codes of the laws of its tree, with None for
+    any other value, so the runs of one text share a loop whatever their
+    values."""
+    values = [value for *_, value in _tree(rhs)] if _law_code(rhs) else None
+    if values is None or not all(type(v) is float or callable(v) for v in values):
         return _rk4_loop(m)(rhs)
-    values = [value for *_, value in _tree(rhs)]
     return _rk4_loop(m, (rhs.__code__, *map(_law_code, values)))(rhs, *values)
 
 

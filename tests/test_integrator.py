@@ -390,6 +390,29 @@ def test_laws_that_read_one_closure_cell_share_a_loop_whatever_their_values():
     assert _loop(other, 2).__code__ is _loop(f, 2).__code__
 
 
+@pytest.mark.parametrize("p", [None, 10 ** 400, 2, np.float64(1.5), 1.5],
+                         ids=["none", "huge_int", "int", "numpy_float", "float"])
+@pytest.mark.parametrize("steps", [0, 2])
+def test_a_law_bound_to_a_non_float_steps_what_its_wrapped_self_steps(p, steps):
+    # a law's loop computes p - 1.0 once per call, before its first step,
+    # which is exact on floats only: a law bound to another value is called,
+    # so it steps nothing, or raises or blows up, where its wrapped self does
+    [law] = define_laws("def f(t, y):\n    y0, = y\n    return (y0 * (p - 1.0),)\n",
+                        ("p",))(p)
+
+    def outcome(rhs):
+        states = np.ones((steps + 1, 1))
+        try:
+            integrator.step_rows(rhs, states, 0.1, 0, steps)
+        except BlowUpError as exc:
+            return exc.time, type(exc.__cause__)
+        except TypeError as exc:
+            return exc.args
+        return states.tobytes()
+
+    assert outcome(law) == outcome(lambda t, y: law(t, y))
+
+
 def test_a_laws_loop_reads_each_value_once_per_call():
     # from a local bound before the steps, not from its closure cell at
     # each use, with the bytes of its wrapped self
