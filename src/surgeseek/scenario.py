@@ -37,6 +37,7 @@ import numpy as np
 from . import costs
 from .averaging import AVERAGED_STEPS, LAMBDA_11, es_product_gain, es_surge_self_product
 from .dither import EsGains, surge_law
+from .formatting import format_block
 from .integrator import (IntegratorSettings, Trajectory, allocate, dividing_step, hermite,
                          integrate, prepare, step_rows)
 from .passivity import c_hat_bound
@@ -191,11 +192,10 @@ def _integrate(scenario, rhs, step, name, eps=""):
                          IntegratorSettings(step=step(scenario), tf=scenario.horizon))
 
 
-# rows per block that `_mapped` reads and `_write_rows` writes: for the
-# reference full run a whole column as floats, or the trajectory stacked
-# whole, is a megabyte-sized temporary, and freeing one that large makes
-# malloc keep later arrays on the heap (+2 MB peak RSS over repeated CLI
-# compare runs)
+# rows per block that `_mapped` reads: for the reference full run a whole
+# column as floats is a megabyte-sized temporary, and freeing one that
+# large makes malloc keep later arrays on the heap (+2 MB peak RSS over
+# repeated CLI compare runs)
 _BLOCK_ROWS = 1024
 
 
@@ -676,28 +676,36 @@ def _fmt(x):
 
 
 # numbers (rows x columns) of a full-run CSV above which `write_full_run`
-# writes it in shares. On two vCPUs (median wall time of 20 alternating
-# fresh CLI runs of scenarios/benchmark.ini) a split paid for the full run's
-# 318,320 numbers, `simulate` taking 0.80 s split and 0.90 s not, but not
-# for the averaged run's 100,010, `average` taking 0.54 s split and 0.52 s
-# not; the bound sits between the two
+# writes it in shares. On two vCPUs (median wall time of 12 alternating
+# fresh CLI runs each) a split paid for the full run's 318,320 numbers,
+# `simulate` of scenarios/benchmark.ini taking 0.568 s split and 0.625 s
+# not, but not for 99,960, the size of the averaged run's 100,010: the same
+# `simulate` at horizon 31.4 took 0.371 s split and 0.326 s not (`average`,
+# in one share, 0.300 s); the bound sits between the two
 _SPLIT_NUMBERS = 200_000
+
+
+# numbers per block that `_write_rows` formats: a block's largest arrays,
+# its fields of 24 bytes a number, stay under glibc's 128 KiB mmap
+# threshold, so that freeing one does not raise the threshold and leave
+# later arrays on the heap (+2 MB peak RSS over repeated CLI compare runs
+# at 10,240 numbers a block)
+_BLOCK_NUMBERS = 4096
 
 
 def _write_rows(path, header, columns):
     """Write `header` (none if None), then the rows of `columns`, to `path`.
 
-    Each block of rows is formatted by one `%` over a template of that many
-    rows.
+    Each block of rows is formatted by `formatting.format_block`, so every
+    number is written as `'%.15g'` writes it.
     """
-    with open(path, "w", newline="") as f:
+    with open(path, "wb") as f:
         if header is not None:
-            f.write(header + "\n")
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-            rows, width = block.shape
-            row = ",".join(["%.15g"] * width) + "\n"
-            f.write((row * rows) % tuple(block.ravel().tolist()))
+            f.write(header.encode() + b"\n")
+        width = sum(np.shape(c)[1] if np.ndim(c) == 2 else 1 for c in columns)
+        rows = max(1, _BLOCK_NUMBERS // width)
+        for start in range(0, len(columns[0]), rows):
+            f.write(format_block(np.column_stack([c[start:start + rows] for c in columns])))
 
 
 @contextlib.contextmanager

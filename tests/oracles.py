@@ -1,6 +1,6 @@
 """
-Test oracles: second statements of the vessel model, the cost gradient and
-the general oscillatory input.
+Test oracles: second statements of the vessel model, the cost gradient,
+the general oscillatory input and the trajectory CSV's bytes.
 
 The package states the model once, in `vehicle.MODEL`, and each closed form
 once. The matrices and finite-difference routes below restate them
@@ -119,3 +119,15 @@ def averaged_closure(scenario):
         return (dx, dy, dth, dvx - LAMBDA_11 * forcing, dvy, dom)
 
     return rhs
+
+
+def template_csv(header, columns):
+    """The bytes of the CSV of `columns` under `header` (none if None), as
+    one `%` over a template of `'%.15g'` fields writes them: the route
+    `scenario._write_rows` formatted its blocks by before it formatted them
+    on numpy arrays."""
+    block = np.column_stack(columns)
+    rows, width = block.shape
+    row = ",".join(["%.15g"] * width) + "\n"
+    text = "" if header is None else header + "\n"
+    return (text + (row * rows) % tuple(block.ravel().tolist())).encode()

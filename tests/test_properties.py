@@ -4,11 +4,14 @@ Skew-symmetric Coriolis forces, symmetric products (and the seeking law's
 closed form agreeing with the generic one), the steady-state solve (the
 pure spin c/d33 for diagonal damping, a root or a RuntimeError for coupled
 damping), a non-positive storage residual below the torque bound, RK4's
-fourth order, and a run stepped in two ranges of rows giving the bits of
-one `integrate`. Examples are derandomized so
-that a run of the suite is reproducible.
+fourth order, a run stepped in two ranges of rows giving the bits of
+one `integrate`, and the trajectory CSV writer giving the bytes of
+`'%.15g'`. Examples are derandomized so that a run of the suite is
+reproducible.
 """
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from surgeseek.passivity import (c_hat_bound, monotonicity_check, passivity_resi
                                  steady_state_for_torque)
 from surgeseek.vehicle import VehicleParams, reference_boat
 
-from oracles import coriolis
+from oracles import coriolis, template_csv
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -179,3 +182,104 @@ def test_a_blow_up_after_the_split_is_the_blow_up_of_one_integrate(split):
         _in_two_ranges(rhs, i)
     assert two.value.time == one.value.time == h * (j + 1)
     assert two.value.state.tobytes() == one.value.state.tobytes()
+
+
+def _written(columns):
+    """The bytes `_write_rows` writes for `columns` under the header "h"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        sc._write_rows(path, "h", columns)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+def _columns(values, width, rows=None, ints=None):
+    """`values` in rows of `width` numbers, repeated into `rows` rows, as a
+    column and a block of the rest; `ints`, if given, repeated into the
+    first column. `rows` None gives as many rows as hold each value once,
+    and "edge" one row more than a block of `_write_rows`."""
+    values = np.asarray(values, dtype=np.float64)
+    if rows is None:
+        rows = -(-len(values) // width)
+    elif rows == "edge":
+        rows = sc._BLOCK_NUMBERS // width + 1
+    block = np.resize(values, (rows, width))
+    first = block[:, 0] if ints is None else np.resize(np.asarray(ints, dtype=np.int64), rows)
+    return [first] + ([block[:, 1:]] if width > 1 else [])
+
+
+def _bits(low, high):
+    """The float64 bit patterns of the non-negative floats in [low, high]."""
+    return np.array([low, high]).view(np.int64).tolist()
+
+
+SIGN = 1 << 63
+IN_RANGE = _bits(1e-8, 1e15)
+# any float64 (nan, inf, subnormals among them), and, mostly, the finite
+# ones of magnitude in [1e-8, 1e15) that the writer formats on arrays
+FLOAT_BITS = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    st.tuples(st.integers(*IN_RANGE), st.sampled_from([0, SIGN])).map(lambda b: b[0] | b[1]))
+
+
+def _seeded_bits(seed, count=300):
+    """`count` float64 bit patterns from `seed`: a third of any float64, the
+    rest of magnitude in [1e-8, 1e15), either sign. Hypothesis's own draws
+    crowd the ends of a range; these spread over it, so that some fall where
+    only the product's low part decides the rounding."""
+    rng = np.random.default_rng(seed)
+    any_bits = rng.integers(0, 2 ** 64, count // 3, dtype=np.uint64)
+    in_range = rng.integers(*IN_RANGE, count - count // 3, dtype=np.uint64)
+    return np.concatenate([any_bits, in_range | rng.choice(np.uint64([0, SIGN]), len(in_range))])
+
+
+@PROPERTY
+@given(st.lists(FLOAT_BITS, max_size=40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, 3, 10]), st.sampled_from([None, 0, 1, "edge"]),
+       st.none() | st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=8))
+def test_the_csv_writer_writes_the_bytes_of_the_template(bits, seed, width, rows, ints):
+    values = np.concatenate([np.array(bits, dtype=np.uint64), _seeded_bits(seed)])
+    columns = _columns(values.view(np.float64), width, rows, ints)
+    assert _written(columns) == template_csv("h", columns)
+
+
+def _near(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+# the values where the writer changes route or form, or rounds a tie: a
+# decade that log10 alone misjudges (99999999999.9999 is 1e11 to it), the
+# exact ties (2j + 1) / 8 + 1e12 and 1e14 + j + 0.5 at the 15th digit
+# (and (2j + 1) / 8 + 1e13, a quarter unit either side of one), and
+# numbers whose hi is a tie that lo breaks up (2.503...e-07 and on), down
+# (61897.7... and on), or only by its last term (2.678...e-05 and on)
+EDGES = ([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+          math.nan, math.inf, -math.inf,
+          99999999999.9999, 999999999999999.9, 9.999999999999999e-05]
+         + [y for k in range(-9, 16) for x in (float(f"1e{k}"), -float(f"1e{k}"))
+            for y in _near(x) + [x * (1 + 1e-13)]]
+         + [(2 * j + 1) / 8 + 1e13 for j in range(8)] + [(2 * j + 1) / 8 + 1e12 for j in range(8)]
+         + [1e14 + j + 0.5 for j in range(-4, 4)] + [-(1e14 + j + 0.5) for j in range(-4, 4)]
+         + [2.503008924174765e-07, 60077.339127225256, 465.5435156360645,
+            61897.74639338055, 1224361.023655535, 0.5725885143944335,
+            2.678435230270105e-05, 0.4998282172943545, 15.19677889788865])
+
+
+@pytest.mark.parametrize("rows", [0, 1, None, "edge"])
+@pytest.mark.parametrize("width", [1, 2, 3, 10])
+def test_the_csv_writer_writes_the_template_s_bytes_of_the_edge_values(width, rows):
+    columns = _columns(EDGES, width, rows)
+    assert _written(columns) == template_csv("h", columns)
+    ints = _columns(EDGES, width, rows, ints=[0, -1, 10 ** 15, 2 ** 63 - 1, -2 ** 63])
+    assert _written(ints[:1]) == template_csv("h", ints[:1])
+    assert _written(ints) == template_csv("h", ints)
+
+
+@pytest.mark.parametrize("error", [-1e-12, 1e-12])
+def test_the_csv_writer_does_not_trust_log10_next_to_a_power_of_ten(monkeypatch, error):
+    # a log10 that errs by 1e-12 either way misjudges the decade of the
+    # numbers within about 2.3e-12 of a power of ten; the product shows it
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+    columns = _columns(EDGES, 3)
+    assert _written(columns) == template_csv("h", columns)
