@@ -54,30 +54,33 @@ def _check_finite(**values):
 
 def _field_laws(names, shared, value, gradient, extra=""):
     """`bind` of a field's laws over the names `names` (see
-    `integrator.define_laws`): value, gradient and value_gradient of (x, y)
-    each run the statements `shared` (the last two then `extra` as well) and
-    return the expression `value`, the components `gradient` or both. So
-    each is stated once, and value_gradient computes what they share once.
-    A runner's RK4 loop writes a call to one out where its call is an
-    assignment's whole value; any other call is called."""
+    `integrator.define_laws`), which include the minimizer's `x_star` and
+    `y_star`: value, gradient and value_gradient of (x, y) each state the
+    offset `dx, dy` from the minimizer, run the statements `shared` (the
+    last two then `extra` as well) and return the expression `value`, the
+    components `gradient` or both. So each is stated once, and
+    value_gradient computes what they share once. A runner's RK4 loop
+    writes a call to one out where its call is an assignment's whole value;
+    any other call is called."""
+    offset = "    dx, dy = x - x_star, y - y_star\n"
     return define_laws(f"""\
 def value(x, y):
-{shared}    return {value}
+{offset}{shared}    return {value}
 
 def gradient(x, y):
-{shared}{extra}    return ({gradient})
+{offset}{shared}{extra}    return ({gradient})
 
 def value_gradient(x, y):
-{shared}{extra}    return ({value}, {gradient})
+{offset}{shared}{extra}    return ({value}, {gradient})
 """, names)
 
 
-# The quadratic form's terms a (x - x_star)^2 and b (y - y_star)^2 and its
-# gradient's components, in the quadratic's and the log bowl's laws; the log
-# bowl's value adds the terms and its gradient's denominator adds them to 1.0
-_TERMS = ("a * (x - x_star) ** 2", "b * (y - y_star) ** 2")
-_FORM_X = "2.0 * a * (x - x_star)"
-_FORM_Y = "2.0 * b * (y - y_star)"
+# The quadratic form's terms a dx^2 and b dy^2 and its gradient's
+# components, in the quadratic's and the log bowl's laws; the log bowl's
+# value adds the terms and its gradient's denominator adds them to 1.0
+_TERMS = ("a * dx ** 2", "b * dy ** 2")
+_FORM_X = "2.0 * a * dx"
+_FORM_Y = "2.0 * b * dy"
 _FORM_NAMES = ("a", "b", "x_star", "y_star", "floor")
 
 _QUADRATIC = _field_laws(_FORM_NAMES, "", f"{_TERMS[0]} + {_TERMS[1]} + floor",
@@ -90,7 +93,6 @@ _LOG_BOWL = _field_laws((*_FORM_NAMES, "log1p"),
 # in the principal axes: the offset from the minimizer rotated by the angle
 # whose cosine and sine are c and s
 _ROTATED_QUADRATIC = _field_laws((*_FORM_NAMES, "c", "s"), """\
-    dx, dy = x - x_star, y - y_star
     p = c * dx + s * dy
     q = -s * dx + c * dy
 """, "a * p * p + b * q * q + floor",
