@@ -1,6 +1,6 @@
 """Surge-force extremum seeking for planar underactuated vehicles."""
 from .averaging import (ConfigVectorField, averaged_rhs, double_integrator_demo,
-                        lambda_matrix, lie_bracket, symmetric_product, xi_field)
+                        lambda_matrix, lie_bracket, symmetric_product)
 from .costs import CostField, get_field, quadratic_cost
 from .dither import DitherComponent, DitherSet, EsGains, es_dither_set, validate_dither
 from .integrator import BlowUpError, IntegratorSettings, Trajectory, integrate

@@ -23,9 +23,9 @@ from math import cos, sin
 
 import numpy as np
 
+from .dither import sample_period, simpson
 from .integrator import (IntegratorSettings, Trajectory, define_laws, dividing_step,
                          hermite, integrate)
-from .quadrature import sample_period, simpson
 from .vehicle import dynamics_rhs
 
 # RK4 steps over the horizon for averaged systems: they carry no dither, so
@@ -243,7 +243,7 @@ def es_self_product(params, k, cost_field):
 
 
 # ---------------------------------------------------------------------------
-# dither averaging weights and the oscillatory correction
+# dither averaging weights
 
 # Lambda_11 of the seeking law's single cosine dither, (1/2T) int_0^T sin^2
 # over T = 2 pi; `lambda_matrix` of `dither.es_dither_set` reproduces it
@@ -253,8 +253,8 @@ LAMBDA_11 = 0.25
 def lambda_matrix(dither_set):
     """Gram matrix of integrated dithers: (1/2T) int_0^T W_i W_j ds.
 
-    W_i is each component's closed-form `w_integral`, the same W that
-    `xi_field` reads, sampled on the `sample_period` grid.
+    W_i is each component's closed-form `w_integral`, sampled on the
+    `sample_period` grid.
     """
     comps = dither_set.components
     period = comps[0].period
@@ -271,14 +271,6 @@ def lambda_matrix(dither_set):
         for j in range(i, m):
             lam[i, j] = lam[j, i] = simpson(samples[i] * samples[j], h) / (2.0 * period)
     return lam
-
-
-def xi_field(dither_set, params, t, q):
-    """Time-varying correction Xi(t, q) = sum_i (int_0^t w_i) B_i(q)."""
-    xi = np.zeros(3)
-    for comp in dither_set.components:
-        xi += comp.w_integral(t) * body_input_field(params, comp.shape).value(q)
-    return xi
 
 
 # ---------------------------------------------------------------------------

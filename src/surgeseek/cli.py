@@ -68,8 +68,8 @@ def _runs(args, names, meta, extra=lambda s, *runs: {}):
     `sc.write_full_run`, which on two CPUs writes a long CSV in three
     shares while the run is integrating, the averaged run's
     `sc.run_to_csv` of `sc.run_averaged`; each returns its run's times and
-    states only. Before a child is forked, this process builds both runs'
-    loops (`sc.build_loops`), so the child does not. The CSVs and the meta
+    states only. With two runs this process builds both runs' loops first
+    (`sc.build_loops`), so a forked child does not. The CSVs and the meta
     are renamed into place together, only once every run, every write and
     the meta have succeeded. Returns the scenario, the path of each CSV and
     the added keys."""
@@ -144,12 +144,8 @@ def cmd_sweep(args):
     path = os.path.join(out, f"sweep_{args.axis}.csv")
     with _renamed(path) as (temp,):
         sc.write_metrics_csv(rows, temp)
-    warnings = {}  # each distinct warning once, in the order of the values
-    for value in values:
-        # a value that fails its scenario fails its row instead
-        with contextlib.suppress(Exception):
-            warnings.update(dict.fromkeys(sc._with_value(s, args.axis, value).warnings))
-    _print_warnings(warnings)
+    # each distinct warning once, in the order of the values
+    _print_warnings(dict.fromkeys(w for row in rows for w in row["warnings"]))
     print(path)
     return 0 if all(r["status"] == "ok" for r in rows) else 1
 

@@ -15,7 +15,8 @@ the force, measurement noise) is written there alone.
 The general input family is u = b0 + (1/eps) * sum_i b_i(q) w_i(t/eps)
 with T-periodic dithers w_i. Admissible dithers must have zero mean and
 zero iterated mean over one period; `validate_dither` checks both by
-composite Simpson quadrature.
+composite Simpson quadrature (`simpson` over `sample_period`'s grid, which
+`averaging.lambda_matrix` integrates on as well).
 """
 import math
 from dataclasses import dataclass
@@ -23,7 +24,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import define_laws
-from .quadrature import sample_period, simpson
+
+
+# composite-Simpson panels over one dither period
+DEFAULT_PANELS = 4096
+
+
+def simpson(values, h):
+    """Composite Simpson integral of uniformly sampled values (even panel count)."""
+    n = len(values) - 1
+    if n % 2 != 0:
+        raise ValueError("simpson needs an even number of panels")
+    return (h / 3.0) * (values[0] + values[-1]
+                        + 4.0 * np.sum(values[1:-1:2])
+                        + 2.0 * np.sum(values[2:-1:2]))
+
+
+def sample_period(w, period):
+    """Sample w on `DEFAULT_PANELS` panels over one period; returns (grid, values, h)."""
+    s = np.linspace(0.0, period, DEFAULT_PANELS + 1)
+    return s, np.array([w(si) for si in s]), period / DEFAULT_PANELS
 
 
 def _require_finite_positive(name, value):

@@ -278,13 +278,14 @@ def _integrate_averaged(scenario):
 
 
 def build_loops(scenario, tasks):
-    """Where `run_forked` forks to run `tasks`, generate both runners' RK4
-    loops for `scenario` in this process first, stepping nothing, so that
-    the children inherit them: the runs of one scenario file share them,
-    whatever the gains. A runner whose right-hand side overflows (the self
-    product's gain at k = 1e200, say) is left to fail in its own run, by
-    name."""
-    if min(len(tasks), _usable_cpus()) > 1:
+    """Where there is more than one of `tasks`, which `run_forked` may
+    share out over children, generate both runners' RK4 loops for
+    `scenario` in this process first, stepping nothing, so that a child
+    inherits them: the runs of one scenario file share them, whatever the
+    gains, and tasks that run in this process step both runners anyway. A
+    runner whose right-hand side overflows (the self product's gain at
+    k = 1e200, say) is left to fail in its own run, by name."""
+    if len(tasks) > 1:
         for rhs in (_full_rhs, _averaged_rhs):
             with contextlib.suppress(ArithmeticError):
                 prepare(rhs(scenario), len(scenario.initial))
@@ -439,12 +440,13 @@ def _with_value(scenario, axis, value):
     return replace(scenario, gains=replace(scenario.gains, **{axis: value}))
 
 
-def _failed_row(value, reason):
+def _failed_row(value, reason, warnings):
     return {
         "param_value": value,
         "final_error": math.nan, "conv_time_r": math.nan,
         "path_length": math.nan, "sup_deviation": math.nan,
         "status": reason.replace("\n", " ").replace(",", ";"),
+        "warnings": warnings,
     }
 
 
@@ -457,32 +459,32 @@ def _sweep_run(run, scenario):
         return str(exc)
 
 
-def _full_positions(scenario):
-    """A sweep's full run: its times and its x and y columns, all that the
-    metrics read of it. The other columns are dropped in the process that
-    integrates it, so a forked worker sends back a third of the run."""
-    traj = _integrate_full(scenario)
-    return Trajectory(traj.t, traj.states[:, :2].copy())
+def _leading_columns(run, columns, scenario):
+    """A sweep's run: the times and the first `columns` state columns of
+    `run(scenario)`, all that the metrics read of it. The other columns are
+    dropped in the process that integrates it, so a forked worker sends
+    back no more."""
+    traj = run(scenario)
+    return Trajectory(traj.t, traj.states[:, :columns].copy())
 
 
-def _averaged_states(scenario):
-    """A sweep's averaged run without its omega column: its times and the
-    x, y, theta, vx and vy that the metrics' Hermite positions read."""
-    traj = _integrate_averaged(scenario)
-    return Trajectory(traj.t, traj.states[:, :5].copy())
+# the full run's x and y; the averaged run's x, y, theta, vx and vy, which
+# the metrics' Hermite positions read
+_full_positions = partial(_leading_columns, _integrate_full, 2)
+_averaged_states = partial(_leading_columns, _integrate_averaged, 5)
 
 
 def _sweep_row(value, scenario, full, averaged):
-    """The metrics row of one value from its two runs. A run that failed,
-    given as the text of its error, or failing metrics give a row naming
-    why."""
+    """The metrics row of one value from its two runs, with the warnings of
+    its scenario. A run that failed, given as the text of its error, or
+    failing metrics give a row naming why."""
     for run in (full, averaged):
         if isinstance(run, str):
-            return _failed_row(value, run)
+            return _failed_row(value, run, scenario.warnings)
     try:
         metrics = compare(full, averaged, scenario)
     except Exception as exc:
-        return _failed_row(value, str(exc))
+        return _failed_row(value, str(exc), scenario.warnings)
     return {
         "param_value": value,
         "final_error": metrics.final_error,
@@ -490,6 +492,7 @@ def _sweep_row(value, scenario, full, averaged):
         "path_length": metrics.path_length,
         "sup_deviation": metrics.sup_deviation,
         "status": "ok",
+        "warnings": scenario.warnings,
     }
 
 
@@ -614,10 +617,11 @@ def sweep(base, axis, values):
     """Run the full loop per value; pair each with its averaged run.
 
     Returns a list of row dicts matching the metrics CSV columns, in the
-    order of `values`. Failing runs are recorded with their reason and the
-    sweep continues. A sweep records states only: `compare` reads the
-    states and times, so the cost and input columns of `run_full` and
-    `run_averaged` are never built.
+    order of `values`, each with the `warnings` of its value's scenario (an
+    empty list where that scenario did not build). Failing runs are
+    recorded with their reason and the sweep continues. A sweep records
+    states only: `compare` reads the states and times, so the cost and
+    input columns of `run_full` and `run_averaged` are never built.
 
     Each run is one task of `run_forked`, costed at its RK4 step count: one
     full run per value, and one averaged run per distinct (k, c), since the
@@ -641,16 +645,18 @@ def sweep(base, axis, values):
         return len(tasks) - 1
 
     averaged = {}   # (k, c): the index of its averaged run's task
-    pairs = []      # per value: its scenario and its two runs' task indices
+    pairs = []      # per value: its failed row, or its scenario and two runs' task indices
     for value in values:
+        warnings = []   # a scenario that does not build has none
         try:
             scenario = _with_value(base, axis, value)
+            warnings = scenario.warnings
             # the full run's step count, its task's cost: where it is not a
             # number (a subnormal epsilon's), the run fails as on its own
             with _run_failure(scenario, "full", _full_eps(scenario)):
                 steps = round(scenario.horizon / _full_step(scenario))
         except Exception as exc:
-            pairs.append(str(exc))
+            pairs.append(_failed_row(value, str(exc), warnings))
             continue
         key = (scenario.gains.k, scenario.gains.c)
         if key not in averaged:
@@ -663,7 +669,7 @@ def sweep(base, axis, values):
 
     build_loops(base, tasks)
     runs = run_forked(tasks, exited, costs)
-    return [_failed_row(value, pair) if isinstance(pair, str)
+    return [pair if isinstance(pair, dict)
             else _sweep_row(value, pair[0], runs[pair[1]], runs[pair[2]])
             for value, pair in zip(values, pairs)]
 

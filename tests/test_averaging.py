@@ -10,7 +10,7 @@ from surgeseek.averaging import (ConfigVectorField, averaged_rhs,
                                  double_integrator_fields, es_input_field,
                                  es_self_product, fd_jacobian,
                                  iterated_bracket, lambda_matrix, lie_bracket,
-                                 symmetric_product, xi_field)
+                                 symmetric_product)
 from surgeseek.costs import get_field, quadratic_cost
 from surgeseek.dither import DitherComponent, DitherSet, EsGains, es_dither_set
 from surgeseek.vehicle import VehicleParams, dynamics_rhs, reference_boat
@@ -245,30 +245,6 @@ def test_lambda_period_mismatch():
     dset = DitherSet(b0=np.zeros(2), components=(_cos_component(), bad))
     with pytest.raises(ValueError, match="period"):
         lambda_matrix(dset)
-
-
-# ---------------------------------------------------------------------------
-# oscillatory correction
-
-def test_xi_zero_at_start():
-    dset = es_dither_set(EsGains(k=1.0, c=1.0, epsilon=0.1), COST)
-    assert np.allclose(xi_field(dset, BOAT, 0.0, np.zeros(3)), 0.0)
-
-
-def test_xi_quarter_period_value():
-    dset = es_dither_set(EsGains(k=1.0, c=1.0, epsilon=0.1), COST)
-    xi = xi_field(dset, BOAT, math.pi / 2, np.zeros(3))
-    assert xi[0] == pytest.approx(9.5 / 1.412, abs=1e-9)
-    assert xi[1] == 0.0 and xi[2] == 0.0
-
-
-def test_xi_vanishes_after_full_period():
-    # a constant shape with a yaw channel, unlike the seeking law's
-    comp = DitherComponent(w=math.cos, shape=lambda q: np.array([2.0, 0.5]),
-                           period=TWO_PI, w_integral=math.sin)
-    dset = DitherSet(b0=np.zeros(2), components=(comp,))
-    xi = xi_field(dset, BOAT, TWO_PI, np.zeros(3))
-    assert np.allclose(xi, 0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic", "log_bowl"])

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from surgeseek.costs import quadratic_cost
-from surgeseek.dither import (DitherComponent, DitherSet, EsGains, es_dither_set, surge_law,
-                              validate_dither)
-from surgeseek.quadrature import sample_period, simpson
+from surgeseek.dither import (DitherComponent, DitherSet, EsGains, es_dither_set,
+                              sample_period, simpson, surge_law, validate_dither)
 
 from oracles import general_input
 
@@ -82,6 +81,11 @@ def test_surge_period_average_zero_with_frozen_measurement():
     assert abs(simpson(values, h)) < 1e-9
 
 
+def test_simpson_needs_an_even_number_of_panels():
+    with pytest.raises(ValueError, match="even number of panels"):
+        simpson(np.ones(4), 0.1)
+
+
 def test_general_input_matches_es_control_law():
     gains = EsGains(k=1.0, c=1.0, epsilon=0.1)
     field = quadratic_cost()
@@ -144,7 +148,7 @@ def test_gains_name_the_bad_field(name, value):
 
 
 def test_dither_component_needs_w_integral_zero_at_start():
-    # xi_field reads w_integral(t) as int_0^t w, which needs w_integral(0) = 0
+    # lambda_matrix reads w_integral(t) as int_0^t w, which needs w_integral(0) = 0
     with pytest.raises(ValueError, match="w_integral"):
         DitherComponent(w=math.cos, shape=lambda q: np.zeros(2), period=TWO_PI,
                         w_integral=lambda t: math.sin(t) + 1.0)

@@ -367,6 +367,17 @@ def test_a_sweeps_averaged_run_drops_only_omega():
     assert sc.compare(full, sent, s) == sc.compare(full, whole, s)
 
 
+def test_convergence_time_reads_the_raw_error_when_a_period_spans_under_a_sample():
+    # 2 pi eps spans 0.06 samples: the window is one sample, so the error
+    # itself must stay within the radius; a two-sample mean would enter it at
+    # t = 0.4, where (0.4 + 0.6) / 2 = 0.5
+    t = np.linspace(0.0, 1.0, 11)
+    err = np.array([3.0, 2.0, 1.0, 0.4, 0.6, 0.2, 0.3, 0.1, 0.0, 0.0, 0.0])
+    traj = Trajectory(t=t, states=np.column_stack([2.0 + err, np.full(11, 3.0)]))
+    assert sc.period_window_samples(traj, 0.001) == 1
+    assert sc.convergence_time(traj, (2.0, 3.0), 0.001, radius=0.5) == 0.5
+
+
 def test_convergence_time_never_sentinel():
     s = _scenario(gains=EsGains(0.0, 1.0, 0.1), horizon=5.0)
     traj = sc.run_full(s)
@@ -1214,6 +1225,35 @@ def test_a_forking_sweep_builds_the_loops_before_it_forks(monkeypatch):
     misses = integrator._rk4_loop.cache_info().misses
     for rhs in (sc._averaged_rhs(s), sc._full_rhs(s)):
         integrator._loop(rhs, 6)
+    assert integrator._rk4_loop.cache_info().misses == misses
+
+
+def test_sweep_rows_carry_the_warnings_of_their_scenarios():
+    # c = 25 is above the reference boat's c_hat = 20.2535; a value whose
+    # scenario does not build has none, and one whose run fails keeps its own
+    s = _scenario(horizon=2.0)
+    rows = sc.sweep(s, "c", [25.0, 1.0, math.nan])
+    assert [row["status"] == "ok" for row in rows] == [True, True, False]
+    assert rows[0]["warnings"] == sc._with_value(s, "c", 25.0).warnings != []
+    assert rows[1]["warnings"] == rows[2]["warnings"] == []
+    hot = _scenario(gains=EsGains(1.0, 25.0, 0.1), horizon=2.0)
+    failed = sc.sweep(hot, "epsilon", [1e-320])[0]
+    assert failed["status"].startswith("full run failed")
+    assert failed["warnings"] == hot.warnings != []
+
+
+def test_a_sweep_on_one_cpu_builds_the_loops_its_runs_step(monkeypatch):
+    # one task builds nothing; more step both runners, in a child or in this
+    # process, so the loops are built whatever the number of CPUs
+    monkeypatch.setattr(sc, "_usable_cpus", lambda: 1)
+    integrator._rk4_loop.cache_clear()
+    s = _scenario(horizon=1.0)
+    sc.build_loops(s, [None])
+    assert integrator._rk4_loop.cache_info().misses == 0
+    sc.build_loops(s, [None, None])
+    misses = integrator._rk4_loop.cache_info().misses
+    assert misses > 0
+    assert [row["status"] for row in sc.sweep(s, "k", [0.5, 1.0])] == ["ok", "ok"]
     assert integrator._rk4_loop.cache_info().misses == misses
 
 

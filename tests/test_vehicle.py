@@ -217,6 +217,12 @@ def test_params_name_a_non_positive_damping_entry(entry, value):
         VehicleParams.diagonal(**entries)
 
 
+def test_params_reject_a_damping_matrix_that_is_not_positive_definite():
+    # symmetric, with eigenvalues 3, -1 and 1
+    with pytest.raises(ValueError, match="^damping matrix must be positive definite$"):
+        VehicleParams(1.0, 1.0, 1.0, [[1, 2, 0], [2, 1, 0], [0, 0, 1]])
+
+
 def test_nondiagonal_damping_accepted():
     d = np.array([[2.0, 0.3, 0.0], [0.3, 3.0, 0.0], [0.0, 0.0, 1.0]])
     p = VehicleParams(1.0, 2.0, 0.5, d)
