@@ -627,12 +627,13 @@ def sweep(base, axis, values):
     full run per value, and one averaged run per distinct (k, c), since the
     averaged run reads neither epsilon nor samples_per_period. A full run
     task returns its times and x, y columns only, an averaged run task all
-    but its omega column. Before it forks, this process builds both runs'
-    loops, which every value's runs share, so no child builds one. The
-    rows are computed in this process from the returned runs. A worker
-    that dies fails each row that reads one of its runs with a reason
-    naming its exit code. Every run is deterministic, so a row depends
-    neither on the order of the values nor on the number of processes.
+    but its omega column. With more than one run, this process first
+    builds both runs' loops, which every value's runs share, so no child
+    builds one. The rows are computed in this process from the returned
+    runs. A worker that dies fails each row that reads one of its runs
+    with a reason naming its exit code. Every run is deterministic, so a
+    row depends neither on the order of the values nor on the number of
+    processes.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
