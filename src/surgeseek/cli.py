@@ -66,7 +66,7 @@ def _runs(args, names, meta, extra=lambda s, *runs: {}):
     to `<name>.csv` by one task of `sc.run_forked`, and the meta file
     `meta`, with the keys `extra(s, *runs)` adds. The full run's task is
     `sc.write_full_run`, which on two CPUs writes a long CSV in three
-    shares while the run is integrating, the averaged run's
+    shares, the first while the run is integrating, the averaged run's
     `sc.run_to_csv` of `sc.run_averaged`; each returns its run's times and
     states only. With two runs this process builds both runs' loops first
     (`sc.build_loops`), so a forked child does not. The CSVs and the meta
@@ -92,15 +92,10 @@ def _runs(args, names, meta, extra=lambda s, *runs: {}):
     return s, paths, added
 
 
-def cmd_simulate(args):
-    s, (path,), _ = _runs(args, ["full"], "full_meta.json")
-    _print_warnings(s.warnings)
-    print(path)
-    return 0
-
-
-def cmd_average(args):
-    s, (path,), _ = _runs(args, ["averaged"], "averaged_meta.json")
+def cmd_run(name, args):
+    """`simulate` (`name` "full") or `average` ("averaged"): write the run
+    to `<name>.csv` and its meta to `<name>_meta.json`."""
+    s, (path,), _ = _runs(args, [name], f"{name}_meta.json")
     _print_warnings(s.warnings)
     print(path)
     return 0
@@ -211,8 +206,8 @@ def build_parser():
                     "for planar underactuated vehicles")
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("simulate", cmd_simulate), ("average", cmd_average),
-                     ("compare", cmd_compare)):
+    for name, fn in (("simulate", partial(cmd_run, "full")),
+                     ("average", partial(cmd_run, "averaged")), ("compare", cmd_compare)):
         sp = sub.add_parser(name)
         sp.add_argument("scenario", help="scenario configuration file")
         if name == "compare":

@@ -15,13 +15,13 @@ Each runner integrates its loop and then records the cost and the inputs
 along the states. The metrics read states and times only, so `sweep`
 integrates the same two loops and records states only. Independent work
 (a sweep's full and averaged runs, CLI `compare`'s two runs, the shares
-of a long full-run CSV) goes through `run_forked`, which shares the tasks
-out over the usable CPUs by their costs; a sweep's runs cost their RK4
-step counts. `write_full_run`, the only writer that splits a CSV, writes a
-long full-run CSV on two CPUs while the run is still integrating: its
-first half is written by a child started through `_children`, the fork
-and join code of `run_forked`, while this process steps the second half
-by `step_rows`. Every output keeps its bits whatever the number of CPUs.
+of a long full-run CSV) goes through `run_forked`, the one code that
+forks, which shares the tasks out over the usable CPUs by their costs; a
+sweep's runs cost their RK4 step counts. `write_full_run`, the only writer
+that splits a CSV, writes a long full-run CSV on two CPUs in two
+`run_forked` phases: a child writes its first half while this process
+steps the second half by `step_rows`, and then the second half is written
+in two shares. Every output keeps its bits whatever the number of CPUs.
 """
 import configparser
 import contextlib
@@ -170,11 +170,12 @@ def load_scenario(path):
 
 
 @contextlib.contextmanager
-def _run_failure(scenario, name, eps=""):
+def _run_failure(scenario, name):
     """Re-raise an exception of the block as a RuntimeError naming the run
-    `name` and its gains; `eps` is the epsilon clause of that message,
-    empty for the averaged run, which does not read epsilon."""
+    `name` ("full" or "averaged") and its gains: epsilon too for the full
+    run, but not for the averaged run, which does not read it."""
     gains = scenario.gains
+    eps = f" eps={gains.epsilon}" if name == "full" else ""
     try:
         yield
     except Exception as exc:
@@ -183,11 +184,11 @@ def _run_failure(scenario, name, eps=""):
             f"horizon={scenario.horizon}") from exc
 
 
-def _integrate(scenario, rhs, step, name, eps=""):
+def _integrate(scenario, rhs, step, name):
     """Integrate `rhs(scenario)` over the horizon by the step
     `step(scenario)`, recording the states only; a failure, of either of
-    them too, is re-raised by `_run_failure(scenario, name, eps)`."""
-    with _run_failure(scenario, name, eps):
+    them too, is re-raised by `_run_failure(scenario, name)`."""
+    with _run_failure(scenario, name):
         return integrate(rhs(scenario), scenario.initial,
                          IntegratorSettings(step=step(scenario), tf=scenario.horizon))
 
@@ -237,11 +238,6 @@ def _full_step(scenario):
                          / scenario.samples_per_period)
 
 
-def _full_eps(scenario):
-    """The epsilon clause of a full run's failure message."""
-    return f" eps={scenario.gains.epsilon}"
-
-
 def _full_rhs(scenario):
     """The oscillatory closed loop: the model under the surge law's force on
     the measured cost and the torque c."""
@@ -252,7 +248,7 @@ def _full_rhs(scenario):
 
 def _integrate_full(scenario):
     """The oscillatory closed loop's states, on `run_full`'s grid."""
-    return _integrate(scenario, _full_rhs, _full_step, "full", _full_eps(scenario))
+    return _integrate(scenario, _full_rhs, _full_step, "full")
 
 
 def _averaged_rhs(scenario):
@@ -532,54 +528,6 @@ def _usable_cpus():
         return 1
 
 
-@contextlib.contextmanager
-def _children():
-    """`run_forked`'s way of forking, for a block that starts children and
-    collects their results: yields a function `start(tasks, exited)`.
-
-    `start` forks a child that runs `tasks` in order and sends back their
-    results as one list through a one-way pipe, and returns a function that
-    waits for that list. That function re-raises an exception a task
-    raised; a child that exits without sending gives `exited(j, exitcode)`
-    in place of the result of each of its tasks[j]. Fork, not spawn: the
-    scenario's cost closures cannot be pickled, and a forked child inherits
-    them, as it inherits the arrays a task reads. Fork copies the calling
-    thread only; surgeseek starts no other thread. Every child started is
-    terminated if still running and joined, whatever way the block is left.
-    """
-    import multiprocessing  # only a run that forks pays for the import
-    context = multiprocessing.get_context("fork")
-    started = []
-
-    def start(tasks, exited):
-        receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(target=_send_outcome, args=(sender, tasks))
-        child.start()
-        started.append((child, receiver))
-        # the parent's copy of the write end would keep EOF from showing
-        sender.close()
-
-        def results():
-            try:
-                ok, outcome = receiver.recv()
-            except EOFError:
-                child.join()
-                return [exited(j, child.exitcode) for j in range(len(tasks))]
-            if not ok:
-                raise outcome
-            return outcome
-        return results
-
-    try:
-        yield start
-    finally:
-        for child, receiver in started:
-            receiver.close()
-            if child.is_alive():
-                child.terminate()
-            child.join()
-
-
 def run_forked(tasks, exited, costs=None):
     """The results of `tasks`, in order.
 
@@ -588,28 +536,51 @@ def run_forked(tasks, exited, costs=None):
     forked. Otherwise `_shares` places the tasks by their positive `costs`,
     longest first, each onto the least-loaded share; with `costs=None`
     every task costs 1, which gives the strided shares tasks[i::n]. This
-    process runs share 0 while one child per other share, started by
-    `_children`, runs its tasks in task order. An exception that a child's
-    task raises is re-raised here. A child that exits without sending gives
-    `exited(i, exitcode)` in place of the result of each of its tasks[i].
-    Every child is terminated if still running and joined, whatever way
-    this returns.
+    process runs share 0 while one forked child per other share runs its
+    tasks in task order and sends back their results as one list through a
+    one-way pipe. An exception that a child's task raises is re-raised
+    here. A child that exits without sending gives `exited(i, exitcode)` in
+    place of the result of each of its tasks[i]. Fork, not spawn: the
+    scenario's cost closures cannot be pickled, and a forked child inherits
+    them, as it inherits the arrays a task reads. Fork copies the calling
+    thread only; surgeseek starts no other thread. Every child is
+    terminated if still running and joined, whatever way this returns.
     """
     n = min(len(tasks), _usable_cpus())
     if n <= 1:
         return [task() for task in tasks]
+    import multiprocessing  # only a run that forks pays for the import
+    context = multiprocessing.get_context("fork")
     shares = _shares([1] * len(tasks) if costs is None else costs, n)
     results = [None] * len(tasks)
-    with _children() as start:
-        # a child's task j is tasks[share[j]]
-        waits = [start([tasks[i] for i in share],
-                       lambda j, code, share=share: exited(share[j], code))
-                 for share in shares[1:]]
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_outcome,
+                                    args=(sender, [tasks[i] for i in share]))
+            child.start()
+            children.append((share, child, receiver))
+            # the parent's copy of the write end would keep EOF from showing
+            sender.close()
         for i in shares[0]:
             results[i] = tasks[i]()
-        for share, wait in zip(shares[1:], waits):
-            for i, result in zip(share, wait()):
+        for share, child, receiver in children:
+            try:
+                ok, outcome = receiver.recv()
+            except EOFError:
+                child.join()
+                ok, outcome = True, [exited(i, child.exitcode) for i in share]
+            if not ok:
+                raise outcome
+            for i, result in zip(share, outcome):
                 results[i] = result
+    finally:
+        for _share, child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
     return results
 
 
@@ -654,7 +625,7 @@ def sweep(base, axis, values):
             warnings = scenario.warnings
             # the full run's step count, its task's cost: where it is not a
             # number (a subnormal epsilon's), the run fails as on its own
-            with _run_failure(scenario, "full", _full_eps(scenario)):
+            with _run_failure(scenario, "full"):
                 steps = round(scenario.horizon / _full_step(scenario))
         except Exception as exc:
             pairs.append(_failed_row(value, str(exc), warnings))
@@ -741,10 +712,10 @@ def _parts(path, count):
 
 
 def _writer_exited(bounds):
-    """`exited` for `run_forked` or `_children` of `write_full_run`'s
-    shares, the j-th of which writes the rows [lo, hi) = `bounds[j]`."""
-    def exited(j, code):
-        lo, hi = bounds[j]
+    """`exited` for `run_forked` of `write_full_run`'s tasks, the i-th of
+    which writes the rows [lo, hi) = `bounds[i]`."""
+    def exited(i, code):
+        lo, hi = bounds[i]
         raise RuntimeError(f"CSV writer of rows {lo}-{hi} exited with code {code}")
     return exited
 
@@ -797,20 +768,18 @@ def write_full_run(scenario, path):
     returned times and states, and the same error for a failed step.
 
     Where the CSV has more than `_SPLIT_NUMBERS` numbers and two CPUs are
-    usable, the CSV is written while the run is still integrating, in three
-    shares:
+    usable, the CSV is written in three shares by two `run_forked` phases:
     - this process steps the run up to row mid = n // 2 of its n rows;
-    - a child started by `_children` records and writes the header and
-      rows [0, mid) to `path`, while this process steps the rest;
-    - `run_forked` writes the rest in two shares split at their midpoint,
+    - phase 1: a child records and writes the header and rows [0, mid) to
+      `path`, while this process steps the rest;
+    - phase 2: the rest is written in two shares split at their midpoint,
       this process's to the first `_parts` file and a child's to the
-      second;
-    - the parts are appended to `path` once the head share is done.
+      second, and the parts are appended to `path`.
     Each share records its own rows, so this process never holds the whole
     run's rho or inputs. Otherwise the run is stepped in one go and written
     by `run_to_csv`, and nothing more is forked.
     """
-    failure = partial(_run_failure, scenario, "full", _full_eps(scenario))
+    failure = partial(_run_failure, scenario, "full")
     with failure():
         settings = IntegratorSettings(step=_full_step(scenario), tf=scenario.horizon)
     n = settings.n_steps + 1
@@ -819,18 +788,21 @@ def write_full_run(scenario, path):
     rhs = _full_rhs(scenario)
     mid = n // 2
     rest = [(mid, (mid + n) // 2), ((mid + n) // 2, n)]
-    with _parts(path, len(rest)) as parts, _children() as start:
+    with _parts(path, len(rest)) as parts:
         with failure():
             traj = allocate(scenario.initial, settings)
             step_rows(rhs, traj.states, settings.step, 0, mid)
         share = partial(_write_full_rows, scenario, surge_law(scenario.gains), traj)
-        head = start([partial(share, path, TRAJECTORY_HEADER, 0, mid)],
-                     _writer_exited([(0, mid)]))
-        with failure():
-            step_rows(rhs, traj.states, settings.step, mid, n - 1)
+
+        def step_rest():
+            with failure():
+                step_rows(rhs, traj.states, settings.step, mid, n - 1)
+
+        # task 0, which steps the rest, runs in this process
+        run_forked([step_rest, partial(share, path, TRAJECTORY_HEADER, 0, mid)],
+                   _writer_exited([None, (0, mid)]))
         run_forked([partial(share, part, None, lo, hi) for part, (lo, hi) in zip(parts, rest)],
                    _writer_exited(rest))
-        head()
     return traj
 
 

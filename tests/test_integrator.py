@@ -424,3 +424,14 @@ def test_a_laws_loop_reads_each_value_once_per_call():
     settings = IntegratorSettings(step=0.1, tf=1.0)
     assert stepped(law, (0.3, -0.2), settings) == stepped(lambda t, y: law(t, y), (0.3, -0.2),
                                                           settings)
+
+
+def test_a_law_reads_a_builtin_from_builtins():
+    # abs is neither a parameter nor a closure value of the law: the loop
+    # binds it from builtins, and steps the bytes of the wrapped law
+    [law] = define_laws("def f(t, y):\n    a, b = y\n    db = -k * abs(a) - b\n"
+                        "    return (b, db)\n", ("k",))(0.5)
+    assert "abs" not in law.__code__.co_freevars
+    settings = IntegratorSettings(step=0.1, tf=2.0)
+    got = stepped(law, (-0.3, 0.2), settings)
+    assert got == stepped(lambda t, y: law(t, y), (-0.3, 0.2), settings)

@@ -880,8 +880,8 @@ def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
 def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share, failure):
     # write_columns writes 10 rows in its only share. write_full_run, under a
     # bound of 0, writes the 5 s run's CSV in three: a child writes the head
-    # to the CSV, this process the middle to part file 0, a child the tail
-    # to part file 1
+    # to the CSV, and once it is done this process writes the middle to part
+    # file 0 and a child the tail to part file 1
     monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     starts = _counted_starts(monkeypatch)
@@ -893,8 +893,8 @@ def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share,
     def fails_after_writing(name, *args):
         write_rows(name, *args)
         if name != names[share]:
-            # the other shares: a middle that fails finds both children running
-            if share == "middle":
+            # a middle that fails finds the tail's child running
+            if share == "middle" and name == names["tail"]:
                 time.sleep(60.0)
             return
         if failure == "exits":
@@ -908,7 +908,8 @@ def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share,
             sc.write_columns(path, sc.TRAJECTORY_HEADER, _columns(10))
         else:
             sc.write_full_run(_scenario(horizon=5.0), path)
-    assert len(starts) == (0 if share == "only" else 2)
+    # a head that fails leaves the rest unwritten: its child is the only one
+    assert len(starts) == {"only": 0, "head": 1}.get(share, 2)
     assert multiprocessing.active_children() == []
     assert list(tmp_path.iterdir()) == []
 
@@ -933,11 +934,15 @@ def test_cli_keeps_the_earlier_csv_when_its_write_fails(
     _split_small_csvs(monkeypatch)
     (compare_dir / name).write_bytes(b"earlier run\n")
     write_rows, paths = sc._write_rows, []
+    temp = f"{compare_dir / name}.{os.getpid()}.tmp"
+    split = _writes_while_integrating(command, cpus)
 
     def fails_after_writing(path, *args):
         paths.append(path)
         write_rows(path, *args)
-        raise OSError("disk full")
+        # the head share of a split full.csv, a child's, is written whole
+        if not (split and path == temp):
+            raise OSError("disk full")
 
     monkeypatch.setattr(sc, "_write_rows", fails_after_writing)
     with _within(10.0):
@@ -946,8 +951,7 @@ def test_cli_keeps_the_earlier_csv_when_its_write_fails(
     # CSV's temporary file, or, where a full run is written while it
     # integrates, the first share of the rest to the first part file (a
     # child writes the head)
-    temp = f"{compare_dir / name}.{os.getpid()}.tmp"
-    mine = f"{temp}.{os.getpid()}.0.part" if _writes_while_integrating(command, cpus) else temp
+    mine = f"{temp}.{os.getpid()}.0.part" if split else temp
     assert paths == [mine]
     assert multiprocessing.active_children() == []
     assert code == 1 and "disk full" in err
@@ -1211,6 +1215,66 @@ def test_a_full_run_names_a_subnormal_epsilon(run, eps, reason):
         run(s)
     assert str(info.value) == (f"full run failed ({reason}); gains k=1.0 c=1.0 eps={eps}, "
                                f"horizon=2.0")
+
+
+def _averaged_nan_for(k, monkeypatch):
+    """Make the averaged run of gain `k` blow up at its first step: its
+    surge forcing is NaN."""
+    self_product = sc.es_surge_self_product
+
+    def nan_for_k(p, gain, cost):
+        if gain == k:
+            return lambda _x, _y, _cth, _sth: math.nan
+        return self_product(p, gain, cost)
+
+    monkeypatch.setattr(sc, "es_surge_self_product", nan_for_k)
+
+
+def test_an_averaged_run_names_its_gains_but_no_epsilon(monkeypatch):
+    # the averaged run reads no epsilon, so its message names none
+    _averaged_nan_for(1.0, monkeypatch)
+    s = _scenario(horizon=2.0)
+    with pytest.raises(RuntimeError) as info:
+        sc.run_averaged(s)
+    assert str(info.value) == ("averaged run failed (non-finite state encountered at "
+                               "t=0.0002); gains k=1.0 c=1.0, horizon=2.0")
+
+
+def test_a_run_that_fails_in_this_process_names_itself_in_its_row(monkeypatch):
+    # on one CPU every run of a sweep is a task of this process: the averaged
+    # run of k = 1.5 fails, and so only that value's row
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0}, raising=False)
+    starts = _counted_starts(monkeypatch)
+    _averaged_nan_for(1.5, monkeypatch)
+    s = _scenario(horizon=2.0)
+    rows = sc.sweep(s, "k", [0.5, 1.5, 2.0])
+    assert starts == []
+    assert [row["status"] for row in rows] == [
+        "ok", "averaged run failed (non-finite state encountered at t=0.0002); "
+        "gains k=1.5 c=1.0; horizon=2.0", "ok"]
+    assert math.isnan(rows[1]["final_error"]) and math.isnan(rows[1]["sup_deviation"])
+    assert rows[::2] == sc.sweep(s, "k", [0.5, 2.0])
+
+
+def test_a_sweep_row_names_the_error_of_its_metrics(monkeypatch):
+    # both runs of k = 1.5 finish, and its metrics raise: the row's status
+    # is the error's text, its commas written as ";" and its newlines as spaces
+    compare = sc.compare
+
+    def fails_for_k(full, averaged, scenario, radius=None):
+        if scenario.gains.k == 1.5:
+            raise ValueError("metrics failed, at k = 1.5\nafter both runs")
+        return compare(full, averaged, scenario, radius)
+
+    monkeypatch.setattr(sc, "compare", fails_for_k)
+    s = _scenario(horizon=2.0)
+    rows = sc.sweep(s, "k", [0.5, 1.5, 2.0])
+    assert [row["status"] for row in rows] == [
+        "ok", "metrics failed; at k = 1.5 after both runs", "ok"]
+    assert [row["param_value"] for row in rows] == [0.5, 1.5, 2.0]
+    assert all(math.isnan(rows[1][key]) for key in
+               ("final_error", "conv_time_r", "path_length", "sup_deviation"))
+    assert rows[::2] == sc.sweep(s, "k", [0.5, 2.0])
 
 
 def test_a_forking_sweep_builds_the_loops_before_it_forks(monkeypatch):
