@@ -63,20 +63,17 @@ def _renamed(*paths):
 
 def _runs(args, names, meta, extra=lambda s, *runs: {}):
     """The scenario and the runs `names` ("full", "averaged"), each written
-    to `<name>.csv` by one task of `sc.run_forked`, and the meta file
-    `meta`, with the keys `extra(s, *runs)` adds. The full run's task is
-    `sc.write_full_run`, which on two CPUs writes a long CSV in three
-    shares, the first while the run is integrating, the averaged run's
-    `sc.run_to_csv` of `sc.run_averaged`; each returns its run's times and
-    states only. With two runs this process builds both runs' loops first
-    (`sc.build_loops`), so a forked child does not. The CSVs and the meta
-    are renamed into place together, only once every run, every write and
-    the meta have succeeded. Returns the scenario, the path of each CSV and
-    the added keys."""
+    to `<name>.csv` by one task of `sc.run_forked`, `sc.write_run`, which
+    on two CPUs writes a long CSV in three shares, the first while the run
+    is integrating, and returns what the metrics read of its run; and the
+    meta file `meta`, with the keys `extra(s, *runs)` adds. With two runs
+    this process builds both runs' loops first (`sc.build_loops`), so a
+    forked child does not. The CSVs and the meta are renamed into place
+    together, only once every run, every write and the meta have
+    succeeded. Returns the scenario, the path of each CSV and the added
+    keys."""
     s = sc.load_scenario(args.scenario)
     out = _output_dir(s.output_dir)
-    writers = {"full": sc.write_full_run,
-               "averaged": partial(sc.run_to_csv, sc.run_averaged)}
     paths = [os.path.join(out, f"{name}.csv") for name in names]
 
     def exited(i, code):
@@ -84,7 +81,7 @@ def _runs(args, names, meta, extra=lambda s, *runs: {}):
                            f"before sending its run")
 
     with _renamed(*paths, os.path.join(out, meta)) as temps:
-        tasks = [partial(writers[name], s, temp) for name, temp in zip(names, temps)]
+        tasks = [partial(sc.write_run, s, name, temp) for name, temp in zip(names, temps)]
         sc.build_loops(s, tasks)
         runs = sc.run_forked(tasks, exited)
         added = extra(s, *runs)

@@ -11,17 +11,20 @@ grid by cubic Hermite dense output and reports planar-position deviation
 metrics. Heading deviation is deliberately excluded from the metrics: only
 the linear motion is claimed to converge, while the vehicle keeps spinning.
 
-Each runner integrates its loop and then records the cost and the inputs
-along the states. The metrics read states and times only, so `sweep`
-integrates the same two loops and records states only. Independent work
-(a sweep's full and averaged runs, CLI `compare`'s two runs, the shares
-of a long full-run CSV) goes through `run_forked`, the one code that
-forks, which shares the tasks out over the usable CPUs by their costs; a
-sweep's runs cost their RK4 step counts. `write_full_run`, the only writer
-that splits a CSV, writes a long full-run CSV on two CPUs in two
-`run_forked` phases: a child writes its first half while this process
-steps the second half by `step_rows`, and then the second half is written
-in two shares. Every output keeps its bits whatever the number of CPUs.
+Each run is addressed by its name, "full" or "averaged": `_RUNS` holds
+its right-hand side, its step, the surge law its record maps and the state
+columns its task sends back. Each runner integrates its loop and then
+records the cost and the inputs along the states. The metrics read states
+and times only, so `sweep` integrates the same two loops and records
+states only. Independent work (a sweep's full and averaged runs, CLI
+`compare`'s two runs, the shares of a long full-run CSV) goes through
+`run_forked`, the one code that forks, which shares the tasks out over the
+usable CPUs by their costs; a sweep's runs cost their RK4 step counts.
+`write_run`, the one writer of a run's CSV, writes a long one on two CPUs
+in two `run_forked` phases: a child writes its first half while this
+process steps the second half by `step_rows`, and then the second half is
+written in two shares. Every output keeps its bits whatever the number of
+CPUs.
 """
 import configparser
 import contextlib
@@ -29,6 +32,7 @@ import math
 import numbers
 import os
 import shutil
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -135,12 +139,15 @@ def load_scenario(path):
 
     Any other section raises a ValueError naming it, as `_section` names
     an unknown key: a misspelt section would otherwise load its defaults.
+    So does a [DEFAULT] section, whose keys configparser would otherwise
+    hand to every section. Values are read literally: a `%` is no
+    interpolation.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     read = cp.read(path)
     if not read:
         raise FileNotFoundError(f"scenario file not found: {path}")
-    for name in cp.sections():
+    for name in (["DEFAULT"] if cp.defaults() else []) + cp.sections():
         if name not in _SECTIONS:
             raise ValueError(f"[{name}]: unknown section; expected one of "
                              f"{', '.join(_SECTIONS)}")
@@ -184,15 +191,6 @@ def _run_failure(scenario, name):
             f"horizon={scenario.horizon}") from exc
 
 
-def _integrate(scenario, rhs, step, name):
-    """Integrate `rhs(scenario)` over the horizon by the step
-    `step(scenario)`, recording the states only; a failure, of either of
-    them too, is re-raised by `_run_failure(scenario, name)`."""
-    with _run_failure(scenario, name):
-        return integrate(rhs(scenario), scenario.initial,
-                         IntegratorSettings(step=step(scenario), tf=scenario.horizon))
-
-
 # rows per block that `_mapped` reads: for the reference full run a whole
 # column as floats is a megabyte-sized temporary, and freeing one that
 # large makes malloc keep later arrays on the heap (+2 MB peak RSS over
@@ -216,16 +214,18 @@ def _mapped(law, *columns):
     return values
 
 
-def _record(scenario, traj, surge=None):
-    """Record the cost and the inputs along the integrated `traj`.
+def _record(scenario, traj, name):
+    """Record the cost and the inputs along `traj`, integrated by run `name`.
 
     The loop's own float laws are mapped over the samples: `cost.value`
-    gives rho and `surge`, the surge law the full run stepped, gives u1.
-    So each recorded value is the one the RHS computed from that sample,
-    bit for bit. The averaged run has no surge law (zero surge input).
+    gives rho and the run's surge law, the one the full run stepped, gives
+    u1. So each recorded value is the one the RHS computed from that
+    sample, bit for bit. The averaged run has no surge law (zero surge
+    input).
     """
     states = traj.states
     traj.rho = _mapped(scenario.cost.value, states[:, 0], states[:, 1])
+    surge = _RUNS[name].surge(scenario)
     u1 = np.zeros(len(traj.t)) if surge is None else _mapped(surge, traj.t, traj.rho)
     traj.inputs = np.column_stack([u1, np.full_like(u1, scenario.gains.c)])
     return traj
@@ -246,11 +246,6 @@ def _full_rhs(scenario):
                      {"surge": surge_law(gains), "value": scenario.cost.value, "c": gains.c})
 
 
-def _integrate_full(scenario):
-    """The oscillatory closed loop's states, on `run_full`'s grid."""
-    return _integrate(scenario, _full_rhs, _full_step, "full")
-
-
 def _averaged_rhs(scenario):
     """The symmetric product system: the model under zero surge force and
     the torque c, its surge rate forced by -Lambda_11 <B1:B1>."""
@@ -263,28 +258,54 @@ def _averaged_rhs(scenario):
                            "dvx = dvx - LAMBDA_11 * forcing\n")
 
 
-def _averaged_step(scenario):
-    """`run_averaged`'s step: `AVERAGED_STEPS` steps over the horizon."""
-    return scenario.horizon / AVERAGED_STEPS
+# each run by its name: its right-hand side and step, the surge law its
+# record maps (None: zero surge input), and the state columns its task sends
+# back, the ones the metrics read: the full run's x and y, and the averaged
+# run's x, y, theta, vx and vy, which the Hermite positions read
+_Run = namedtuple("_Run", "rhs step surge columns")
+_RUNS = {
+    "full": _Run(_full_rhs, _full_step, lambda scenario: surge_law(scenario.gains), 2),
+    # no dither: `AVERAGED_STEPS` steps over the horizon
+    "averaged": _Run(_averaged_rhs, lambda scenario: scenario.horizon / AVERAGED_STEPS,
+                     lambda _scenario: None, 5),
+}
 
 
-def _integrate_averaged(scenario):
-    """The symmetric product system's states, on `run_averaged`'s grid."""
-    return _integrate(scenario, _averaged_rhs, _averaged_step, "averaged")
+def _settings(scenario, name):
+    """The integrator settings of run `name` ("full" or "averaged"): its
+    step over the horizon. A failure, a subnormal epsilon's step say, is
+    re-raised by `_run_failure(scenario, name)`."""
+    with _run_failure(scenario, name):
+        return IntegratorSettings(step=_RUNS[name].step(scenario), tf=scenario.horizon)
+
+
+def _integrate(scenario, name):
+    """The states of run `name`, on its grid, recording nothing else; a
+    failure is re-raised by `_run_failure(scenario, name)`."""
+    settings = _settings(scenario, name)
+    with _run_failure(scenario, name):
+        return integrate(_RUNS[name].rhs(scenario), scenario.initial, settings)
+
+
+def _sent(traj, name):
+    """What a task of run `name` sends back: the times of `traj` and the
+    state columns the metrics read, copied, so that neither a forked
+    child's pipe nor this process carries the others."""
+    return Trajectory(traj.t, traj.states[:, :_RUNS[name].columns].copy())
 
 
 def build_loops(scenario, tasks):
     """Where there is more than one of `tasks`, which `run_forked` may
-    share out over children, generate both runners' RK4 loops for
-    `scenario` in this process first, stepping nothing, so that a child
-    inherits them: the runs of one scenario file share them, whatever the
-    gains, and tasks that run in this process step both runners anyway. A
-    runner whose right-hand side overflows (the self product's gain at
-    k = 1e200, say) is left to fail in its own run, by name."""
+    share out over children, generate both runs' RK4 loops for `scenario`
+    in this process first, stepping nothing, so that a child inherits them:
+    the runs of one scenario file share them, whatever the gains, and tasks
+    that run in this process step both runs anyway. A run whose right-hand
+    side overflows (the self product's gain at k = 1e200, say) is left to
+    fail in its own run, by name."""
     if len(tasks) > 1:
-        for rhs in (_full_rhs, _averaged_rhs):
+        for run in _RUNS.values():
             with contextlib.suppress(ArithmeticError):
-                prepare(rhs(scenario), len(scenario.initial))
+                prepare(run.rhs(scenario), len(scenario.initial))
 
 
 def run_full(scenario):
@@ -292,7 +313,7 @@ def run_full(scenario):
 
     The step is `_full_step`'s.
     """
-    return _record(scenario, _integrate_full(scenario), surge_law(scenario.gains))
+    return _record(scenario, _integrate(scenario, "full"), "full")
 
 
 def run_averaged(scenario):
@@ -303,7 +324,7 @@ def run_averaged(scenario):
     whatever epsilon and samples_per_period are. The cost is recorded and
     the surge input is zero.
     """
-    return _record(scenario, _integrate_averaged(scenario))
+    return _record(scenario, _integrate(scenario, "averaged"), "averaged")
 
 
 # ---------------------------------------------------------------------------
@@ -446,28 +467,14 @@ def _failed_row(value, reason, warnings):
     }
 
 
-def _sweep_run(run, scenario):
-    """`run(scenario)`, or the text of the exception it raises, which the
-    rows that read the run name."""
+def _sweep_run(scenario, name):
+    """A sweep's task: run `name` as its task sends it back (`_sent`), or
+    the text of the exception it raises, which the rows that read the run
+    name."""
     try:
-        return run(scenario)
+        return _sent(_integrate(scenario, name), name)
     except Exception as exc:
         return str(exc)
-
-
-def _leading_columns(run, columns, scenario):
-    """A sweep's run: the times and the first `columns` state columns of
-    `run(scenario)`, all that the metrics read of it. The other columns are
-    dropped in the process that integrates it, so a forked worker sends
-    back no more."""
-    traj = run(scenario)
-    return Trajectory(traj.t, traj.states[:, :columns].copy())
-
-
-# the full run's x and y; the averaged run's x, y, theta, vx and vy, which
-# the metrics' Hermite positions read
-_full_positions = partial(_leading_columns, _integrate_full, 2)
-_averaged_states = partial(_leading_columns, _integrate_averaged, 5)
 
 
 def _sweep_row(value, scenario, full, averaged):
@@ -596,23 +603,22 @@ def sweep(base, axis, values):
 
     Each run is one task of `run_forked`, costed at its RK4 step count: one
     full run per value, and one averaged run per distinct (k, c), since the
-    averaged run reads neither epsilon nor samples_per_period. A full run
-    task returns its times and x, y columns only, an averaged run task all
-    but its omega column. With more than one run, this process first
-    builds both runs' loops, which every value's runs share, so no child
-    builds one. The rows are computed in this process from the returned
-    runs. A worker that dies fails each row that reads one of its runs
-    with a reason naming its exit code. Every run is deterministic, so a
-    row depends neither on the order of the values nor on the number of
-    processes.
+    averaged run reads neither epsilon nor samples_per_period. A task sends
+    back its run's times and the state columns the metrics read (`_sent`).
+    With more than one run, this process first builds both runs' loops,
+    which every value's runs share, so no child builds one. The rows are
+    computed in this process from the returned runs. A worker that dies
+    fails each row that reads one of its runs with a reason naming its exit
+    code. Every run is deterministic, so a row depends neither on the order
+    of the values nor on the number of processes.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
     values = list(values)
     tasks, costs = [], []
 
-    def add(run, scenario, cost):
-        tasks.append(partial(_sweep_run, run, scenario))
+    def add(scenario, name, cost):
+        tasks.append(partial(_sweep_run, scenario, name))
         costs.append(cost)
         return len(tasks) - 1
 
@@ -625,15 +631,14 @@ def sweep(base, axis, values):
             warnings = scenario.warnings
             # the full run's step count, its task's cost: where it is not a
             # number (a subnormal epsilon's), the run fails as on its own
-            with _run_failure(scenario, "full"):
-                steps = round(scenario.horizon / _full_step(scenario))
+            steps = _settings(scenario, "full").n_steps
         except Exception as exc:
             pairs.append(_failed_row(value, str(exc), warnings))
             continue
         key = (scenario.gains.k, scenario.gains.c)
         if key not in averaged:
-            averaged[key] = add(_averaged_states, scenario, AVERAGED_STEPS)
-        full = add(_full_positions, scenario, steps)
+            averaged[key] = add(scenario, "averaged", AVERAGED_STEPS)
+        full = add(scenario, "full", steps)
         pairs.append((scenario, full, averaged[key]))
 
     def exited(_i, code):
@@ -653,8 +658,8 @@ def _fmt(x):
     return format(x, ".15g")
 
 
-# numbers (rows x columns) of a full-run CSV above which `write_full_run`
-# writes it in shares. On two vCPUs (median wall time of 12 alternating
+# numbers (rows x columns) of a run's CSV above which `write_run` writes
+# it in shares. On two vCPUs (median wall time of 12 alternating
 # fresh CLI runs each) a split paid for the full run's 318,320 numbers,
 # `simulate` of scenarios/benchmark.ini taking 0.568 s split and 0.625 s
 # not, but not for 99,960, the size of the averaged run's 100,010: the same
@@ -688,7 +693,7 @@ def _write_rows(path, header, columns):
 
 @contextlib.contextmanager
 def _parts(path, count):
-    """`count` part files of `path` for `write_full_run`'s shares, appended
+    """`count` part files of `path` for `write_run`'s shares, appended
     to `path` in order once the block completes. Each is named
     `<path>.<pid>.<k>.part`: the pid keeps two runs that write one path from
     sharing a part file. If the block or the append fails, `path` is
@@ -712,7 +717,7 @@ def _parts(path, count):
 
 
 def _writer_exited(bounds):
-    """`exited` for `run_forked` of `write_full_run`'s tasks, the i-th of
+    """`exited` for `run_forked` of `write_run`'s tasks, the i-th of
     which writes the rows [lo, hi) = `bounds[i]`."""
     def exited(i, code):
         lo, hi = bounds[i]
@@ -745,30 +750,22 @@ def write_trajectory_csv(traj, path):
     write_columns(path, TRAJECTORY_HEADER, _trajectory_columns(traj))
 
 
-def run_to_csv(run, scenario, path):
-    """`run(scenario)` written to `path` by `write_trajectory_csv`. Returns
-    the run's times and states only, all that `compare` reads, so a forked
-    child sends back no more."""
-    traj = run(scenario)
-    write_trajectory_csv(traj, path)
-    return Trajectory(traj.t, traj.states)
-
-
-def _write_full_rows(scenario, surge, traj, path, header, lo, hi):
-    """Rows [lo, hi) of the full run `traj`'s CSV, under `header` (none if
-    None), to `path`. The rows are recorded here, by `_record` on them
-    alone, which maps the loop's laws row by row: so each row has the bits
-    that recording the whole run gives it."""
-    rows = _record(scenario, Trajectory(traj.t[lo:hi], traj.states[lo:hi]), surge)
+def _write_share(scenario, name, traj, path, header, lo, hi):
+    """Rows [lo, hi) of the CSV of `traj`, integrated by run `name`, under
+    `header` (none if None), to `path`. The rows are recorded here, by
+    `_record` on them alone, which maps the loop's laws row by row: so each
+    row has the bits that recording the whole run gives it."""
+    rows = _record(scenario, Trajectory(traj.t[lo:hi], traj.states[lo:hi]), name)
     _write_rows(path, header, _trajectory_columns(rows))
 
 
-def write_full_run(scenario, path):
-    """`run_to_csv(run_full, scenario, path)`: the same bytes, the same
-    returned times and states, and the same error for a failed step.
+def write_run(scenario, name, path):
+    """Run `name` ("full" or "averaged") written to `path`, one row per
+    step. Returns what the run's task sends back (`_sent`).
 
-    Where the CSV has more than `_SPLIT_NUMBERS` numbers and two CPUs are
-    usable, the CSV is written in three shares by two `run_forked` phases:
+    Where the CSV has more than `_SPLIT_NUMBERS` numbers, as a long full
+    run's has and the averaged run's never, and two CPUs are usable, the
+    CSV is written in three shares by two `run_forked` phases:
     - this process steps the run up to row mid = n // 2 of its n rows;
     - phase 1: a child records and writes the header and rows [0, mid) to
       `path`, while this process steps the rest;
@@ -776,26 +773,27 @@ def write_full_run(scenario, path):
       this process's to the first `_parts` file and a child's to the
       second, and the parts are appended to `path`.
     Each share records its own rows, so this process never holds the whole
-    run's rho or inputs. Otherwise the run is stepped in one go and written
-    by `run_to_csv`, and nothing more is forked.
+    run's rho or inputs. Otherwise `run_full` or `run_averaged` runs it in
+    one go, `write_trajectory_csv` writes it, and nothing is forked. Either
+    way the CSV has the same bytes, and a failed step the same error.
     """
-    failure = partial(_run_failure, scenario, "full")
-    with failure():
-        settings = IntegratorSettings(step=_full_step(scenario), tf=scenario.horizon)
+    settings = _settings(scenario, name)
     n = settings.n_steps + 1
     if n * len(TRAJECTORY_HEADER.split(",")) <= _SPLIT_NUMBERS or _usable_cpus() < 2:
-        return run_to_csv(run_full, scenario, path)
-    rhs = _full_rhs(scenario)
+        traj = (run_full if name == "full" else run_averaged)(scenario)
+        write_trajectory_csv(traj, path)
+        return _sent(traj, name)
     mid = n // 2
     rest = [(mid, (mid + n) // 2), ((mid + n) // 2, n)]
     with _parts(path, len(rest)) as parts:
-        with failure():
+        with _run_failure(scenario, name):
+            rhs = _RUNS[name].rhs(scenario)
             traj = allocate(scenario.initial, settings)
             step_rows(rhs, traj.states, settings.step, 0, mid)
-        share = partial(_write_full_rows, scenario, surge_law(scenario.gains), traj)
+        share = partial(_write_share, scenario, name, traj)
 
         def step_rest():
-            with failure():
+            with _run_failure(scenario, name):
                 step_rows(rhs, traj.states, settings.step, mid, n - 1)
 
         # task 0, which steps the rest, runs in this process
@@ -803,7 +801,7 @@ def write_full_run(scenario, path):
                    _writer_exited([None, (0, mid)]))
         run_forked([partial(share, part, None, lo, hi) for part, (lo, hi) in zip(parts, rest)],
                    _writer_exited(rest))
-    return traj
+    return _sent(traj, name)
 
 
 def write_metrics_csv(rows, path):

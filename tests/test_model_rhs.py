@@ -7,6 +7,7 @@ import math
 import re
 import struct
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from test_laws import loop_calls
 
 # per runner: its integration, the closure it replaced, and its step
 RUNNERS = {
-    "full": (sc._integrate_full, full_closure, sc._full_step),
-    "averaged": (sc._integrate_averaged, averaged_closure,
+    "full": (partial(sc._integrate, name="full"), full_closure, sc._full_step),
+    "averaged": (partial(sc._integrate, name="averaged"), averaged_closure,
                  lambda scenario: scenario.horizon / AVERAGED_STEPS),
 }
 
@@ -201,7 +202,7 @@ def test_one_loop_serves_every_k_of_a_field_and_one_per_field(runner, monkeypatc
 def test_a_warm_run_at_another_k_or_c_parses_no_text(monkeypatch):
     # its text, its compile and its loop are those of the run before it
     scenario = _scenario()
-    runs = (sc._integrate_full, sc._integrate_averaged)
+    runs = (partial(sc._integrate, name="full"), partial(sc._integrate, name="averaged"))
     for run in runs:
         run(scenario)
     parse, parsed = ast.parse, []

@@ -120,6 +120,11 @@ def test_load_scenario_missing_file(tmp_path):
     # a misspelt section would load the default start at the origin
     ("[initial]\nx = 0.0", "[intial]\nx = 5.0",
      r"^\[intial\]: unknown section; expected one of vehicle, cost, gains, initial, run$"),
+    # configparser would hand a [DEFAULT] key to every section, and blame the first
+    ("[vehicle]", "[DEFAULT]\nhorizon = 50\n\n[vehicle]",
+     r"^\[DEFAULT\]: unknown section; expected one of vehicle, cost, gains, initial, run$"),
+    # a value is read literally: a % is no interpolation, which would name no key
+    ("k = 1.0", "k = 1%", r"^\[gains\] k: could not convert string to float: '1%'$"),
     (None, None, None),
 ])
 def test_load_scenario_names_the_bad_key(tmp_path, old, new, error):
@@ -134,6 +139,13 @@ def test_load_scenario_names_the_bad_key(tmp_path, old, new, error):
     path.write_text(text.replace(old, new, 1))
     with pytest.raises(ValueError, match=error):
         sc.load_scenario(str(path))
+
+
+def test_a_percent_sign_in_output_dir_is_part_of_the_directory_name(tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_text(BENCHMARK_INI.read_text().replace("output_dir = out",
+                                                      "output_dir = out%(run)s_100%"))
+    assert sc.load_scenario(str(path)).output_dir == "out%(run)s_100%"
 
 
 def test_scenario_validation():
@@ -346,8 +358,8 @@ def test_compare_rejects_mismatched_initial_states():
 
 
 def test_compare_checks_the_start_of_each_column_the_full_run_carries():
-    # a sweep's full run carries x and y only
-    full = sc._full_positions(_scenario(horizon=2.0))
+    # a task's full run carries x and y only
+    full = sc._sweep_run(_scenario(horizon=2.0), "full")
     moved_y = sc.run_averaged(_scenario(horizon=2.0, initial=[0.0, 1.0, 0, 0, 0, 0]))
     with pytest.raises(ValueError, match="initial"):
         sc.compare(full, moved_y, _scenario())
@@ -356,15 +368,26 @@ def test_compare_checks_the_start_of_each_column_the_full_run_carries():
     assert sc.compare(full, moved_vy, _scenario()).sup_deviation > 0.0
 
 
-def test_a_sweeps_averaged_run_drops_only_omega():
-    # a sweep's averaged run task sends back what the metrics read
+def test_a_sweeps_averaged_run_drops_only_omega(monkeypatch, tmp_path):
+    # a task of either run, a sweep's or the CLI's (in one share or, for the
+    # full run, split), sends back the times and the state columns the
+    # metrics read: the full run's x and y, the averaged run's all but omega
     s = _scenario(horizon=2.0)
-    whole = sc._integrate_averaged(s)
-    sent = sc._averaged_states(s)
-    assert sent.t.tobytes() == whole.t.tobytes()
-    assert sent.states.tobytes() == whole.states[:, :5].tobytes()
-    full = sc._full_positions(s)
-    assert sc.compare(full, sent, s) == sc.compare(full, whole, s)
+    whole = {name: sc._integrate(s, name) for name in ("full", "averaged")}
+    sent = {name: [sc._sweep_run(s, name), sc.write_run(s, name, str(tmp_path / name))]
+            for name in whole}
+    monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
+    sent["full"].append(sc.write_run(s, "full", str(tmp_path / "split")))
+    for name, columns in (("full", 2), ("averaged", 5)):
+        for run in sent[name]:
+            assert run.t.tobytes() == whole[name].t.tobytes()
+            assert run.states.tobytes() == whole[name].states[:, :columns].tobytes()
+    metrics = sc.compare(whole["full"], whole["averaged"], s)
+    for full in sent["full"]:
+        for averaged in sent["averaged"]:
+            assert sc.compare(full, averaged, s) == metrics
+            assert sc.compare(full, averaged, s) == sc.compare(full, whole["averaged"], s)
 
 
 def test_convergence_time_reads_the_raw_error_when_a_period_spans_under_a_sample():
@@ -618,14 +641,15 @@ def test_sweep_passes_one_averaged_task_per_k_and_c_costed_in_steps(monkeypatch)
     rows = sc.sweep(base, "epsilon", values)
     assert [row["status"] for row in rows] == ["ok"] * 3
     [(tasks, costs)] = passed
-    runs = [task.args[0] for task in tasks]
-    assert runs.count(sc._averaged_states) == 1
-    assert costs[runs.index(sc._averaged_states)] == AVERAGED_STEPS
+    assert all(task.func is sc._sweep_run for task in tasks)
+    runs = [task.args[1] for task in tasks]
+    assert runs.count("averaged") == 1
+    assert costs[runs.index("averaged")] == AVERAGED_STEPS
     # each full run costs the RK4 steps it takes
-    fulls = [(task.args[1], cost) for task, cost in zip(tasks, costs)
-             if task.args[0] is sc._full_positions]
+    fulls = [(task.args[0], cost) for task, cost in zip(tasks, costs)
+             if task.args[1] == "full"]
     assert [s.gains.epsilon for s, _cost in fulls] == values
-    assert [cost for _s, cost in fulls] == [len(sc._integrate_full(s).t) - 1
+    assert [cost for _s, cost in fulls] == [len(sc._integrate(s, "full").t) - 1
                                             for s, _cost in fulls]
 
 
@@ -652,10 +676,10 @@ def test_sweep_survives_a_worker_that_dies(monkeypatch):
     parent = os.getpid()
     sweep_run = sc._sweep_run
 
-    def dies_in_children(run, scenario):
+    def dies_in_children(scenario, name):
         if os.getpid() != parent:
             os._exit(3)
-        return sweep_run(run, scenario)
+        return sweep_run(scenario, name)
 
     monkeypatch.setattr(sc, "_sweep_run", dies_in_children)
     values = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -678,7 +702,7 @@ def test_sweep_reaps_its_workers_when_the_parent_is_interrupted(monkeypatch):
     _three_cpus(monkeypatch)
     parent = os.getpid()
 
-    def interrupted(_run, _scenario):
+    def interrupted(_scenario, _name):
         if os.getpid() != parent:
             time.sleep(60.0)
         raise KeyboardInterrupt
@@ -854,7 +878,7 @@ def _columns(rows):
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 2047, 2048, 2049, 5003])
 def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
     # write_columns writes a CSV in one share in this process, even on two
-    # CPUs under a bound of 0; write_full_run splits one at its middle row,
+    # CPUs under a bound of 0; write_run splits one at its middle row,
     # whatever the block edges, into shares that `_write_rows` writes alone
     monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
@@ -878,7 +902,7 @@ def test_a_csv_in_two_shares_equals_the_csv_in_one(monkeypatch, tmp_path, rows):
                                             ("head", "raises"), ("middle", "raises"),
                                             ("only", "raises")])
 def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share, failure):
-    # write_columns writes 10 rows in its only share. write_full_run, under a
+    # write_columns writes 10 rows in its only share. write_run, under a
     # bound of 0, writes the 5 s run's CSV in three: a child writes the head
     # to the CSV, and once it is done this process writes the middle to part
     # file 0 and a child the tail to part file 1
@@ -907,7 +931,7 @@ def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share,
         if share == "only":
             sc.write_columns(path, sc.TRAJECTORY_HEADER, _columns(10))
         else:
-            sc.write_full_run(_scenario(horizon=5.0), path)
+            sc.write_run(_scenario(horizon=5.0), "full", path)
     # a head that fails leaves the rest unwritten: its child is the only one
     assert len(starts) == {"only": 0, "head": 1}.get(share, 2)
     assert multiprocessing.active_children() == []
@@ -915,15 +939,17 @@ def test_a_failed_share_leaves_no_csv_and_no_child(monkeypatch, tmp_path, share,
 
 
 def _split_small_csvs(monkeypatch):
-    """Make `write_full_run` split the 5 s scenario's full.csv (797 rows) on
-    two CPUs."""
+    """Make `write_run` split the 5 s scenario's CSVs on two CPUs: full.csv
+    (797 rows) and averaged.csv (10,001 rows), which at the real bound
+    stays in one share."""
     monkeypatch.setattr(sc, "_SPLIT_NUMBERS", 0)
 
 
-def _writes_while_integrating(command, cpus):
-    """Whether CLI `command` on `cpus` writes a split full.csv while the full
-    run integrates: its head share in a child, its rest in two shares."""
-    return command in ("simulate", "compare") and len(cpus) >= 2
+def _writes_while_integrating(cpus):
+    """Whether a CLI command on `cpus` writes its first run's CSV, split by
+    `_split_small_csvs`, while the run integrates: its head share in a
+    child, its rest in two shares."""
+    return len(cpus) >= 2
 
 
 @pytest.mark.parametrize("command, name", [("simulate", "full.csv"),
@@ -935,12 +961,12 @@ def test_cli_keeps_the_earlier_csv_when_its_write_fails(
     (compare_dir / name).write_bytes(b"earlier run\n")
     write_rows, paths = sc._write_rows, []
     temp = f"{compare_dir / name}.{os.getpid()}.tmp"
-    split = _writes_while_integrating(command, cpus)
+    split = _writes_while_integrating(cpus)
 
     def fails_after_writing(path, *args):
         paths.append(path)
         write_rows(path, *args)
-        # the head share of a split full.csv, a child's, is written whole
+        # the head share of a split CSV, a child's, is written whole
         if not (split and path == temp):
             raise OSError("disk full")
 
@@ -948,9 +974,9 @@ def test_cli_keeps_the_earlier_csv_when_its_write_fails(
     with _within(10.0):
         code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, cpus)
     # this process's share goes to a name of its own, never to the CSV's: the
-    # CSV's temporary file, or, where a full run is written while it
-    # integrates, the first share of the rest to the first part file (a
-    # child writes the head)
+    # CSV's temporary file, or, where a run is written while it integrates,
+    # the first share of the rest to the first part file (a child writes
+    # the head)
     mine = f"{temp}.{os.getpid()}.0.part" if split else temp
     assert paths == [mine]
     assert multiprocessing.active_children() == []
@@ -963,10 +989,9 @@ def test_cli_keeps_the_earlier_csv_when_its_write_fails(
 def test_cli_writes_a_long_csv_in_two_shares_with_the_same_bytes(
         monkeypatch, capsys, compare_dir, command, csvs):
     # this process makes the first run and forks one child per other run
-    # (compare's averaged run). A full run forks the head share of full.csv
-    # and one share of its rest; averaged.csv is written in one share, so
-    # `average` forks nothing
-    children = csvs - 1 + (2 if _writes_while_integrating(command, {0, 1}) else 0)
+    # (compare's averaged run). The first run forks the head share of its
+    # CSV and one share of its rest
+    children = csvs - 1 + (2 if _writes_while_integrating({0, 1}) else 0)
     _split_small_csvs(monkeypatch)
     starts = _counted_starts(monkeypatch)
     code, err, split = _cli_run(command, monkeypatch, capsys, compare_dir, {0, 1})
@@ -985,8 +1010,8 @@ def test_cli_leaves_no_csv_when_a_tail_share_dies(monkeypatch, capsys, compare_d
 
     def tail_dies(path, *args):
         write_rows(path, *args)
-        # a full run written while it integrates writes the first share of
-        # its rest to a part file in this process: only a child's dies
+        # a run written while it integrates writes the first share of its
+        # rest to a part file in this process: only a child's dies
         if path.endswith(".part") and os.getpid() != parent:
             os._exit(3)
 
@@ -995,14 +1020,10 @@ def test_cli_leaves_no_csv_when_a_tail_share_dies(monkeypatch, capsys, compare_d
     with _within(10.0):
         code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, {0, 1})
     assert multiprocessing.active_children() == []
-    if command == "average":
-        # averaged.csv is written in one share, by this process: no tail
-        # share dies, and no part file is written
-        assert (code, err, starts) == (0, "", [])
-        assert sorted(written) == ["averaged.csv", "averaged_meta.json"]
-    else:
-        assert code == 1 and "exited with code 3" in err
-        assert written == {}
+    # the first run's head share and tail share
+    assert len(starts) == 2 + (command == "compare")
+    assert code == 1 and "exited with code 3" in err
+    assert written == {}
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -1032,7 +1053,7 @@ def test_a_full_run_that_blows_up_after_its_midpoint_writes_nothing(
     # the same step fails on one CPU, after the head share started on two
     one_cpu = _cli_run(command, monkeypatch, capsys, compare_dir, {0})
     assert one_cpu == (code, err, {})
-    heads = 1 if _writes_while_integrating(command, cpus) else 0
+    heads = 1 if _writes_while_integrating(cpus) else 0
     assert len(starts) == heads + (command == "compare" and len(cpus) > 1)
 
 
@@ -1053,7 +1074,7 @@ def test_a_full_csv_head_share_that_dies_fails_the_command(
     with _within(10.0):
         code, err, written = _cli_run(command, monkeypatch, capsys, compare_dir, cpus)
     assert multiprocessing.active_children() == []
-    if _writes_while_integrating(command, cpus):
+    if _writes_while_integrating(cpus):
         assert code == 1 and "exited with code 3" in err
         assert written == {}
     else:
@@ -1093,7 +1114,7 @@ def test_only_a_csv_of_more_numbers_than_the_bound_splits(
         monkeypatch, tmp_path, rows, width, splits):
     # the reference full.csv, averaged.csv and demo_di.csv: only the first
     # has more than _SPLIT_NUMBERS numbers (rows x columns), and only
-    # write_full_run splits it; write_columns forks nothing at any size
+    # write_run splits it; write_columns forks nothing at any size
     assert (rows * width > sc._SPLIT_NUMBERS) == splits
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     starts = _counted_starts(monkeypatch)
@@ -1113,12 +1134,14 @@ def test_a_full_run_splits_its_csv_only_above_the_bound(monkeypatch, tmp_path, a
     monkeypatch.setattr(sc, "_SPLIT_NUMBERS", numbers - 1 if above else numbers)
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1}, raising=False)
     starts = _counted_starts(monkeypatch)
-    traj = sc.write_full_run(s, str(tmp_path / "full.csv"))
+    traj = sc.write_run(s, "full", str(tmp_path / "full.csv"))
     # above the bound a child writes the head share and another the tail
     assert len(starts) == (2 if above else 0)
     assert multiprocessing.active_children() == []
     assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert np.array_equal(traj.states, run.states)
+    # it sends back the times and the x and y columns
+    assert np.array_equal(traj.t, run.t)
+    assert np.array_equal(traj.states, run.states[:, :2])
     assert sorted(path.name for path in tmp_path.iterdir()) == ["full.csv", "one.csv"]
 
 
@@ -1207,7 +1230,7 @@ def test_a_sweep_fails_only_the_row_of_a_subnormal_epsilon():
 
 @pytest.mark.parametrize("eps, reason", [(1e-320, "cannot convert float infinity to integer"),
                                          (5e-324, "float division by zero")])
-@pytest.mark.parametrize("run", [sc.run_full, sc._integrate_full])
+@pytest.mark.parametrize("run", [sc.run_full, partial(sc._integrate, name="full")])
 def test_a_full_run_names_a_subnormal_epsilon(run, eps, reason):
     # its step is computed inside the run, as a sweep's step count is
     s = _scenario(gains=EsGains(1.0, 1.0, eps), horizon=2.0)
