@@ -1230,7 +1230,8 @@ def test_a_sweep_fails_only_the_row_of_a_subnormal_epsilon():
 
 @pytest.mark.parametrize("eps, reason", [(1e-320, "cannot convert float infinity to integer"),
                                          (5e-324, "float division by zero")])
-@pytest.mark.parametrize("run", [sc.run_full, partial(sc._integrate, name="full")])
+@pytest.mark.parametrize("run", [sc.run_full, partial(sc._integrate, name="full")],
+                         ids=["run_full", "_integrate"])
 def test_a_full_run_names_a_subnormal_epsilon(run, eps, reason):
     # its step is computed inside the run, as a sweep's step count is
     s = _scenario(gains=EsGains(1.0, 1.0, eps), horizon=2.0)
